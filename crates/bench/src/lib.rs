@@ -11,7 +11,6 @@
 //! `--quick` for a reduced smoke-test grid.
 
 pub mod histogram;
-pub mod scenario;
 
 use ldp_bits::{masks_of_weight, Mask};
 use ldp_core::{Estimate, MarginalEstimator, MechanismKind};

@@ -2,7 +2,6 @@
 //! `crate::serve`).
 
 use crate::flags::Flags;
-use ldp_bench::scenario::{parse_bench_json, regressions, run_scenario, to_json, Scenario};
 use ldp_bench::DataSource;
 use ldp_bits::{masks_of_weight, Mask};
 use ldp_core::frame::{read_snapshot, write_snapshot, FrameReader, FrameWriter, StreamHeader};
@@ -524,99 +523,6 @@ pub fn query(flags: &Flags) -> Result<(), String> {
         }
     }
     out.flush().map_err(|e| e.to_string())?;
-    Ok(())
-}
-
-/// `bench`: run a named scenario, emit `BENCH.json`, optionally gate
-/// against a committed baseline.
-pub fn bench(flags: &Flags) -> Result<(), String> {
-    if flags.has("list") {
-        for name in Scenario::NAMES {
-            println!("{name}");
-        }
-        return Ok(());
-    }
-    let name = flags.require("scenario")?;
-    let scenario = Scenario::by_name(name).ok_or_else(|| {
-        format!(
-            "unknown scenario {name:?}; known scenarios: {}",
-            Scenario::NAMES.join(", ")
-        )
-    })?;
-    let seed: u64 = flags.parsed("seed", 42)?;
-    let max_regress: f64 = flags.parsed("max-regress", 0.30)?;
-    if !(0.0..1.0).contains(&max_regress) {
-        return Err(format!(
-            "--max-regress must be in [0, 1), got {max_regress}"
-        ));
-    }
-
-    eprintln!(
-        "scenario {} ({} points, {} shards, best of {} reps)",
-        scenario.name,
-        scenario.points.len(),
-        scenario.merge_shards,
-        scenario.reps
-    );
-    let results = run_scenario(&scenario, seed, |r| {
-        let batch = if r.point.batch > 0 {
-            format!(" b={}", r.point.batch)
-        } else {
-            String::new()
-        };
-        eprintln!(
-            "  {:>6}{batch} d={} k={} n={:>7}: {:>12.0} reports/s  {:>9.0} merges/s  \
-             {:>7} snapshot B",
-            r.point.mechanism.name(),
-            r.point.d,
-            r.point.k,
-            r.point.n,
-            r.reports_per_sec,
-            r.merges_per_sec,
-            r.snapshot_bytes
-        );
-    });
-
-    let json = to_json(scenario.name, &results);
-    let output = flags.get("output").unwrap_or("BENCH.json");
-    let mut out = open_output(output)?;
-    out.write_all(json.as_bytes()).map_err(|e| e.to_string())?;
-    out.flush().map_err(|e| e.to_string())?;
-    if output != "-" {
-        eprintln!("wrote {output}");
-    }
-
-    if let Some(baseline_path) = flags.get("baseline") {
-        let text = std::fs::read_to_string(baseline_path)
-            .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
-        let (baseline_name, baseline) =
-            parse_bench_json(&text).map_err(|e| format!("{baseline_path}: {e}"))?;
-        if baseline_name != scenario.name {
-            return Err(format!(
-                "baseline {baseline_path} is for scenario {baseline_name:?}, not {:?}",
-                scenario.name
-            ));
-        }
-        let problems = regressions(&results, &baseline, max_regress);
-        if problems.is_empty() {
-            eprintln!(
-                "regression gate: all {} points within {:.0}% of {}",
-                baseline.len(),
-                max_regress * 100.0,
-                baseline_path
-            );
-        } else {
-            for p in &problems {
-                eprintln!("regression: {p}");
-            }
-            return Err(format!(
-                "bench regression gate failed: {} of {} points regressed more than {:.0}%",
-                problems.len(),
-                baseline.len(),
-                max_regress * 100.0
-            ));
-        }
-    }
     Ok(())
 }
 

@@ -59,10 +59,6 @@ BATCH SUBCOMMANDS
           --marginal 0,3 (mechanisms: one marginal instead of all k-way)
           --value V (oracles: one frequency instead of the full domain)
           --output PATH (-)
-  bench   Run a named scenario matrix and write machine-readable BENCH.json.
-          --scenario NAME (see --list) --seed S (42) --output PATH (BENCH.json)
-          --baseline PATH --max-regress F (0.30)  [CI regression gate]
-          --list (print known scenarios)
 
 SERVING SUBCOMMANDS
   serve   Run the concurrent aggregation server until `shutdown`.
@@ -107,14 +103,14 @@ SERVING SUBCOMMANDS
 EXIT CODES
   0  success
   1  runtime failure (bad flags or input, I/O or connection error,
-     stream/header rejection, bench regression-gate failure)
+     stream/header rejection)
   2  usage error (no subcommand, or an unknown subcommand)
 
 The per-user randomness follows the user_rng(seed, user) schedule, so an
 encode split across processes (via --first-user) or across `load`
 clients is bit-identical to one process encoding everything. See
 docs/WIRE_FORMAT.md for the byte-level protocol, docs/OPERATIONS.md for
-running the server, docs/BENCHMARKS.md for the BENCH.json schema, and
+running the server, docs/BENCHMARKS.md for measuring performance, and
 README.md for a full pipeline walkthrough.";
 
 /// Exit status for usage errors (no or unknown subcommand).
@@ -172,14 +168,6 @@ fn dispatch(subcommand: &str, rest: &[String]) -> Result<(), String> {
                 &["normalize"],
             )?;
             commands::query(&f)
-        }
-        "bench" => {
-            let f = Flags::parse(
-                rest,
-                &["scenario", "seed", "output", "baseline", "max-regress"],
-                &["list"],
-            )?;
-            commands::bench(&f)
         }
         "serve" => {
             let f = Flags::parse(

@@ -36,7 +36,7 @@ impl InpRr {
     }
 
     /// Choose the unary-encoding probability flavor explicitly (the
-    /// `ablation_oue` bench compares the two).
+    /// `ablations` binary compares the two).
     #[must_use]
     pub fn with_flavor(d: u32, eps: f64, flavor: UnaryFlavor) -> Self {
         assert!(

@@ -6,7 +6,7 @@
 //! table; its scaled value is `(−1)^{⟨α, j∧β⟩} ∈ {−1, +1}`, released via
 //! ε-RR (`d + k + 1` bits). The constant coefficient is known exactly
 //! (`c_0 = 1`), so sampling it would waste the report — see the
-//! `ablation_zero_coeff` bench for the measured gain; the paper's
+//! `ablations` binary (ablation 3) for the measured gain; the paper's
 //! analysis treats the sampled set as all `2^k` coefficients, which only
 //! changes constants. Aggregator: per (marginal, coefficient), average
 //! unbiased reports, then invert the size-`2^k` transform per marginal

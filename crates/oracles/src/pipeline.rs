@@ -1,6 +1,6 @@
 //! The one protocol table: how every process that speaks the framed
 //! pipeline — the `ldp-cli` subcommands, the `ldp_server` aggregation
-//! server, and the bench harnesses — reaches the seven marginal
+//! server, and the repo benchmark — reaches the seven marginal
 //! mechanisms and the three frequency oracles, keyed by the
 //! [`StreamHeader`] that travels as frame 0 of every stream and
 //! snapshot.

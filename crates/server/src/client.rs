@@ -3,7 +3,6 @@
 
 use crate::protocol::{Request, Response};
 use ldp_core::frame::{FrameError, FrameReader, FrameWriter, StreamHeader};
-use ldp_oracles::pipeline::encode_report_batch;
 use std::io::BufWriter;
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -66,28 +65,6 @@ pub fn push_reports(addr: &str, header: &StreamHeader, frames: &[Vec<u8>]) -> Re
     push_with(addr, header, |writer| {
         for frame in frames {
             writer.write_frame(frame)?;
-        }
-        Ok(())
-    })
-}
-
-/// Push one report stream as `REPORT_BATCH` frames (wire v2) of up to
-/// `batch` reports each, and wait for the ingest acknowledgement.
-/// `frames` holds pre-encoded single-report payloads, exactly as for
-/// [`push_reports`]; a `batch` of `0` falls back to one frame per
-/// report (the wire-v1 shape). See `docs/OPERATIONS.md` for sizing.
-pub fn push_report_batches(
-    addr: &str,
-    header: &StreamHeader,
-    frames: &[Vec<u8>],
-    batch: usize,
-) -> Result<u64, String> {
-    if batch == 0 {
-        return push_reports(addr, header, frames);
-    }
-    push_with(addr, header, |writer| {
-        for chunk in frames.chunks(batch) {
-            writer.write_frame(&encode_report_batch(chunk))?;
         }
         Ok(())
     })

@@ -19,7 +19,7 @@
 //!   ingestion across a worker pool of per-thread accumulators;
 //! * [`client`] — blocking client helpers ([`client::push_reports`],
 //!   [`client::Control`]) used by `ldp-cli load` / `snapshot` / `stats`
-//!   / `query --connect` and by the `serve` bench scenario;
+//!   / `query --connect` and by the repo benchmark (`benchmark/`);
 //! * [`relay`] — the collector checkpoint file (wire v3) behind
 //!   `serve --checkpoint`, so a crashed collector resumes where its
 //!   last checkpoint left it.
@@ -47,7 +47,7 @@ pub mod protocol;
 pub mod relay;
 pub mod server;
 
-pub use client::{push_frame, push_report_batches, push_reports, push_with, Control, PushWriter};
+pub use client::{push_frame, push_reports, push_with, Control, PushWriter};
 pub use protocol::{PushRequest, QueryRequest, QueryTarget, Request, Response, ServerStats};
 pub use relay::{read_checkpoint, write_checkpoint, Checkpoint, DownstreamEntry};
 pub use server::{Recovery, ServeConfig, Server, ServerSummary};

@@ -120,16 +120,23 @@ fn utf8(bytes: Vec<u8>) -> Result<String, WireError> {
     String::from_utf8(bytes).map_err(|_| WireError::Invalid("checkpoint collector id is not UTF-8"))
 }
 
-/// Write `checkpoint` to `path` atomically: the blob goes to
-/// `path.tmp` first and is renamed over `path`, so a crash mid-write
-/// leaves the previous checkpoint intact.
+/// Write `checkpoint` to `path` atomically and durably: the blob goes
+/// to `path.tmp` first, is fsynced, and is renamed over `path`, and then
+/// the directory is fsynced. A crash mid-write leaves the previous
+/// checkpoint intact, and once this returns the new one survives a
+/// power loss, not only a process kill.
 pub fn write_checkpoint(path: &Path, checkpoint: &Checkpoint) -> Result<(), String> {
     let tmp = tmp_path(path);
     let write = (|| -> Result<(), FrameError> {
         let file = fs::File::create(&tmp)?;
         let mut writer = FrameWriter::new(std::io::BufWriter::new(file));
         writer.write_frame(&checkpoint.to_bytes())?;
-        writer.flush()
+        let file = writer
+            .into_inner()
+            .into_inner()
+            .map_err(|e| e.into_error())?;
+        file.sync_all()?;
+        Ok(())
     })();
     if let Err(e) = write {
         let _ = fs::remove_file(&tmp);
@@ -142,7 +149,29 @@ pub fn write_checkpoint(path: &Path, checkpoint: &Checkpoint) -> Result<(), Stri
             tmp.display(),
             path.display()
         )
+    })?;
+    sync_parent_dir(path).map_err(|e| {
+        format!(
+            "checkpoint {} is in place but its directory could not be synced: {e}",
+            path.display()
+        )
     })
+}
+
+/// Fsync the directory holding `path`, so a rename into it survives a
+/// power loss. Only Unix can open a directory to sync it.
+#[cfg(unix)]
+fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    fs::File::open(dir)?.sync_all()
+}
+
+#[cfg(not(unix))]
+fn sync_parent_dir(_path: &Path) -> std::io::Result<()> {
+    Ok(())
 }
 
 /// Read a checkpoint file: exactly one `CHECKPOINT` frame, nothing

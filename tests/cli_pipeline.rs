@@ -482,6 +482,33 @@ fn invalid_parameters_fail_gracefully() {
     }
 }
 
+/// The documented exit codes: 0 on success, 1 on a runtime failure of a
+/// known subcommand (a bad flag value included), 2 on a usage error (no
+/// subcommand, or an unknown one).
+#[test]
+fn exit_codes_follow_the_documented_convention() {
+    let cases: [(&[&str], i32); 5] = [
+        (&["version"], 0),
+        (&["rows", "--n", "many"], 1),
+        (&["nope"], 2),
+        (&["bench"], 2),
+        (&[], 2),
+    ];
+    for (args, code) in cases {
+        let output = Command::new(cli_bin())
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("failed to spawn ldp-cli");
+        assert_eq!(
+            output.status.code(),
+            Some(code),
+            "{args:?}: stderr:\n{}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+    }
+}
+
 /// A truncated report stream is rejected with a frame error, not
 /// silently folded into a short snapshot.
 #[test]

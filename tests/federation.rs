@@ -22,11 +22,10 @@
 
 use ldp_core::frame::{read_snapshot, FrameReader, FrameWriter, StreamHeader};
 use ldp_core::user_rng;
-use ldp_server::{
-    push_report_batches, Control, PushRequest, Request, Response, ServeConfig, Server,
-};
+use ldp_server::{push_with, Control, PushRequest, Request, Response, ServeConfig, Server};
 use marginal_ldp::oracles::pipeline::{
-    header_for, Client, PipelineAccumulator, PipelineReport, Protocol, SketchShape,
+    encode_report_batch, header_for, Client, PipelineAccumulator, PipelineReport, Protocol,
+    SketchShape,
 };
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
@@ -202,6 +201,28 @@ fn push_stream(addr: &str, header: &[u8], frames: &[Vec<u8>]) -> Response {
         let _ = stream.shutdown(Shutdown::Write);
     }
     read_response(&stream)
+}
+
+/// Push pre-encoded single-report `frames` as one stream of
+/// `REPORT_BATCH` frames of up to `batch` reports each (`0` = one
+/// single-report frame per report) and return the acknowledged count.
+fn push_report_batches(
+    addr: &str,
+    header: &StreamHeader,
+    frames: &[Vec<u8>],
+    batch: usize,
+) -> Result<u64, String> {
+    push_with(addr, header, |writer| {
+        if batch == 0 {
+            frames
+                .iter()
+                .try_for_each(|frame| writer.write_frame(frame))
+        } else {
+            frames
+                .chunks(batch)
+                .try_for_each(|chunk| writer.write_frame(&encode_report_batch(chunk)))
+        }
+    })
 }
 
 /// The deterministic test population: n records over d attributes.
