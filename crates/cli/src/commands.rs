@@ -8,8 +8,8 @@ use ldp_core::frame::{read_snapshot, write_snapshot, FrameReader, FrameWriter, S
 use ldp_core::wire::{tag, Writer};
 use ldp_core::{clamp_normalize, user_rng, MarginalEstimator};
 use ldp_oracles::pipeline::{
-    decode_report_batch_into, header_for, Client, PipelineAccumulator, PipelineEstimate,
-    PipelineReport, Protocol, SketchShape,
+    header_for, Client, PipelineAccumulator, PipelineEstimate, PipelineReport, Protocol,
+    SketchShape,
 };
 use ldp_server::{Control, QueryRequest, QueryTarget, Request, Response};
 use std::fs::File;
@@ -145,9 +145,11 @@ const INGEST_BATCH: usize = 1024;
 /// `ingest`: fold a report stream into a snapshot.
 ///
 /// The read loop is the zero-allocation ingest path: one reusable frame
-/// buffer, a bounded scratch of [`INGEST_BATCH`] decoded reports whose
-/// slots (and heap capacity) are reused across batches via
-/// `PipelineReport::decode_into`, and one `absorb_batch` per filled
+/// buffer; `REPORT_BATCH` frames absorbed straight from their bytes
+/// (`absorb_frame`); and for wire-v1 single-report frames, a bounded
+/// scratch of [`INGEST_BATCH`] decoded reports whose slots (and heap
+/// capacity) are reused across batches via
+/// `PipelineReport::decode_into`, with one `absorb_batch` per filled
 /// scratch — steady state performs no per-report allocation.
 pub fn ingest(flags: &Flags) -> Result<(), String> {
     let input = flags.get("input").unwrap_or("-");
@@ -155,9 +157,6 @@ pub fn ingest(flags: &Flags) -> Result<(), String> {
     let header = read_stream_header(&mut reader, "report stream")?;
     let mut acc = PipelineAccumulator::empty(&header)?;
     let mut batch: Vec<PipelineReport> = Vec::with_capacity(INGEST_BATCH);
-    // Separate slot-reusing scratch for `REPORT_BATCH` envelope frames
-    // (wire v2), which carry their own batch of reports.
-    let mut envelope: Vec<PipelineReport> = Vec::new();
     let mut frame = Vec::new();
     let mut eof = false;
     while !eof {
@@ -177,8 +176,7 @@ pub fn ingest(flags: &Flags) -> Result<(), String> {
                 // to follow).
                 acc.absorb_batch(&batch[..filled])?;
                 filled = 0;
-                let n = decode_report_batch_into(&frame, &mut envelope)?;
-                acc.absorb_batch(&envelope[..n])?;
+                acc.absorb_frame(&frame)?;
                 continue;
             }
             if filled < batch.len() {

@@ -14,7 +14,7 @@
 //! "immediately terminates after a single step and outputs the prior".
 //! [`EmDiagnostics::failed_immediately`] captures exactly this (Table 3).
 
-use crate::wire::{tag, Reader, WireError, Writer};
+use crate::wire::{in_range, tag, Reader, WireError, Writer};
 use crate::{Accumulator, MarginalEstimator, MarginalSetEstimate};
 use ldp_bits::{compress, masks_of_weight, Mask};
 use ldp_mechanisms::{budget::split_epsilon, BinaryRandomizedResponse};
@@ -118,6 +118,15 @@ pub struct InpEmAggregator {
 const DENSE_SCRATCH_MAX_D: u32 = 16;
 
 impl InpEmAggregator {
+    /// The range check: a reported row must lie in the `2^d` domain,
+    /// so a hostile stream cannot grow the count map without bound. The
+    /// protocol table applies it to a whole batch before absorbing any
+    /// of it.
+    #[inline]
+    pub fn check(&self, row: u64) -> Result<(), WireError> {
+        in_range("InpEM row", row, 1u64 << self.config.d)
+    }
+
     /// Absorb one reported row.
     #[inline]
     pub fn absorb(&mut self, report: u64) {
@@ -225,9 +234,10 @@ impl Accumulator for InpEmAggregator {
 
     fn merge(&mut self, other: Self) {
         for (row, count) in other.counts {
-            *self.counts.entry(row).or_insert(0) += count;
+            let slot = self.counts.entry(row).or_insert(0);
+            *slot = slot.saturating_add(count);
         }
-        self.n += other.n;
+        self.n = self.n.saturating_add(other.n);
     }
 
     fn report_count(&self) -> u64 {

@@ -13,7 +13,7 @@
 //! `±1/(2p−1)` reports over the users who sampled it; reconstruct any
 //! k-way marginal from the 2^k relevant coefficients via Lemma 3.7.
 
-use crate::wire::{tag, Reader, WireError, Writer};
+use crate::wire::{in_range, tag, Reader, WireError, Writer};
 use crate::{Accumulator, HadamardEstimate};
 use ldp_bits::{pm_one, WeightRank};
 use ldp_mechanisms::BinaryRandomizedResponse;
@@ -107,7 +107,21 @@ pub struct InpHtAggregator {
 }
 
 impl InpHtAggregator {
-    /// Absorb one report.
+    /// The range check: the report must name a coefficient of the
+    /// indexed set. The protocol table applies it to a whole batch
+    /// before absorbing any of it.
+    #[inline]
+    pub fn check(&self, report: InpHtReport) -> Result<(), WireError> {
+        let coefficients = self.counts.len() as u64;
+        in_range(
+            "InpHT coefficient",
+            u64::from(report.coefficient),
+            coefficients,
+        )
+    }
+
+    /// Absorb one report whose coefficient passes [`Self::check`]
+    /// (absorbing one outside the set panics).
     #[inline]
     pub fn absorb(&mut self, report: InpHtReport) {
         let i = report.coefficient as usize;
@@ -165,10 +179,10 @@ impl Accumulator for InpHtAggregator {
 
     fn merge(&mut self, other: Self) {
         for (a, b) in self.sums.iter_mut().zip(other.sums) {
-            *a += b;
+            *a = a.saturating_add(b);
         }
         for (a, b) in self.counts.iter_mut().zip(other.counts) {
-            *a += b;
+            *a = a.saturating_add(b);
         }
     }
 

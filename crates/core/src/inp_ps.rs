@@ -115,7 +115,7 @@ impl Accumulator for InpPsAggregator {
 
     fn merge(&mut self, other: Self) {
         for (a, b) in self.counts.iter_mut().zip(other.counts) {
-            *a += b;
+            *a = a.saturating_add(b);
         }
     }
 

@@ -163,8 +163,15 @@ impl InpRrAggregator {
     /// position.
     #[inline]
     pub fn absorb(&mut self, report: &[u32]) {
+        self.absorb_ones(report.iter().copied());
+    }
+
+    /// [`Self::absorb`] over any iterator of positions — the form the
+    /// protocol table's frame kernel reads straight off the wire.
+    #[inline]
+    pub fn absorb_ones<I: IntoIterator<Item = u32>>(&mut self, ones: I) {
         let mask = self.ones.len() - 1; // cell count is 2^d
-        for &pos in report {
+        for pos in ones {
             self.ones[pos as usize & mask] += 1;
         }
         self.n += 1;
@@ -208,9 +215,9 @@ impl Accumulator for InpRrAggregator {
     fn merge(&mut self, other: Self) {
         assert_eq!(self.ones.len(), other.ones.len());
         for (a, b) in self.ones.iter_mut().zip(other.ones) {
-            *a += b;
+            *a = a.saturating_add(b);
         }
-        self.n += other.n;
+        self.n = self.n.saturating_add(other.n);
     }
 
     fn report_count(&self) -> u64 {

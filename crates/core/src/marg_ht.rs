@@ -16,7 +16,7 @@
 //! reason the input variant wins (§4.3 "does not obtain as strong a
 //! result as InpHT").
 
-use crate::wire::{tag, Reader, WireError, Writer};
+use crate::wire::{in_range, tag, Reader, WireError, Writer};
 use crate::{Accumulator, MarginalSetEstimate};
 use ldp_bits::{compress, masks_of_weight, pm_one, Mask};
 use ldp_mechanisms::BinaryRandomizedResponse;
@@ -118,11 +118,20 @@ pub struct MargHtAggregator {
 }
 
 impl MargHtAggregator {
+    /// The range check: the report must name one of the `C(d,k)`
+    /// marginals. The protocol table applies it to a whole batch before
+    /// absorbing any of it.
+    #[inline]
+    pub fn check(&self, report: MargHtReport) -> Result<(), WireError> {
+        let marginals = (self.counts.len() >> self.k) as u64;
+        in_range("MargHT marginal", u64::from(report.marginal), marginals)
+    }
+
     /// Absorb one report. Coefficient indices are folded into the
     /// sampled marginal's 2^k coefficients (`coefficient mod 2^k`), so a
-    /// corrupt wire report degrades to a miscount instead of panicking a
-    /// collector thread; a report naming a marginal outside `C(d,k)`
-    /// still panics, as before.
+    /// corrupt coefficient degrades to a miscount. The marginal must
+    /// pass [`Self::check`]: the protocol table refuses a batch holding
+    /// a marginal outside `C(d,k)`, and absorbing one directly panics.
     #[inline]
     pub fn absorb(&mut self, report: MargHtReport) {
         let cells = 1usize << self.k;
@@ -189,10 +198,10 @@ impl Accumulator for MargHtAggregator {
 
     fn merge(&mut self, other: Self) {
         for (a, b) in self.sums.iter_mut().zip(other.sums) {
-            *a += b;
+            *a = a.saturating_add(b);
         }
         for (a, b) in self.counts.iter_mut().zip(other.counts) {
-            *a += b;
+            *a = a.saturating_add(b);
         }
     }
 

@@ -10,7 +10,7 @@
 //! asymptotically by `2^{k/2}` but empirically strong for small `k`, a
 //! point the paper's Figure 4 discussion makes.
 
-use crate::wire::{tag, Reader, WireError, Writer};
+use crate::wire::{in_range, tag, Reader, WireError, Writer};
 use crate::{Accumulator, MarginalSetEstimate};
 use ldp_bits::{compress, masks_of_weight, Mask};
 use ldp_mechanisms::GeneralizedRandomizedResponse;
@@ -107,11 +107,20 @@ pub struct MargPsAggregator {
 }
 
 impl MargPsAggregator {
+    /// The range check: the report must name one of the `C(d,k)`
+    /// marginals. The protocol table applies it to a whole batch before
+    /// absorbing any of it.
+    #[inline]
+    pub fn check(&self, report: MargPsReport) -> Result<(), WireError> {
+        let marginals = (self.counts.len() >> self.k) as u64;
+        in_range("MargPS marginal", u64::from(report.marginal), marginals)
+    }
+
     /// Absorb one report. Cell indices are folded into the sampled
     /// marginal's 2^k-cell histogram (`cell mod 2^k`), so a corrupt
-    /// wire report degrades to a miscount instead of panicking a
-    /// collector thread; a report naming a marginal outside `C(d,k)`
-    /// still panics, as before.
+    /// cell degrades to a miscount. The marginal must pass
+    /// [`Self::check`]: the protocol table refuses a batch holding a
+    /// marginal outside `C(d,k)`, and absorbing one directly panics.
     #[inline]
     pub fn absorb(&mut self, report: MargPsReport) {
         let cells = 1usize << self.k;
@@ -172,7 +181,7 @@ impl Accumulator for MargPsAggregator {
 
     fn merge(&mut self, other: Self) {
         for (a, b) in self.counts.iter_mut().zip(other.counts) {
-            *a += b;
+            *a = a.saturating_add(b);
         }
     }
 

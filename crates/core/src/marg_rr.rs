@@ -8,7 +8,7 @@
 //! unbias cell frequencies over the users who sampled it. Error
 //! `Õ(2^k d^{k/2} / (ε√N))`.
 
-use crate::wire::{tag, Reader, WireError, Writer};
+use crate::wire::{in_range, tag, Reader, WireError, Writer};
 use crate::{Accumulator, MarginalSetEstimate};
 use ldp_bits::{compress, masks_of_weight, Mask};
 use ldp_mechanisms::{UnaryEncoding, UnaryFlavor};
@@ -155,19 +155,39 @@ pub struct MargRrAggregator {
 }
 
 impl MargRrAggregator {
-    /// Absorb one report. Cell indices are folded into the sampled
-    /// marginal's 2^k-cell table (`cell mod 2^k`), so a corrupt wire
-    /// report degrades to a miscount instead of panicking a collector
-    /// thread; a report naming a marginal outside `C(d,k)` still
-    /// panics, as before.
+    /// The range check: a report must name one of the `C(d,k)`
+    /// marginals. The protocol table applies it to a whole batch before
+    /// absorbing any of it.
+    #[inline]
+    pub fn check(&self, marginal: u32) -> Result<(), WireError> {
+        in_range(
+            "MargRR marginal",
+            u64::from(marginal),
+            self.users.len() as u64,
+        )
+    }
+
+    /// Absorb one report.
     #[inline]
     pub fn absorb(&mut self, report: &MargRrReport) {
+        self.absorb_ones(report.marginal, report.ones.iter().copied());
+    }
+
+    /// Absorb one report given as its marginal and the positions of its
+    /// table's 1-bits — the form the protocol table's frame kernel reads
+    /// straight off the wire. Cell indices are folded into the sampled
+    /// marginal's 2^k-cell table (`cell mod 2^k`), so a corrupt cell
+    /// degrades to a miscount. The marginal must pass [`Self::check`]:
+    /// the protocol table refuses a batch holding a marginal outside
+    /// `C(d,k)`, and absorbing one directly panics.
+    #[inline]
+    pub fn absorb_ones<I: IntoIterator<Item = u16>>(&mut self, marginal: u32, ones: I) {
         let cells = 1usize << self.k;
         let mask = cells - 1;
-        let m = report.marginal as usize;
+        let m = marginal as usize;
         self.users[m] += 1;
         let base = m * cells;
-        for &c in &report.ones {
+        for c in ones {
             self.ones[base + (c as usize & mask)] += 1;
         }
     }
@@ -226,10 +246,10 @@ impl Accumulator for MargRrAggregator {
 
     fn merge(&mut self, other: Self) {
         for (a, b) in self.users.iter_mut().zip(other.users) {
-            *a += b;
+            *a = a.saturating_add(b);
         }
         for (a, b) in self.ones.iter_mut().zip(other.ones) {
-            *a += b;
+            *a = a.saturating_add(b);
         }
     }
 

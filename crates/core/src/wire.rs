@@ -145,6 +145,16 @@ pub enum WireError {
     TrailingBytes(usize),
     /// A decoded field failed its validity check.
     Invalid(&'static str),
+    /// A report's index field names a cell outside the absorbing
+    /// accumulator's shape.
+    OutOfRange {
+        /// The protocol and field, e.g. `"MargPS marginal"`.
+        field: &'static str,
+        /// The value the report carries.
+        value: u64,
+        /// The exclusive bound the shape allows.
+        bound: u64,
+    },
 }
 
 impl std::fmt::Display for WireError {
@@ -161,11 +171,31 @@ impl std::fmt::Display for WireError {
             WireError::UnsupportedVersion(v) => write!(f, "unsupported wire version {v}"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after decode"),
             WireError::Invalid(what) => write!(f, "invalid serialized field: {what}"),
+            WireError::OutOfRange {
+                field,
+                value,
+                bound,
+            } => write!(f, "{field} {value} is out of range (must be below {bound})"),
         }
     }
 }
 
 impl std::error::Error for WireError {}
+
+/// The range check behind every report index field: `value < bound`,
+/// or a [`WireError::OutOfRange`] naming the field and its bound.
+#[inline]
+pub fn in_range(field: &'static str, value: u64, bound: u64) -> Result<(), WireError> {
+    if value < bound {
+        Ok(())
+    } else {
+        Err(WireError::OutOfRange {
+            field,
+            value,
+            bound,
+        })
+    }
+}
 
 /// Append-only encoder for accumulator state.
 #[derive(Debug, Default)]
@@ -324,8 +354,10 @@ impl Writer {
     }
 }
 
-/// Cursor-based decoder matching [`Writer`].
-#[derive(Debug)]
+/// Cursor-based decoder matching [`Writer`]. Cloning a reader forks
+/// the cursor, so a batch can be walked once to validate and again to
+/// absorb.
+#[derive(Clone, Debug)]
 pub struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -491,6 +523,20 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
+    /// Read a `u32`-length-prefixed list of `elem_bytes`-wide elements
+    /// as its raw little-endian bytes, without decoding or allocating —
+    /// the form the validate-then-absorb kernels of the protocol table
+    /// walk. A prefix the remaining bytes cannot back is `Truncated`.
+    #[inline]
+    pub fn get_list_bytes(&mut self, elem_bytes: u64) -> Result<&'a [u8], WireError> {
+        let prefix = self.get_u32()?;
+        let bytes = u64::from(prefix)
+            .checked_mul(elem_bytes)
+            .ok_or(WireError::Truncated)?;
+        let n = self.checked_len(bytes, 1)?;
+        self.take(n)
+    }
+
     /// Read a `u32`-length-prefixed raw byte string, rejecting absurd
     /// lengths before allocating.
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, WireError> {
@@ -505,6 +551,13 @@ impl<'a> Reader<'a> {
         let prefix = self.get_u64()?;
         let len = self.checked_len(prefix, 8)?;
         (0..len).map(|_| self.get_f64()).collect()
+    }
+
+    /// The bytes not yet consumed, as one slice.
+    #[inline]
+    #[must_use]
+    pub fn into_rest(self) -> &'a [u8] {
+        self.bytes.get(self.pos..).unwrap_or_default()
     }
 
     /// Assert the whole blob was consumed.

@@ -4,7 +4,7 @@
 //! trade the Hadamard variant makes (Appendix B.2 discussion).
 
 use crate::FrequencyOracle;
-use ldp_core::wire::{tag, Reader, WireError, Writer};
+use ldp_core::wire::{in_range, tag, Reader, WireError, Writer};
 use ldp_core::Accumulator;
 use ldp_mechanisms::{check_epsilon, UnaryEncoding, UnaryFlavor};
 use ldp_sampling::hash::{splitmix64, PolyHash};
@@ -148,12 +148,34 @@ pub struct CmsAggregator {
 }
 
 impl CmsAggregator {
+    /// The range check: a report must name one of the `g` sketch rows,
+    /// and every position must lie in the row's `w` buckets. The
+    /// protocol table applies it to a whole batch before absorbing any
+    /// of it.
+    #[inline]
+    pub fn check<I: IntoIterator<Item = u16>>(&self, row: u8, ones: I) -> Result<(), WireError> {
+        in_range("CMS row", u64::from(row), self.users.len() as u64)?;
+        let width = self.config.w as u64;
+        ones.into_iter()
+            .try_for_each(|b| in_range("CMS bucket", u64::from(b), width))
+    }
+
     /// Absorb one report.
     pub fn absorb(&mut self, report: &CmsReport) {
-        let l = report.row as usize;
+        self.absorb_ones(report.row, report.ones.iter().copied());
+    }
+
+    /// Absorb one report given as its row and positions — the form the
+    /// protocol table's frame kernel reads straight off the wire. The
+    /// report must pass [`Self::check`]; absorbing one outside the
+    /// sketch panics.
+    #[inline]
+    pub fn absorb_ones<I: IntoIterator<Item = u16>>(&mut self, row: u8, ones: I) {
+        let l = usize::from(row);
         self.users[l] += 1;
-        for &b in &report.ones {
-            self.ones[l][b as usize] += 1;
+        let cells = &mut self.ones[l];
+        for b in ones {
+            cells[usize::from(b)] += 1;
         }
     }
 
@@ -204,11 +226,11 @@ impl Accumulator for CmsAggregator {
 
     fn merge(&mut self, other: Self) {
         for (a, b) in self.users.iter_mut().zip(other.users) {
-            *a += b;
+            *a = a.saturating_add(b);
         }
         for (ra, rb) in self.ones.iter_mut().zip(other.ones) {
             for (a, b) in ra.iter_mut().zip(rb) {
-                *a += b;
+                *a = a.saturating_add(b);
             }
         }
     }

@@ -16,7 +16,7 @@
 
 use crate::FrequencyOracle;
 use ldp_bits::pm_one;
-use ldp_core::wire::{tag, Reader, WireError, Writer};
+use ldp_core::wire::{in_range, tag, Reader, WireError, Writer};
 use ldp_core::Accumulator;
 use ldp_mechanisms::{check_epsilon, BinaryRandomizedResponse};
 use ldp_sampling::hash::{splitmix64, PolyHash};
@@ -118,7 +118,22 @@ pub struct HadamardCmsAggregator {
 }
 
 impl HadamardCmsAggregator {
-    /// Absorb one report.
+    /// The range check: a report must name one of the `g` sketch rows
+    /// and one of the row's `w` coefficients. The protocol table applies
+    /// it to a whole batch before absorbing any of it.
+    #[inline]
+    pub fn check(&self, report: HcmsReport) -> Result<(), WireError> {
+        in_range("HCMS row", u64::from(report.row), self.counts.len() as u64)?;
+        in_range(
+            "HCMS coefficient",
+            u64::from(report.coefficient),
+            self.config.w as u64,
+        )
+    }
+
+    /// Absorb one report that passes [`Self::check`] (absorbing one
+    /// outside the sketch panics).
+    #[inline]
     pub fn absorb(&mut self, report: HcmsReport) {
         let (l, m) = (report.row as usize, report.coefficient as usize);
         self.sums[l][m] += if report.sign_positive { 1 } else { -1 };
@@ -183,12 +198,12 @@ impl Accumulator for HadamardCmsAggregator {
     fn merge(&mut self, other: Self) {
         for (ra, rb) in self.sums.iter_mut().zip(other.sums) {
             for (a, b) in ra.iter_mut().zip(rb) {
-                *a += b;
+                *a = a.saturating_add(b);
             }
         }
         for (ra, rb) in self.counts.iter_mut().zip(other.counts) {
             for (a, b) in ra.iter_mut().zip(rb) {
-                *a += b;
+                *a = a.saturating_add(b);
             }
         }
     }

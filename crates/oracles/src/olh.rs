@@ -13,7 +13,7 @@
 //! enforces an explicit operation budget and reports partial progress.
 
 use crate::FrequencyOracle;
-use ldp_core::wire::{tag, Reader, WireError, Writer};
+use ldp_core::wire::{in_range, tag, Reader, WireError, Writer};
 use ldp_core::Accumulator;
 use ldp_mechanisms::{check_epsilon, GeneralizedRandomizedResponse};
 use ldp_sampling::hash::{universal_hash_from_seed, PolyHash};
@@ -114,7 +114,18 @@ pub enum OlhDecode {
 }
 
 impl OlhAggregator {
+    /// The range check: a report's bucket must be one of the hash's `g`
+    /// outputs, the same bound [`Accumulator::from_bytes`] holds a state
+    /// to, so an absorbed report can never make a state that does not
+    /// decode. The protocol table applies it to a whole batch before
+    /// absorbing any of it.
+    #[inline]
+    pub fn check(&self, report: OlhReport) -> Result<(), WireError> {
+        in_range("OLH bucket", u64::from(report.bucket), self.config.g)
+    }
+
     /// Absorb one report.
+    #[inline]
     pub fn absorb(&mut self, report: OlhReport) {
         self.reports.push(report);
     }

@@ -11,9 +11,17 @@
 //! them. Every operation is a single `match` over the ten protocols, so
 //! each protocol has exactly one encode kernel ([`Client::encode_into`]),
 //! one decode kernel (the arm of [`PipelineReport::decode_into`]'s
-//! match), and one absorb kernel (its aggregator's
-//! [`Accumulator::absorb`]; `InpEM` alone keeps a group-by-value batch
-//! kernel). The single-report forms are batches of one.
+//! match), one range check (its aggregator's `check`) and one absorb
+//! kernel (its aggregator's `absorb`; `InpEM` alone keeps a
+//! group-by-value batch kernel). The single-report forms are batches of
+//! one.
+//!
+//! Batch frames reach the absorb kernels two ways.
+//! [`PipelineAccumulator::absorb_frame`] — the collector's path —
+//! validates a whole `REPORT_BATCH` payload and then absorbs straight
+//! from its bytes. [`decode_report_batch_into`] followed by
+//! [`PipelineAccumulator::absorb_batch`] decodes into [`PipelineReport`]s
+//! first; it is the reference the frame kernels are tested against.
 //!
 //! This crate hosts the table because it is the lowest layer that can
 //! see both protocol families (`ldp_oracles` depends on `ldp_core`).
@@ -26,7 +34,7 @@ use crate::{
     Olh, OlhAggregator, OlhReport, OracleKind,
 };
 use ldp_core::frame::StreamHeader;
-use ldp_core::wire::{tag, Reader, WireError, Writer};
+use ldp_core::wire::{tag, Reader, WireError, Writer, MIN_VERSION, VERSION};
 use ldp_core::{
     user_rng, Accumulator, Estimate, InpEm, InpEmAggregator, InpHt, InpHtAggregator, InpHtReport,
     InpPs, InpPsAggregator, InpRr, InpRrAggregator, MargHt, MargHtAggregator, MargHtReport, MargPs,
@@ -422,13 +430,19 @@ pub enum PipelineReport {
 /// out; never absorbed.
 const EMPTY_SLOT: PipelineReport = PipelineReport::InpPs(0);
 
+/// A 0/1 sign byte as a flag; any other byte is invalid.
+#[inline]
+fn sign(byte: u8) -> Option<bool> {
+    match byte {
+        0 => Some(false),
+        1 => Some(true),
+        _ => None,
+    }
+}
+
 /// Decode a 0/1 byte back into a sign flag.
 fn get_sign(r: &mut Reader<'_>) -> Result<bool, WireError> {
-    match r.get_u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(WireError::Invalid("report sign flag")),
-    }
+    sign(r.get_u8()?).ok_or(WireError::Invalid("report sign flag"))
 }
 
 impl PipelineReport {
@@ -597,20 +611,10 @@ pub fn encode_report_batch<B: AsRef<[u8]>>(reports: &[B]) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Decode a [`tag::REPORT_BATCH`] frame payload into a reusable
-/// scratch vector, returning the number of reports decoded. Existing
-/// `scratch` slots are refilled in place (reusing their heap capacity)
-/// and the vector grows only when the batch is larger than any seen
-/// before; entries past the returned count are stale leftovers that
-/// must not be absorbed.
-///
-/// Rejects, without panicking: a non-batch tag, an unsupported
-/// version, a count that cannot fit in the payload, a payload that
-/// ends mid-report, and trailing bytes after the final report.
-pub fn decode_report_batch_into(
-    payload: &[u8],
-    scratch: &mut Vec<PipelineReport>,
-) -> Result<usize, String> {
+/// Open a [`tag::REPORT_BATCH`] frame payload: check the envelope tag
+/// and version and that the count prefix could fit in the bytes that
+/// follow it. Returns the count and a cursor on the first report.
+fn open_batch(payload: &[u8]) -> Result<(usize, Reader<'_>), String> {
     let mut r = Reader::new(payload);
     r.expect_tag(tag::REPORT_BATCH)
         .map_err(|e| format!("bad report batch frame: {e}"))?;
@@ -623,12 +627,34 @@ pub fn decode_report_batch_into(
             r.remaining()
         ));
     }
-    let want = usize::try_from(count).unwrap_or(usize::MAX);
+    Ok((usize::try_from(count).unwrap_or(usize::MAX), r))
+}
+
+/// Decode a [`tag::REPORT_BATCH`] frame payload into a reusable
+/// scratch vector, returning the number of reports decoded. Existing
+/// `scratch` slots are refilled in place (reusing their heap capacity)
+/// and the vector grows only when the batch is larger than any seen
+/// before; entries past the returned count are stale leftovers that
+/// must not be absorbed.
+///
+/// Rejects, without panicking: a non-batch tag, an unsupported
+/// version, a count that cannot fit in the payload, a payload that
+/// ends mid-report, and trailing bytes after the final report.
+///
+/// The serve and `ingest` paths absorb batch frames through
+/// [`PipelineAccumulator::absorb_frame`] instead; this decoder and
+/// [`PipelineAccumulator::absorb_batch`] are the reference it is
+/// tested against.
+pub fn decode_report_batch_into(
+    payload: &[u8],
+    scratch: &mut Vec<PipelineReport>,
+) -> Result<usize, String> {
+    let (want, mut r) = open_batch(payload)?;
     let mut filled = 0usize;
     while filled < want {
         if r.remaining() == 0 {
             return Err(format!(
-                "bad report batch frame: payload ends after {filled} of {count} reports"
+                "bad report batch frame: payload ends after {filled} of {want} reports"
             ));
         }
         if filled == scratch.len() {
@@ -642,6 +668,206 @@ pub fn decode_report_batch_into(
     r.finish()
         .map_err(|e| format!("bad report batch frame: {e}"))?;
     Ok(filled)
+}
+
+/// Refuse a batch holding a report of another protocol than the
+/// accumulator's: one protocol comparison, then a discriminant scan
+/// (every report must share the first one's variant).
+fn check_protocol(protocol: Protocol, reports: &[PipelineReport]) -> Result<(), String> {
+    let first = reports.first().map(std::mem::discriminant);
+    let mixed = reports
+        .first()
+        .filter(|r| r.protocol() != protocol)
+        .or_else(|| {
+            reports
+                .iter()
+                .find(|r| Some(std::mem::discriminant(*r)) != first)
+        });
+    match mixed {
+        Some(bad) => Err(format!(
+            "stream mixes protocols: {} accumulator got a {} report",
+            protocol.name(),
+            bad.protocol().name()
+        )),
+        None => Ok(()),
+    }
+}
+
+/// The message that refuses a batch whose report `i` fails its
+/// protocol's range check.
+#[cold]
+fn out_of_range(i: usize, e: &WireError) -> String {
+    format!("bad report frame: report {i} of the batch: {e}")
+}
+
+/// Why the first pass of [`PipelineAccumulator::absorb_frame`] refused
+/// a batch.
+enum Refusal {
+    /// The bytes are not a batch of this protocol's reports. The
+    /// reference decoder names the first fault ([`malformed`]).
+    Malformed,
+    /// Report `.0` parses but fails its range check.
+    OutOfRange(usize, WireError),
+}
+
+/// The reference path's verdict on a batch the frame kernels found
+/// malformed: the decoder's error, or the protocol mix it decoded to.
+/// Error path only; it allocates the reference scratch.
+#[cold]
+fn malformed(protocol: Protocol, payload: &[u8]) -> String {
+    let mut scratch = Vec::new();
+    let verdict = decode_report_batch_into(payload, &mut scratch)
+        .and_then(|n| check_protocol(protocol, scratch.get(..n).unwrap_or_default()));
+    match verdict {
+        Err(message) => message,
+        Ok(()) => format!(
+            "bad report batch frame: not a batch of {} reports",
+            protocol.name()
+        ),
+    }
+}
+
+/// Pass 1 of a fixed-size frame kernel: one length check (`count`
+/// reports of `N` bytes, nothing after them), then every report's tag,
+/// version and fields through `parse`, and its range through `check`.
+/// Returns the reports for pass 2 to absorb.
+#[inline]
+fn fixed_reports<const N: usize, R>(
+    body: &[u8],
+    count: usize,
+    report_tag: u8,
+    parse: impl Fn(&[u8; N]) -> Option<R>,
+    check: impl Fn(R) -> Result<(), WireError>,
+) -> Result<&[[u8; N]], Refusal> {
+    let (reports, rest) = body.as_chunks::<N>();
+    if reports.len() != count || !rest.is_empty() {
+        return Err(Refusal::Malformed);
+    }
+    for (i, bytes) in reports.iter().enumerate() {
+        let prelude = matches!(
+            bytes.first_chunk(),
+            Some(&[t, v]) if t == report_tag && (MIN_VERSION..=VERSION).contains(&v)
+        );
+        let report = parse(bytes).filter(|_| prelude).ok_or(Refusal::Malformed)?;
+        check(report).map_err(|e| Refusal::OutOfRange(i, e))?;
+    }
+    Ok(reports)
+}
+
+/// Both passes of a list-carrying frame kernel (InpRR, MargRR, CMS),
+/// whose reports vary in length: pass 1 walks the `count` reports
+/// checking each prelude, `read`'s fields and `check`'s range, and that
+/// nothing trails them; pass 2 walks them again into `absorb`.
+#[inline]
+fn absorb_lists<'a, A, R>(
+    acc: &mut A,
+    body: Reader<'a>,
+    count: usize,
+    report_tag: u8,
+    read: impl Fn(&mut Reader<'a>) -> Result<R, WireError>,
+    check: impl Fn(&A, &R) -> Result<(), WireError>,
+    absorb: impl Fn(&mut A, R),
+) -> Result<(), Refusal> {
+    let mut r = body.clone();
+    for i in 0..count {
+        r.expect_tag(report_tag).map_err(|_| Refusal::Malformed)?;
+        let report = read(&mut r).map_err(|_| Refusal::Malformed)?;
+        check(acc, &report).map_err(|e| Refusal::OutOfRange(i, e))?;
+    }
+    r.finish().map_err(|_| Refusal::Malformed)?;
+    let mut r = body;
+    for _ in 0..count {
+        // Pass 1 walked these exact bytes, so every step succeeds.
+        if r.expect_tag(report_tag).is_err() {
+            break;
+        }
+        let Ok(report) = read(&mut r) else { break };
+        absorb(acc, report);
+    }
+    Ok(())
+}
+
+/// A list of little-endian `u32`s, as raw bytes.
+#[inline]
+fn u32s(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes
+        .as_chunks::<4>()
+        .0
+        .iter()
+        .map(|b| u32::from_le_bytes(*b))
+}
+
+/// A list of little-endian `u16`s, as raw bytes.
+#[inline]
+fn u16s(bytes: &[u8]) -> impl Iterator<Item = u16> + '_ {
+    bytes
+        .as_chunks::<2>()
+        .0
+        .iter()
+        .map(|b| u16::from_le_bytes(*b))
+}
+
+// The fixed report layouts of `docs/WIRE_FORMAT.md` §5, read off the
+// bytes after the tag and version; `None` for a sign byte other than
+// 0 or 1.
+
+/// InpPS and InpEM: `u64` row.
+#[inline]
+fn row_report(b: &[u8; 10]) -> Option<u64> {
+    let [_, _, row @ ..] = *b;
+    Some(u64::from_le_bytes(row))
+}
+
+/// InpHT: `u32` coefficient, sign.
+#[inline]
+fn inp_ht_report(b: &[u8; 7]) -> Option<InpHtReport> {
+    let [_, _, coefficient @ .., s] = *b;
+    Some(InpHtReport {
+        coefficient: u32::from_le_bytes(coefficient),
+        sign_positive: sign(s)?,
+    })
+}
+
+/// MargPS: `u32` marginal, `u16` cell.
+#[inline]
+fn marg_ps_report(b: &[u8; 8]) -> Option<MargPsReport> {
+    let [_, _, m0, m1, m2, m3, cell @ ..] = *b;
+    Some(MargPsReport {
+        marginal: u32::from_le_bytes([m0, m1, m2, m3]),
+        cell: u16::from_le_bytes(cell),
+    })
+}
+
+/// MargHT: `u32` marginal, `u16` coefficient, sign.
+#[inline]
+fn marg_ht_report(b: &[u8; 9]) -> Option<MargHtReport> {
+    let [_, _, m0, m1, m2, m3, c0, c1, s] = *b;
+    Some(MargHtReport {
+        marginal: u32::from_le_bytes([m0, m1, m2, m3]),
+        coefficient: u16::from_le_bytes([c0, c1]),
+        sign_positive: sign(s)?,
+    })
+}
+
+/// OLH: `u64` seed, bucket byte.
+#[inline]
+fn olh_report(b: &[u8; 11]) -> Option<OlhReport> {
+    let [_, _, seed @ .., bucket] = *b;
+    Some(OlhReport {
+        seed: u64::from_le_bytes(seed),
+        bucket,
+    })
+}
+
+/// HCMS: row byte, `u16` coefficient, sign.
+#[inline]
+fn hcms_report(b: &[u8; 6]) -> Option<HcmsReport> {
+    let [_, _, row, c0, c1, s] = *b;
+    Some(HcmsReport {
+        row,
+        coefficient: u16::from_le_bytes([c0, c1]),
+        sign_positive: sign(s)?,
+    })
 }
 
 /// The header fields a serialized state fixes: the protocol and `d`
@@ -802,30 +1028,23 @@ impl PipelineAccumulator {
     }
 
     /// Absorb a buffer of decoded reports. The batch is checked first —
-    /// every report must belong to this accumulator's protocol — and
-    /// rejected whole, absorbing nothing, if any report mixes
-    /// protocols. Then each report goes through its aggregator's
-    /// `absorb`; `InpEM` routes the batch through its group-by-value
-    /// kernel (`InpEmAggregator::absorb_batch_iter`).
+    /// every report must belong to this accumulator's protocol and pass
+    /// its protocol's range check (the aggregator's `check`: every index
+    /// field inside this accumulator's shape) — and rejected whole,
+    /// absorbing nothing, if any report fails. Then each report goes
+    /// through its aggregator's `absorb`; `InpEM` routes the batch
+    /// through its group-by-value kernel
+    /// (`InpEmAggregator::absorb_batch_iter`).
     pub fn absorb_batch(&mut self, reports: &[PipelineReport]) -> Result<(), String> {
-        // One protocol comparison, then a discriminant scan: every report
-        // must share the first one's variant.
-        let protocol = self.protocol();
-        let first = reports.first().map(std::mem::discriminant);
-        let mixed = reports
-            .first()
-            .filter(|r| r.protocol() != protocol)
-            .or_else(|| {
-                reports
-                    .iter()
-                    .find(|r| Some(std::mem::discriminant(*r)) != first)
-            });
-        if let Some(bad) = mixed {
-            return Err(format!(
-                "stream mixes protocols: {} accumulator got a {} report",
-                protocol.name(),
-                bad.protocol().name()
-            ));
+        check_protocol(self.protocol(), reports)?;
+        macro_rules! check_each {
+            ($variant:ident, |$r:ident| $check:expr) => {
+                for (i, report) in reports.iter().enumerate() {
+                    if let PipelineReport::$variant($r) = report {
+                        $check.map_err(|e| out_of_range(i, &e))?;
+                    }
+                }
+            };
         }
         macro_rules! absorb_each {
             ($acc:ident, $variant:ident) => {
@@ -837,21 +1056,160 @@ impl PipelineAccumulator {
             };
         }
         match self {
+            // InpRR and InpPS fold their positions into 2^d: no range.
             Self::InpRr(a) => absorb_each!(a, InpRr),
             Self::InpPs(a) => absorb_each!(a, InpPs),
-            Self::InpHt(a) => absorb_each!(a, InpHt),
-            Self::MargRr(a) => absorb_each!(a, MargRr),
-            Self::MargPs(a) => absorb_each!(a, MargPs),
-            Self::MargHt(a) => absorb_each!(a, MargHt),
+            Self::InpHt(a) => {
+                check_each!(InpHt, |r| a.check(*r));
+                absorb_each!(a, InpHt);
+            }
+            Self::MargRr(a) => {
+                check_each!(MargRr, |r| a.check(r.marginal));
+                absorb_each!(a, MargRr);
+            }
+            Self::MargPs(a) => {
+                check_each!(MargPs, |r| a.check(*r));
+                absorb_each!(a, MargPs);
+            }
+            Self::MargHt(a) => {
+                check_each!(MargHt, |r| a.check(*r));
+                absorb_each!(a, MargHt);
+            }
             Self::InpEm(a) => {
+                check_each!(InpEm, |row| a.check(*row));
                 a.absorb_batch_iter(reports.iter().filter_map(|r| match r {
                     PipelineReport::InpEm(row) => Some(*row),
                     _ => None,
                 }));
             }
-            Self::Olh(a) => absorb_each!(a, Olh),
-            Self::Cms(a) => absorb_each!(a, Cms),
-            Self::Hcms(a) => absorb_each!(a, Hcms),
+            Self::Olh(a) => {
+                check_each!(Olh, |r| a.check(*r));
+                absorb_each!(a, Olh);
+            }
+            Self::Cms(a) => {
+                check_each!(Cms, |r| a.check(r.row, r.ones.iter().copied()));
+                absorb_each!(a, Cms);
+            }
+            Self::Hcms(a) => {
+                check_each!(Hcms, |r| a.check(*r));
+                absorb_each!(a, Hcms);
+            }
+        }
+        Ok(())
+    }
+
+    /// The frame kernels: absorb one [`tag::REPORT_BATCH`] frame payload
+    /// straight from its bytes, returning the number of reports in it.
+    ///
+    /// Two passes, so a batch settles or fails as a unit. Pass 1
+    /// validates the whole payload against this accumulator: the
+    /// envelope's tag, version and count, and for every report its tag,
+    /// version, fields and range check (the same aggregator `check`
+    /// [`Self::absorb_batch`] applies), with no bytes missing or left
+    /// over. Pass 2 absorbs straight from the bytes, with no
+    /// [`PipelineReport`] in between: the seven fixed-size reports as
+    /// `N`-byte chunks after one length check, the three list-carrying
+    /// ones (InpRR, MargRR, CMS) by a second walk.
+    ///
+    /// Accepts exactly the payloads [`decode_report_batch_into`] followed
+    /// by [`Self::absorb_batch`] accepts, leaving byte-identical state;
+    /// on `Err` the state is untouched.
+    pub fn absorb_frame(&mut self, payload: &[u8]) -> Result<usize, String> {
+        let (count, body) = open_batch(payload)?;
+        let protocol = self.protocol();
+        self.absorb_body(count, body)
+            .map_err(|refusal| match refusal {
+                Refusal::Malformed => malformed(protocol, payload),
+                Refusal::OutOfRange(i, e) => out_of_range(i, &e),
+            })?;
+        Ok(count)
+    }
+
+    /// [`Self::absorb_frame`] past the envelope: one kernel per protocol.
+    fn absorb_body(&mut self, count: usize, body: Reader<'_>) -> Result<(), Refusal> {
+        let bytes = body.clone().into_rest();
+        match self {
+            Self::InpRr(a) => absorb_lists(
+                a,
+                body,
+                count,
+                tag::REPORT_INP_RR,
+                |r| r.get_list_bytes(4),
+                |_, _| Ok(()),
+                |a, ones| a.absorb_ones(u32s(ones)),
+            )?,
+            Self::InpPs(a) => {
+                let reports =
+                    fixed_reports(bytes, count, tag::REPORT_INP_PS, row_report, |_| Ok(()))?;
+                for row in reports.iter().filter_map(row_report) {
+                    a.absorb(row);
+                }
+            }
+            Self::InpHt(a) => {
+                let reports =
+                    fixed_reports(bytes, count, tag::REPORT_INP_HT, inp_ht_report, |r| {
+                        a.check(r)
+                    })?;
+                for r in reports.iter().filter_map(inp_ht_report) {
+                    a.absorb(r);
+                }
+            }
+            Self::MargRr(a) => absorb_lists(
+                a,
+                body,
+                count,
+                tag::REPORT_MARG_RR,
+                |r| Ok((r.get_u32()?, r.get_list_bytes(2)?)),
+                |a, &(marginal, _)| a.check(marginal),
+                |a, (marginal, ones)| a.absorb_ones(marginal, u16s(ones)),
+            )?,
+            Self::MargPs(a) => {
+                let reports =
+                    fixed_reports(bytes, count, tag::REPORT_MARG_PS, marg_ps_report, |r| {
+                        a.check(r)
+                    })?;
+                for r in reports.iter().filter_map(marg_ps_report) {
+                    a.absorb(r);
+                }
+            }
+            Self::MargHt(a) => {
+                let reports =
+                    fixed_reports(bytes, count, tag::REPORT_MARG_HT, marg_ht_report, |r| {
+                        a.check(r)
+                    })?;
+                for r in reports.iter().filter_map(marg_ht_report) {
+                    a.absorb(r);
+                }
+            }
+            Self::InpEm(a) => {
+                let reports = fixed_reports(bytes, count, tag::REPORT_INP_EM, row_report, |row| {
+                    a.check(row)
+                })?;
+                a.absorb_batch_iter(reports.iter().filter_map(row_report));
+            }
+            Self::Olh(a) => {
+                let reports =
+                    fixed_reports(bytes, count, tag::REPORT_OLH, olh_report, |r| a.check(r))?;
+                for r in reports.iter().filter_map(olh_report) {
+                    a.absorb(r);
+                }
+            }
+            Self::Cms(a) => absorb_lists(
+                a,
+                body,
+                count,
+                tag::REPORT_CMS,
+                |r| Ok((r.get_u8()?, r.get_list_bytes(2)?)),
+                |a, &(row, ones)| a.check(row, u16s(ones)),
+                |a, (row, ones)| a.absorb_ones(row, u16s(ones)),
+            )?,
+            Self::Hcms(a) => {
+                let reports =
+                    fixed_reports(bytes, count, tag::REPORT_HCMS, hcms_report, |r| a.check(r))?;
+                for r in reports.iter().filter_map(hcms_report) {
+                    a.absorb(r);
+                }
+            }
         }
         Ok(())
     }
@@ -1104,6 +1462,128 @@ mod tests {
         assert!(err.contains("mixes protocols"), "{err}");
         assert!(err.contains("MargPS") && err.contains("OLH"), "{err}");
         assert_eq!(acc.report_count(), 0, "a mixed batch absorbs nothing");
+    }
+
+    #[test]
+    fn range_checks_refuse_whole_batches_on_both_paths() {
+        let mech = |kind| StreamHeader::mechanism(kind, 6, 2, 1.1);
+        let report = |t: u8, fields: &dyn Fn(&mut Writer)| {
+            let mut w = Writer::default();
+            w.put_tag(t);
+            fields(&mut w);
+            w.into_bytes()
+        };
+        let cases = [
+            (
+                mech(MechanismKind::MargPs),
+                report(tag::REPORT_MARG_PS, &|w| {
+                    w.put_u32(999);
+                    w.put_u16(0);
+                }),
+                "MargPS marginal 999 is out of range (must be below 15)",
+            ),
+            (
+                mech(MechanismKind::MargHt),
+                report(tag::REPORT_MARG_HT, &|w| {
+                    w.put_u32(15);
+                    w.put_u16(0);
+                    w.put_u8(1);
+                }),
+                "MargHT marginal 15 is out of range (must be below 15)",
+            ),
+            (
+                mech(MechanismKind::MargRr),
+                report(tag::REPORT_MARG_RR, &|w| {
+                    w.put_u32(999);
+                    w.put_u32(0);
+                }),
+                "MargRR marginal 999",
+            ),
+            (
+                mech(MechanismKind::InpHt),
+                report(tag::REPORT_INP_HT, &|w| {
+                    w.put_u32(4000);
+                    w.put_u8(1);
+                }),
+                "InpHT coefficient 4000",
+            ),
+            (
+                mech(MechanismKind::InpEm),
+                report(tag::REPORT_INP_EM, &|w| w.put_u64(64)),
+                "InpEM row 64 is out of range (must be below 64)",
+            ),
+            (
+                oracle_header(OracleKind::Olh, 6, 3, 16),
+                report(tag::REPORT_OLH, &|w| {
+                    w.put_u64(7);
+                    w.put_u8(200);
+                }),
+                "OLH bucket 200",
+            ),
+            (
+                oracle_header(OracleKind::Cms, 6, 3, 16),
+                report(tag::REPORT_CMS, &|w| {
+                    w.put_u8(3);
+                    w.put_u32(0);
+                }),
+                "CMS row 3 is out of range (must be below 3)",
+            ),
+            (
+                oracle_header(OracleKind::Cms, 6, 3, 16),
+                report(tag::REPORT_CMS, &|w| {
+                    w.put_u8(0);
+                    w.put_u32(2);
+                    w.put_u16(1);
+                    w.put_u16(16);
+                }),
+                "CMS bucket 16 is out of range (must be below 16)",
+            ),
+            (
+                oracle_header(OracleKind::Hcms, 6, 3, 16),
+                report(tag::REPORT_HCMS, &|w| {
+                    w.put_u8(3);
+                    w.put_u16(0);
+                    w.put_u8(1);
+                }),
+                "HCMS row 3",
+            ),
+            (
+                oracle_header(OracleKind::Hcms, 6, 3, 16),
+                report(tag::REPORT_HCMS, &|w| {
+                    w.put_u8(0);
+                    w.put_u16(16);
+                    w.put_u8(0);
+                }),
+                "HCMS coefficient 16 is out of range (must be below 16)",
+            ),
+        ];
+        let mut rng = StdRng::seed_from_u64(5);
+        for (header, bad, want) in cases {
+            let client = Client::from_header(&header).unwrap();
+            let good = client.encode_report(3, &mut rng);
+            let mut acc = client.accumulator();
+
+            let payload = encode_report_batch(&[&good, &bad]);
+            let err = acc.absorb_frame(&payload).unwrap_err();
+            assert!(err.contains(want) && err.contains("report 1"), "{err}");
+
+            let reports = [
+                PipelineReport::from_bytes(&good).unwrap(),
+                PipelineReport::from_bytes(&bad).unwrap(),
+            ];
+            let err = acc.absorb_batch(&reports).unwrap_err();
+            assert!(err.contains(want) && err.contains("report 1"), "{err}");
+            assert_eq!(
+                acc.report_count(),
+                0,
+                "{want}: a refused batch absorbs nothing"
+            );
+
+            // The good report alone passes both paths.
+            assert_eq!(acc.absorb_frame(&encode_report_batch(&[&good])), Ok(1));
+            acc.absorb_batch(&reports[..1]).unwrap();
+            assert_eq!(acc.report_count(), 2);
+        }
     }
 
     #[test]

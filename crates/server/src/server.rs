@@ -5,11 +5,12 @@
 //! `StreamHeader` establishes it and spawns the worker pool — `shards`
 //! threads, each owning a private `PipelineAccumulator`. Connection
 //! handlers round-robin work across workers over `std::sync::mpsc`
-//! channels: single-report frames are decoded on the handler and sent
-//! typed; `REPORT_BATCH` frames (wire v2) are forwarded raw and
-//! batch-decoded on the worker, keeping the socket thread on pure
-//! frame I/O. A live snapshot collects every worker's serialized state
-//! and merges them **in worker order**, so the `Accumulator`
+//! channels: `REPORT_BATCH` frames (wire v2) are forwarded raw, and a
+//! single-report frame as a batch of one, to be validated and absorbed
+//! straight from their bytes on the worker
+//! (`PipelineAccumulator::absorb_frame`), keeping the socket thread on
+//! pure frame I/O. A live snapshot collects every worker's serialized
+//! state and merges them **in worker order**, so the `Accumulator`
 //! partition-invariance law makes the result byte-identical to a
 //! serial single-process ingest of the same reports, no matter how
 //! connections, batches, and workers interleaved.
@@ -21,9 +22,7 @@ use ldp_bits::Mask;
 use ldp_core::frame::{FrameError, FrameReader, FrameWriter, StreamHeader};
 use ldp_core::wire::tag;
 use ldp_core::{clamp_normalize, MarginalEstimator};
-use ldp_oracles::pipeline::{
-    decode_report_batch_into, PipelineAccumulator, PipelineEstimate, PipelineReport, Protocol,
-};
+use ldp_oracles::pipeline::{encode_report_batch, PipelineAccumulator, PipelineEstimate, Protocol};
 use std::collections::BTreeMap;
 use std::io::BufWriter;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -73,12 +72,10 @@ const ACCEPT_POLL: Duration = Duration::from_millis(1);
 /// contract: a `Flush` or `Collect` answers only after every report the
 /// same sender enqueued before it has been absorbed.
 enum WorkerMsg {
-    /// Absorb one decoded report.
-    Report(PipelineReport),
-    /// Decode one raw `REPORT_BATCH` frame payload and absorb every
-    /// report in it, settling the outcome into the sender's
-    /// [`IngestProgress`]. Decoding on the worker keeps the connection
-    /// handler on pure frame I/O.
+    /// Absorb one raw `REPORT_BATCH` frame payload (a wire-v1 report
+    /// frame arrives wrapped as a batch of one), settling the outcome
+    /// into the sender's [`IngestProgress`]. Validating and absorbing
+    /// on the worker keeps the connection handler on pure frame I/O.
     Batch(Vec<u8>, Arc<IngestProgress>),
     /// Acknowledge that everything enqueued earlier is absorbed.
     Flush(mpsc::Sender<()>),
@@ -86,16 +83,15 @@ enum WorkerMsg {
     Collect(mpsc::Sender<Vec<u8>>),
 }
 
-/// Per-connection outcome of batch frames settled on worker threads.
+/// Per-connection outcome of report frames settled on worker threads.
 /// The connection handler reads it only after a flush round, when
-/// channel order guarantees every batch it enqueued has been decoded
-/// and absorbed (or rejected) — so the ack still means "absorbed",
-/// never "enqueued".
+/// channel order guarantees every frame it enqueued has been absorbed
+/// (or refused) — so the ack still means "absorbed", never "enqueued".
 #[derive(Default)]
 struct IngestProgress {
-    /// Reports absorbed out of this connection's batch frames.
+    /// Reports absorbed out of this connection's frames.
     absorbed: AtomicU64,
-    /// The first decode/absorb error, folded into the ack.
+    /// The first refused frame's error, folded into the ack.
     error: Mutex<Option<String>>,
 }
 
@@ -211,113 +207,41 @@ struct Shared {
     push_lock: Mutex<()>,
 }
 
-/// Upper bound on how many queued reports a worker drains into its
-/// local batch before absorbing. Batching amortizes the accumulator's
-/// protocol dispatch and kind checks over the whole drained run; the
-/// bound caps the latency of a `Flush`/`Collect` queued behind a long
-/// report run and the worker's transient memory. See
-/// `docs/OPERATIONS.md` for sizing guidance.
-pub const WORKER_BATCH: usize = 256;
-
-/// Absorb a drained batch, keeping the buffer (and its capacity) for
-/// the next drain — the worker's steady state performs no per-report
-/// allocation of its own.
-fn absorb_drained(acc: &mut PipelineAccumulator, batch: &mut Vec<PipelineReport>, shared: &Shared) {
-    if batch.is_empty() {
-        return;
-    }
-    // Handlers validate every report against the established header
-    // before dispatching, so a rejected batch can only mean a logic
-    // error upstream; account for it rather than crash the worker.
-    match acc.absorb_batch(batch) {
-        Ok(()) => {
-            shared
-                .reports
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        }
-        Err(_) => {
-            shared
-                .rejected_frames
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        }
-    }
-    batch.clear();
-}
-
-/// Decode one raw `REPORT_BATCH` frame payload into the worker's
-/// scratch and absorb it. A batch settles or fails as a unit: any
-/// decode or protocol error rejects every report in the frame, records
-/// the message for the connection's ack, and leaves the accumulator
-/// untouched.
+/// Absorb one `REPORT_BATCH` frame payload straight from its bytes
+/// (`PipelineAccumulator::absorb_frame`). A frame settles or fails as a
+/// unit: any decode, protocol or range error refuses every report in
+/// it, counts one rejected frame, records the message for the
+/// connection's ack, and leaves the accumulator untouched.
 fn absorb_batch_frame(
     acc: &mut PipelineAccumulator,
     payload: &[u8],
-    scratch: &mut Vec<PipelineReport>,
     progress: &IngestProgress,
     shared: &Shared,
 ) {
-    let decoded = match decode_report_batch_into(payload, scratch) {
-        // The decoder never reports more slots than it filled, so the
-        // range is always in bounds; `get` degrades if that breaks.
-        Ok(n) => scratch.get(..n),
-        Err(message) => {
-            shared.rejected_frames.fetch_add(1, Ordering::Relaxed);
-            progress.record_error(message);
-            return;
-        }
-    };
-    let Some(decoded) = decoded else { return };
-    match acc.absorb_batch(decoded) {
-        Ok(()) => {
-            let n = decoded.len() as u64;
+    match acc.absorb_frame(payload) {
+        Ok(n) => {
+            let n = n as u64;
             shared.reports.fetch_add(n, Ordering::Relaxed);
             progress.absorbed.fetch_add(n, Ordering::Relaxed);
         }
         Err(message) => {
-            shared
-                .rejected_frames
-                .fetch_add(decoded.len() as u64, Ordering::Relaxed);
+            shared.rejected_frames.fetch_add(1, Ordering::Relaxed);
             progress.record_error(message);
         }
     }
 }
 
 fn worker_loop(mut acc: PipelineAccumulator, rx: mpsc::Receiver<WorkerMsg>, shared: Arc<Shared>) {
-    let mut batch: Vec<PipelineReport> = Vec::with_capacity(WORKER_BATCH);
-    // Decoded-slot scratch for batch frames. Slots persist across
-    // batches (entries past the last decode are stale, never read), so
-    // the steady state re-decodes into already-allocated reports.
-    let mut scratch: Vec<PipelineReport> = Vec::new();
     while let Ok(msg) = rx.recv() {
-        let mut pending = Some(msg);
-        while let Some(msg) = pending.take() {
-            match msg {
-                WorkerMsg::Report(report) => {
-                    batch.push(report);
-                    // Drain whatever else is already queued (channel
-                    // order is the contract: a control message stops
-                    // the drain and is handled after the batch).
-                    while batch.len() < WORKER_BATCH {
-                        match rx.try_recv() {
-                            Ok(WorkerMsg::Report(r)) => batch.push(r),
-                            Ok(control) => {
-                                pending = Some(control);
-                                break;
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                    absorb_drained(&mut acc, &mut batch, &shared);
-                }
-                WorkerMsg::Batch(payload, progress) => {
-                    absorb_batch_frame(&mut acc, &payload, &mut scratch, &progress, &shared);
-                }
-                WorkerMsg::Flush(ack) => {
-                    let _ = ack.send(());
-                }
-                WorkerMsg::Collect(reply) => {
-                    let _ = reply.send(acc.to_bytes());
-                }
+        match msg {
+            WorkerMsg::Batch(payload, progress) => {
+                absorb_batch_frame(&mut acc, &payload, &progress, &shared);
+            }
+            WorkerMsg::Flush(ack) => {
+                let _ = ack.send(());
+            }
+            WorkerMsg::Collect(reply) => {
+                let _ = reply.send(acc.to_bytes());
             }
         }
     }
@@ -977,23 +901,30 @@ fn handle_ingest(
         return Ok(());
     };
 
-    let mut accepted = 0u64;
-    // Outcome of batch frames, settled by whichever workers decode
+    // Outcome of report frames, settled by whichever workers absorb
     // them; folded into the ack after the end-of-stream flush round.
     let progress = Arc::new(IngestProgress::default());
-    // One reusable frame buffer per connection: after it has grown to
-    // the stream's largest frame, the read loop performs no per-frame
-    // allocation for single-report frames (batch frames hand the
-    // buffer itself to a worker and start fresh).
+    // One frame buffer per connection: a batch frame hands the buffer
+    // itself to a worker and the next read starts fresh; a
+    // single-report frame is copied into its batch of one and the
+    // buffer is reused.
     let mut frame = Vec::new();
     loop {
         match reader.next_frame_while_into(&mut frame, || shared.keep_going()) {
-            Ok(true) if frame.first() == Some(&tag::REPORT_BATCH) => {
-                // Envelope decode and absorption run on the worker;
-                // the handler only routes the raw payload, keeping the
-                // socket thread on pure frame I/O.
-                let payload = std::mem::take(&mut frame);
+            Ok(true) => {
+                // Validation and absorption run on the worker; the
+                // handler only routes the raw payload, keeping the
+                // socket thread on pure frame I/O. A wire-v1 report
+                // frame travels as a batch of one, so it settles (and
+                // is refused) exactly like a batch.
+                let payload = if frame.first() == Some(&tag::REPORT_BATCH) {
+                    std::mem::take(&mut frame)
+                } else {
+                    encode_report_batch(std::slice::from_ref(&frame))
+                };
                 let slot = shared.next_worker.fetch_add(1, Ordering::Relaxed) % senders.len();
+                // The modulo keeps `slot` in range (shards ≥ 1); `get`
+                // keeps the dispatch index-panic-free regardless.
                 match senders.get(slot) {
                     Some(sender)
                         if sender
@@ -1002,40 +933,11 @@ fn handle_ingest(
                     _ => return Ok(()), // workers torn down: shutting down
                 }
             }
-            Ok(true) => {
-                let report = match PipelineReport::from_bytes(&frame) {
-                    Ok(report) if report.protocol().wire_tag() == header.protocol => report,
-                    Ok(report) => {
-                        let message = format!(
-                            "stream mixes protocols: header names tag {:#04x}, report is {}",
-                            header.protocol,
-                            report.protocol().name()
-                        );
-                        shared.rejected_frames.fetch_add(1, Ordering::Relaxed);
-                        reply(writer, &Response::Error(message.clone()))?;
-                        return Err(message);
-                    }
-                    Err(message) => {
-                        shared.rejected_frames.fetch_add(1, Ordering::Relaxed);
-                        reply(writer, &Response::Error(message.clone()))?;
-                        return Err(message);
-                    }
-                };
-                let slot = shared.next_worker.fetch_add(1, Ordering::Relaxed) % senders.len();
-                // The modulo keeps `slot` in range (shards ≥ 1); `get`
-                // keeps the dispatch index-panic-free regardless.
-                match senders.get(slot) {
-                    Some(sender) if sender.send(WorkerMsg::Report(report)).is_ok() => {
-                        accepted += 1;
-                    }
-                    _ => return Ok(()), // workers torn down: shutting down
-                }
-            }
             Ok(false) => {
                 // Clean end-of-stream: flush every worker so the ack
                 // means "absorbed", not "enqueued". The flush round
-                // also settles every batch frame this connection
-                // enqueued, so `progress` is complete below.
+                // settles every frame this connection enqueued, so
+                // `progress` is complete below.
                 for sender in &senders {
                     let (tx, rx) = mpsc::channel();
                     if sender.send(WorkerMsg::Flush(tx)).is_ok() {
@@ -1046,7 +948,7 @@ fn handle_ingest(
                     reply(writer, &Response::Error(message.clone()))?;
                     return Err(message);
                 }
-                let absorbed = accepted + progress.absorbed.load(Ordering::Relaxed);
+                let absorbed = progress.absorbed.load(Ordering::Relaxed);
                 // Durability before the ack: at `--checkpoint-every 1`
                 // a client that saw its ack knows the reports survive
                 // a crash (coarser cadences trade that for less I/O).

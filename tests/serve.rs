@@ -747,6 +747,69 @@ fn corrupt_batch_frames_are_rejected_on_the_ack() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A report whose index lies outside the pipeline's shape — here a
+/// MargPS marginal past `C(4,2) = 6` — is refused with an error naming
+/// the field and its bound, instead of panicking the worker it lands
+/// on. Every shard keeps serving: ten good batches, pushed one per
+/// stream so the round robin hands each of the four workers at least
+/// two, are each acknowledged, and the snapshot equals a serial ingest
+/// of the good reports.
+#[test]
+fn out_of_range_reports_are_refused_and_every_shard_keeps_serving() {
+    let dir = scratch("out_of_range");
+    let (header, frames) = encoded_stream(&dir, "MargPS", &["--batch", "4"], 40);
+    assert_eq!(frames.len(), 10);
+    let server = ServerProc::start(&[]);
+
+    // The first report's marginal sits at bytes 8..12 of a batch
+    // payload: the envelope's tag, version and count, then the
+    // report's own tag and version.
+    let mut forged = frames[0].clone();
+    forged[8..12].copy_from_slice(&999u32.to_le_bytes());
+    match push_stream(&server.addr, &header, &[forged]) {
+        Response::Error(message) => assert!(
+            message.contains("MargPS marginal 999") && message.contains("below 6"),
+            "{message}"
+        ),
+        other => panic!("out-of-range batch got {other:?}"),
+    }
+
+    for (i, frame) in frames.iter().enumerate() {
+        match push_stream(&server.addr, &header, std::slice::from_ref(frame)) {
+            Response::Ingested(4) => {}
+            other => panic!("good batch {i} got {other:?}"),
+        }
+    }
+    let stats = String::from_utf8(run_cli(&["stats", "--connect", &server.addr], None)).unwrap();
+    assert!(
+        stats.contains("reports: 40 absorbed, 1 frames rejected"),
+        "{stats}"
+    );
+
+    let live_path = dir.join("live.bin");
+    run_cli(
+        &[
+            "snapshot",
+            "--connect",
+            &server.addr,
+            "--output",
+            live_path.to_str().unwrap(),
+        ],
+        None,
+    );
+    server.shutdown();
+    let serial = run_cli(
+        &["ingest"],
+        Some(&std::fs::read(dir.join("stream.bin")).unwrap()),
+    );
+    assert_eq!(
+        std::fs::read(&live_path).unwrap(),
+        serial,
+        "snapshot after a refused batch differs from serial ingest of the good reports"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Pull an integer field out of a flat JSON object without a JSON
 /// dependency: finds `"key":` and parses the digits that follow.
 fn json_u64(text: &str, key: &str) -> u64 {

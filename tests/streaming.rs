@@ -229,6 +229,49 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The frame kernels (`absorb_frame`, validate-then-absorb straight
+    /// from the bytes) against the reference path (`decode_report_batch_into`
+    /// then `absorb_batch`): for every protocol and any random chunking
+    /// of a population into `REPORT_BATCH` frames — empty and singleton
+    /// frames included — each frame returns the same count and leaves
+    /// byte-identical state.
+    #[test]
+    fn frame_kernels_match_the_reference_decoder(
+        n in 0usize..300,
+        seed in 0u64..1_000,
+        sizes in proptest::collection::vec(0usize..70, 1..10),
+    ) {
+        let rows: Vec<u64> = (0..n as u64).map(|u| (u * 37 + seed) % (1 << D)).collect();
+        for (header, client) in pipelines() {
+            let name = client.protocol().name();
+            let mut kernel = PipelineAccumulator::empty(&header).unwrap();
+            let mut reference = PipelineAccumulator::empty(&header).unwrap();
+            let mut scratch: Vec<PipelineReport> = Vec::new();
+            let mut frame = Writer::default();
+            let mut start = 0usize;
+            for &size in sizes.iter().chain([&usize::MAX]) {
+                let end = start.saturating_add(size).min(rows.len());
+                client.encode_batch(&rows[start..end], seed, start as u64, &mut frame);
+                let m = decode_report_batch_into(frame.as_bytes(), &mut scratch).unwrap();
+                reference.absorb_batch(&scratch[..m]).unwrap();
+                prop_assert_eq!(kernel.absorb_frame(frame.as_bytes()), Ok(end - start), "{}", name);
+                prop_assert_eq!(
+                    &kernel.to_bytes(),
+                    &reference.to_bytes(),
+                    "{}: frame kernel diverged from the reference after reports {}..{}",
+                    name,
+                    start,
+                    end
+                );
+                start = end;
+            }
+        }
+    }
+}
+
 /// InpEM's group-by-value batch kernel — the one typed aggregator with
 /// its own `absorb_batch` — driven directly: the empty buffer, empty
 /// batches, singleton batches, and the whole-buffer batch all match the
