@@ -72,9 +72,49 @@ pub fn pm_one_i8(a: u64, b: u64) -> i8 {
     }
 }
 
+/// The positions of a word's set bits, ascending — a `trailing_zeros`
+/// walk, one step per set bit.
+#[inline]
+#[must_use]
+pub fn ones(word: u64) -> Ones {
+    Ones(word)
+}
+
+/// Iterator behind [`ones`].
+#[derive(Clone, Copy, Debug)]
+pub struct Ones(u64);
+
+impl Iterator for Ones {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        if self.0 == 0 {
+            return None;
+        }
+        let tz = self.0.trailing_zeros();
+        self.0 &= self.0 - 1;
+        Some(tz)
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.0.count_ones() as usize;
+        (n, Some(n))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ones_walks_set_bits_ascending() {
+        assert_eq!(ones(0).count(), 0);
+        assert_eq!(ones(0b1011_0001).collect::<Vec<_>>(), [0, 4, 5, 7]);
+        assert_eq!(ones(1 << 63).collect::<Vec<_>>(), [63]);
+        assert_eq!(ones(u64::MAX).count(), 64);
+    }
 
     #[test]
     fn parity_basics() {

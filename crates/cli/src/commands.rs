@@ -5,11 +5,10 @@ use crate::flags::Flags;
 use ldp_bench::DataSource;
 use ldp_bits::{masks_of_weight, Mask};
 use ldp_core::frame::{read_snapshot, write_snapshot, FrameReader, FrameWriter, StreamHeader};
-use ldp_core::wire::{tag, Writer};
-use ldp_core::{clamp_normalize, user_rng, MarginalEstimator};
+use ldp_core::wire::Writer;
+use ldp_core::{clamp_normalize, MarginalEstimator};
 use ldp_oracles::pipeline::{
-    header_for, Client, PipelineAccumulator, PipelineEstimate, PipelineReport, Protocol,
-    SketchShape,
+    header_for, Client, PipelineAccumulator, PipelineEstimate, Protocol, SketchShape,
 };
 use ldp_server::{Control, QueryRequest, QueryTarget, Request, Response};
 use std::fs::File;
@@ -57,7 +56,7 @@ pub fn encode(flags: &Flags) -> Result<(), String> {
     let eps: f64 = flags.parsed("eps", 1.1)?;
     let seed: u64 = flags.parsed("seed", 42)?;
     let first_user: u64 = flags.parsed("first-user", 0)?;
-    let batch: usize = flags.parsed("batch", 0)?;
+    let batch = batch_flag(flags)?;
     let sketch = SketchShape {
         hashes: flags.parsed("hashes", 5)?,
         width: flags.parsed("width", 256)?,
@@ -102,27 +101,16 @@ pub fn encode(flags: &Flags) -> Result<(), String> {
         .write_frame(&header.to_bytes())
         .map_err(|e| e.to_string())?;
     let mut wire_bytes = 0usize;
-    // With `--batch N`, reports are grouped into `REPORT_BATCH` frames
-    // (wire v2) of up to N reports via the batched encode kernels — one
-    // reusable frame buffer, no per-report allocation, byte-identical
-    // to batching the serial loop's reports (tests/encode_kernels.rs).
-    // `--batch 0` keeps the wire-v1 one-frame-per-report shape.
-    if batch == 0 {
-        for (i, &row) in rows.iter().enumerate() {
-            let mut rng = user_rng(seed, first_user + i as u64);
-            let report = client.encode_report(row, &mut rng);
-            wire_bytes += report.len();
-            writer.write_frame(&report).map_err(|e| e.to_string())?;
-        }
-    } else {
-        let mut w = Writer::default();
-        for (c, chunk) in rows.chunks(batch).enumerate() {
-            client.encode_batch(chunk, seed, first_user + (c * batch) as u64, &mut w);
-            wire_bytes += w.len();
-            writer
-                .write_frame(w.as_bytes())
-                .map_err(|e| e.to_string())?;
-        }
+    // Reports travel in wire-v4 `REPORT_BATCH` frames of up to `--batch`
+    // reports, through one reusable frame buffer; any chunking encodes
+    // every user's report identically (tests/encode_kernels.rs).
+    let mut w = Writer::default();
+    for (c, chunk) in rows.chunks(batch).enumerate() {
+        client.encode_batch(chunk, seed, first_user + (c * batch) as u64, &mut w);
+        wire_bytes += w.len();
+        writer
+            .write_frame(w.as_bytes())
+            .map_err(|e| e.to_string())?;
     }
     writer.flush().map_err(|e| e.to_string())?;
     eprintln!(
@@ -136,57 +124,33 @@ pub fn encode(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// How many reports `ingest` decodes into its reusable scratch before
-/// each `absorb_batch` call. Large enough to amortize the batch
-/// kernels' setup (dispatch hoisting, the InpEM dense scratch), small
-/// enough that the scratch stays cache-resident.
-const INGEST_BATCH: usize = 1024;
+/// The reports per `REPORT_BATCH` frame `encode` and closed-loop `load`
+/// write when `--batch` is not given.
+pub const DEFAULT_BATCH: usize = 1024;
 
-/// `ingest`: fold a report stream into a snapshot.
-///
-/// The read loop is the zero-allocation ingest path: one reusable frame
-/// buffer; `REPORT_BATCH` frames absorbed straight from their bytes
-/// (`absorb_frame`); and for wire-v1 single-report frames, a bounded
-/// scratch of [`INGEST_BATCH`] decoded reports whose slots (and heap
-/// capacity) are reused across batches via
-/// `PipelineReport::decode_into`, with one `absorb_batch` per filled
-/// scratch — steady state performs no per-report allocation.
+/// `--batch B`: reports per frame, at least 1 (`main` refuses 0 as a
+/// usage error before any subcommand runs).
+pub fn batch_flag(flags: &Flags) -> Result<usize, String> {
+    match flags.parsed("batch", DEFAULT_BATCH)? {
+        0 => Err("--batch must be at least 1".to_string()),
+        batch => Ok(batch),
+    }
+}
+
+/// `ingest`: fold a report stream into a snapshot. The read loop reuses
+/// one frame buffer and absorbs each `REPORT_BATCH` frame straight from
+/// its bits (`absorb_frame`), so steady state allocates nothing.
 pub fn ingest(flags: &Flags) -> Result<(), String> {
     let input = flags.get("input").unwrap_or("-");
     let mut reader = FrameReader::new(open_input(input)?);
     let header = read_stream_header(&mut reader, "report stream")?;
     let mut acc = PipelineAccumulator::empty(&header)?;
-    let mut batch: Vec<PipelineReport> = Vec::with_capacity(INGEST_BATCH);
     let mut frame = Vec::new();
-    let mut eof = false;
-    while !eof {
-        let mut filled = 0usize;
-        while filled < INGEST_BATCH {
-            if !reader
-                .next_frame_into(&mut frame)
-                .map_err(|e| format!("report stream: {e}"))?
-            {
-                eof = true;
-                break;
-            }
-            if frame.first() == Some(&tag::REPORT_BATCH) {
-                // Settle pending single reports first, then the whole
-                // envelope (absorption order is immaterial by the
-                // partition-invariance law, but this keeps counts easy
-                // to follow).
-                acc.absorb_batch(&batch[..filled])?;
-                filled = 0;
-                acc.absorb_frame(&frame)?;
-                continue;
-            }
-            if filled < batch.len() {
-                batch[filled].decode_into(&frame)?;
-            } else {
-                batch.push(PipelineReport::from_bytes(&frame)?);
-            }
-            filled += 1;
-        }
-        acc.absorb_batch(&batch[..filled])?;
+    while reader
+        .next_frame_into(&mut frame)
+        .map_err(|e| format!("report stream: {e}"))?
+    {
+        acc.absorb_frame(&frame)?;
     }
     let out = open_output(flags.get("output").unwrap_or("-"))?;
     let state = acc.to_bytes();

@@ -26,18 +26,19 @@
 //! This file is covered by the `ldp-lint` hot-path panic scan: the send
 //! loops must not index, unwrap, or narrow unchecked lengths.
 
+use crate::commands::batch_flag;
 use crate::flags::Flags;
 use ldp_bench::histogram::{fmt_ns, LogHistogram};
 use ldp_bench::DataSource;
-use ldp_core::user_rng;
 use ldp_core::wire::Writer;
 use ldp_oracles::pipeline::{header_for, Client, Protocol, SketchShape};
 use ldp_server::{push_frame, push_with};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Default reports per batch event in open-loop mode (where a batch is
-/// the unit of arrival and `--batch 0` has no wire-v1 meaning).
+/// Default reports per batch event in open-loop mode, where a batch is
+/// the unit of arrival (closed loop defaults to
+/// [`crate::commands::DEFAULT_BATCH`]).
 const OPEN_LOOP_DEFAULT_BATCH: usize = 256;
 
 /// Shared knobs both modes parse from the flag set.
@@ -60,7 +61,7 @@ fn parse_common(flags: &Flags) -> Result<Common, String> {
     let eps: f64 = flags.parsed("eps", 1.1)?;
     let seed: u64 = flags.parsed("seed", 42)?;
     let clients: usize = flags.parsed("clients", 4)?;
-    let batch: usize = flags.parsed("batch", 0)?;
+    let batch = batch_flag(flags)?;
     let sketch = SketchShape {
         hashes: flags.parsed("hashes", 5)?,
         width: flags.parsed("width", 256)?,
@@ -146,38 +147,26 @@ fn closed_loop(flags: &Flags, common: &Common) -> Result<(), String> {
                     let acked = {
                         let bytes = &mut wire_bytes;
                         push_with(&common.addr, header, move |writer| {
-                            if common.batch == 0 {
-                                // Wire v1: one frame per report.
-                                for i in 0..per_client {
-                                    let row = stream.next_row();
-                                    let mut rng =
-                                        user_rng(common.seed, first_user.wrapping_add(i as u64));
-                                    let frame = client.encode_report(row, &mut rng);
-                                    *bytes = bytes.saturating_add(frame.len());
-                                    writer.write_frame(&frame)?;
-                                }
-                            } else {
-                                // Wire v2: the batched kernels fill one
-                                // reusable REPORT_BATCH frame per chunk.
-                                let mut w = Writer::default();
-                                let mut rows = vec![0u64; common.batch];
-                                let mut done = 0usize;
-                                while done < per_client {
-                                    let take = common.batch.min(per_client - done);
-                                    let Some(slice) = rows.get_mut(..take) else {
-                                        break;
-                                    };
-                                    stream.fill(slice);
-                                    client.encode_batch(
-                                        slice,
-                                        common.seed,
-                                        first_user.wrapping_add(done as u64),
-                                        &mut w,
-                                    );
-                                    *bytes = bytes.saturating_add(w.len());
-                                    writer.write_frame(w.as_bytes())?;
-                                    done = done.saturating_add(take);
-                                }
+                            // The batched kernels fill one reusable
+                            // REPORT_BATCH frame per chunk.
+                            let mut w = Writer::default();
+                            let mut rows = vec![0u64; common.batch];
+                            let mut done = 0usize;
+                            while done < per_client {
+                                let take = common.batch.min(per_client - done);
+                                let Some(slice) = rows.get_mut(..take) else {
+                                    break;
+                                };
+                                stream.fill(slice);
+                                client.encode_batch(
+                                    slice,
+                                    common.seed,
+                                    first_user.wrapping_add(done as u64),
+                                    &mut w,
+                                );
+                                *bytes = bytes.saturating_add(w.len());
+                                writer.write_frame(w.as_bytes())?;
+                                done = done.saturating_add(take);
                             }
                             Ok(())
                         })?
@@ -287,10 +276,10 @@ fn open_loop(flags: &Flags, common: &Common) -> Result<(), String> {
             "--duration must be positive seconds, got {duration}"
         ));
     }
-    let batch = if common.batch == 0 {
-        OPEN_LOOP_DEFAULT_BATCH
-    } else {
+    let batch = if flags.get("batch").is_some() {
         common.batch
+    } else {
+        OPEN_LOOP_DEFAULT_BATCH
     };
     let (entries, pattern) = match flags.get("mix") {
         Some(text) => parse_mix(text, common)?,

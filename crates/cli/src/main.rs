@@ -46,8 +46,8 @@ BATCH SUBCOMMANDS
           --d D (8) --k K (2) --eps E (1.1) --seed S (42) --first-user U (0)
           --hashes G (5) --width W (256) --family-seed F (1)   [oracles only]
           --generate SRC --n N (synthesize rows instead of reading --input)
-          --batch B (0; group B reports per REPORT_BATCH frame, 0 = one
-          frame per report) --input PATH (-) --output PATH (-)
+          --batch B (1024; reports per REPORT_BATCH frame, at least 1)
+          --input PATH (-) --output PATH (-)
   ingest  Fold a report stream into a serialized accumulator snapshot.
           --input PATH (-) --output PATH (-)
   merge   Combine N snapshots of the same pipeline into one.
@@ -78,14 +78,14 @@ SERVING SUBCOMMANDS
   load    Drive a server with concurrent clients (traffic generator).
           --connect ADDR (required) --protocol NAME (required)
           --clients C (4) --reports M (2500; per client)
-          --batch B (0; reports per REPORT_BATCH frame, 0 = one frame
-          per report — see docs/OPERATIONS.md for sizing)
+          --batch B (1024; reports per REPORT_BATCH frame, at least 1 —
+          see docs/OPERATIONS.md for sizing)
           --d/--k/--eps/--seed/--generate/--hashes/--width/--family-seed as encode
           Open-loop mode (docs/OPERATIONS.md, Load generation):
           --rate R (target reports/s on a fixed arrival schedule; one
           batch event every batch/R seconds, lateness tracked, per-batch
           ack latency measured from the scheduled send)
-          --duration S (2.0) --batch B (256 when 0 in this mode)
+          --duration S (2.0) --batch B (256 in this mode)
           --mix margps=3,olh=1@host:port (weighted protocol mix; the
           address defaults to --connect — one server serves one
           pipeline, so point extra protocols at their own servers)
@@ -104,7 +104,7 @@ EXIT CODES
   0  success
   1  runtime failure (bad flags or input, I/O or connection error,
      stream/header rejection)
-  2  usage error (no subcommand, or an unknown subcommand)
+  2  usage error (no subcommand, an unknown subcommand, or --batch 0)
 
 The per-user randomness follows the user_rng(seed, user) schedule, so an
 encode split across processes (via --first-user) or across `load`
@@ -113,8 +113,20 @@ docs/WIRE_FORMAT.md for the byte-level protocol, docs/OPERATIONS.md for
 running the server, docs/BENCHMARKS.md for measuring performance, and
 README.md for a full pipeline walkthrough.";
 
-/// Exit status for usage errors (no or unknown subcommand).
+/// Exit status for usage errors (no or unknown subcommand, `--batch 0`).
 const EXIT_USAGE: i32 = 2;
+
+/// `--batch 0` asks for the one-frame-per-report stream wire v4
+/// retired: a usage error, not a runtime failure.
+fn refuse_batch_zero(subcommand: &str, flags: &Flags) {
+    if matches!(flags.parsed("batch", 1usize), Ok(0)) {
+        eprintln!(
+            "ldp-cli {subcommand}: --batch must be at least 1 (wire v4 sends reports only in \
+             REPORT_BATCH frames); run `ldp-cli help` for usage"
+        );
+        std::process::exit(EXIT_USAGE);
+    }
+}
 
 fn version() {
     println!(
@@ -151,6 +163,7 @@ fn dispatch(subcommand: &str, rest: &[String]) -> Result<(), String> {
                 ],
                 &[],
             )?;
+            refuse_batch_zero(subcommand, &f);
             commands::encode(&f)
         }
         "ingest" => {
@@ -210,6 +223,7 @@ fn dispatch(subcommand: &str, rest: &[String]) -> Result<(), String> {
                 ],
                 &[],
             )?;
+            refuse_batch_zero(subcommand, &f);
             load::load(&f)
         }
         "snapshot" => {

@@ -17,7 +17,7 @@
 use crate::wire::{tag, Reader, WireError, Writer};
 use crate::{Accumulator, FullDistributionEstimate};
 use ldp_mechanisms::{UnaryEncoding, UnaryFlavor};
-use ldp_sampling::{bernoulli_fixed, bernoulli_word, binomial, hash::splitmix64};
+use ldp_sampling::{binomial, hash::splitmix64, one_hot_words};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 /// Configuration of the `InpRR` mechanism.
@@ -64,53 +64,34 @@ impl InpRr {
     /// Faithful client: perturb the full one-hot vector, reporting the
     /// (typically dense) set of positions that flip to 1. `O(2^d)` cells,
     /// but the coins are drawn 64 lanes per RNG word (see
-    /// [`perturbed_ones`](Self::perturbed_ones)), not one `gen_bool` per
-    /// cell.
+    /// [`perturbed_words`](Self::perturbed_words)), not one `gen_bool`
+    /// per cell.
     pub fn encode<R: Rng + ?Sized>(&self, row: u64, rng: &mut R) -> Vec<u32> {
         let mut ones = Vec::new();
-        self.perturbed_ones(row, rng, |cell| ones.push(cell));
+        let mut base = 0u32;
+        self.perturbed_words(row, rng, |word, lanes| {
+            ones.extend(ldp_bits::ones(word).map(|tz| base + tz));
+            base += lanes;
+        });
         ones
     }
 
-    /// Walk the perturbed one-hot vector's 1-positions in ascending
-    /// order, invoking `emit` for each. This is the shared core of the
-    /// serial [`encode`](Self::encode) and the batched kernel: the
-    /// `2^d − 1` background cells are i.i.d. `Bernoulli(p₀)` coins drawn
-    /// 64 lanes per RNG word via [`bernoulli_word`] (quantized at 2⁻⁶⁴,
-    /// finer than `gen_bool`'s 53-bit comparison), with the one true
-    /// cell's bit overridden by a separate `Bernoulli(p₁)` draw. The
-    /// schedule is deterministic in the RNG state, so per-user
-    /// reproducibility (`user_rng(seed, i)`) is preserved.
+    /// The perturbed one-hot vector as successive 64-bit words, in
+    /// ascending position order — the shared core of the serial
+    /// [`encode`](Self::encode) and the wire encoder, which writes these
+    /// words verbatim as the report's `2^d`-bit set. See
+    /// [`ldp_sampling::one_hot_words`]: the `2^d − 1` background cells
+    /// are i.i.d. `Bernoulli(p₀)` coins drawn 64 lanes per RNG word, with
+    /// the true cell's bit overridden by a separate `Bernoulli(p₁)` draw.
     #[inline]
-    pub fn perturbed_ones<R: Rng + ?Sized, F: FnMut(u32)>(
+    pub fn perturbed_words<R: Rng + ?Sized, F: FnMut(u64, u32)>(
         &self,
         row: u64,
         rng: &mut R,
-        mut emit: F,
+        emit: F,
     ) {
-        let cells = 1u64 << self.d;
-        debug_assert!(row < cells);
-        let truth = rng.gen_bool(self.ue.p1());
-        let p0 = bernoulli_fixed(self.ue.p0());
-        let mut base = 0u64;
-        while base < cells {
-            let lanes = (cells - base).min(64) as u32;
-            let mut word = bernoulli_word(rng, p0, lanes);
-            if row >= base && row - base < u64::from(lanes) {
-                let bit = 1u64 << (row - base);
-                if truth {
-                    word |= bit;
-                } else {
-                    word &= !bit;
-                }
-            }
-            while word != 0 {
-                let tz = word.trailing_zeros();
-                emit(base as u32 + tz);
-                word &= word - 1;
-            }
-            base += u64::from(lanes);
-        }
+        let (p1, p0) = (self.ue.p1(), self.ue.p0());
+        one_hot_words(rng, p1, p0, 1u64 << self.d, row, emit);
     }
 
     /// Fresh aggregator.

@@ -12,7 +12,7 @@ use crate::wire::{in_range, tag, Reader, WireError, Writer};
 use crate::{Accumulator, MarginalSetEstimate};
 use ldp_bits::{compress, masks_of_weight, Mask};
 use ldp_mechanisms::{UnaryEncoding, UnaryFlavor};
-use ldp_sampling::{bernoulli_fixed, bernoulli_word};
+use ldp_sampling::one_hot_words;
 use rand::Rng;
 
 /// One user's report: the sampled marginal and the perturbed one-hot
@@ -76,7 +76,11 @@ impl MargRr {
     pub fn encode<R: Rng + ?Sized>(&self, row: u64, rng: &mut R) -> MargRrReport {
         let (marginal, cell) = self.sample_marginal(row, rng);
         let mut ones = Vec::new();
-        self.perturb_table(cell, rng, |c| ones.push(c));
+        let mut base = 0u16;
+        self.perturbed_table(cell, rng, |word, lanes| {
+            ones.extend(ldp_bits::ones(word).map(|tz| base + tz as u16));
+            base = base.wrapping_add(lanes as u16);
+        });
         MargRrReport { marginal, ones }
     }
 
@@ -92,41 +96,18 @@ impl MargRr {
     }
 
     /// Second half of the encode, shared by the serial
-    /// [`encode`](Self::encode) and the batched kernel: walk the
-    /// perturbed `2^k`-cell table's 1-positions in ascending order. The
-    /// `2^k − 1` background cells are i.i.d. `Bernoulli(p₀)` coins drawn
-    /// 64 lanes per RNG word via [`bernoulli_word`], with the true
-    /// cell's bit overridden by a separate `Bernoulli(p₁)` draw.
+    /// [`encode`](Self::encode) and the wire encoder: the perturbed
+    /// `2^k`-cell table as successive words (a single word of `2^k`
+    /// lanes for `k ≤ 6`). See [`ldp_sampling::one_hot_words`].
     #[inline]
-    pub fn perturb_table<R: Rng + ?Sized, F: FnMut(u16)>(
+    pub fn perturbed_table<R: Rng + ?Sized, F: FnMut(u64, u32)>(
         &self,
         cell: u64,
         rng: &mut R,
-        mut emit: F,
+        emit: F,
     ) {
-        let cells = 1u64 << self.k;
-        debug_assert!(cell < cells);
-        let truth = rng.gen_bool(self.ue.p1());
-        let p0 = bernoulli_fixed(self.ue.p0());
-        let mut base = 0u64;
-        while base < cells {
-            let lanes = (cells - base).min(64) as u32;
-            let mut word = bernoulli_word(rng, p0, lanes);
-            if cell >= base && cell - base < u64::from(lanes) {
-                let bit = 1u64 << (cell - base);
-                if truth {
-                    word |= bit;
-                } else {
-                    word &= !bit;
-                }
-            }
-            while word != 0 {
-                let tz = word.trailing_zeros();
-                emit(base as u16 + tz as u16);
-                word &= word - 1;
-            }
-            base += u64::from(lanes);
-        }
+        let (p1, p0) = (self.ue.p1(), self.ue.p0());
+        one_hot_words(rng, p1, p0, 1u64 << self.k, cell, emit);
     }
 
     /// Fresh aggregator.

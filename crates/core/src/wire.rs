@@ -38,35 +38,42 @@ pub mod tag {
     /// `ldp_oracles::OlhAggregator`.
     pub const OLH: u8 = 0x13;
 
-    /// `ldp_oracles::pipeline::PipelineReport::InpRr` report frame.
+    // 0x21–0x33: the wire-v1 single-report frames, one user's report
+    // behind its own tag and version. Wire v4 retired them (reports
+    // travel only inside `REPORT_BATCH`); the tags stay reserved, and
+    // a batch decoder names them when a retired frame arrives. Never
+    // reuse them.
+
+    /// Retired (wire v1–v3): one user's InpRR report. Never reuse.
     pub const REPORT_INP_RR: u8 = 0x21;
-    /// `ldp_oracles::pipeline::PipelineReport::InpPs` report frame.
+    /// Retired (wire v1–v3): one user's InpPS report. Never reuse.
     pub const REPORT_INP_PS: u8 = 0x22;
-    /// `ldp_oracles::pipeline::PipelineReport::InpHt` report frame.
+    /// Retired (wire v1–v3): one user's InpHT report. Never reuse.
     pub const REPORT_INP_HT: u8 = 0x23;
-    /// `ldp_oracles::pipeline::PipelineReport::MargRr` report frame.
+    /// Retired (wire v1–v3): one user's MargRR report. Never reuse.
     pub const REPORT_MARG_RR: u8 = 0x24;
-    /// `ldp_oracles::pipeline::PipelineReport::MargPs` report frame.
+    /// Retired (wire v1–v3): one user's MargPS report. Never reuse.
     pub const REPORT_MARG_PS: u8 = 0x25;
-    /// `ldp_oracles::pipeline::PipelineReport::MargHt` report frame.
+    /// Retired (wire v1–v3): one user's MargHT report. Never reuse.
     pub const REPORT_MARG_HT: u8 = 0x26;
-    /// `ldp_oracles::pipeline::PipelineReport::InpEm` report frame.
+    /// Retired (wire v1–v3): one user's InpEM report. Never reuse.
     pub const REPORT_INP_EM: u8 = 0x27;
-    /// `ldp_oracles::pipeline::PipelineReport::Hcms` report frame.
+    /// Retired (wire v1–v3): one user's HCMS report. Never reuse.
     pub const REPORT_HCMS: u8 = 0x31;
-    /// `ldp_oracles::pipeline::PipelineReport::Cms` report frame.
+    /// Retired (wire v1–v3): one user's CMS report. Never reuse.
     pub const REPORT_CMS: u8 = 0x32;
-    /// `ldp_oracles::pipeline::PipelineReport::Olh` report frame.
+    /// Retired (wire v1–v3): one user's OLH report. Never reuse.
     pub const REPORT_OLH: u8 = 0x33;
 
     /// [`crate::frame::StreamHeader`] — frame 0 of report streams and
     /// snapshots.
     pub const STREAM_HEADER: u8 = 0x40;
 
-    /// A report batch envelope (wire v2): a `u32` report count followed
-    /// by that many back-to-back self-describing report blobs, all
-    /// inside one frame. Amortizes the per-report frame overhead on the
-    /// serve ingest path (`docs/WIRE_FORMAT.md` §5.1).
+    /// A report batch, the only report frame (wire v4): an envelope
+    /// naming the protocol, its shape and the report count, then every
+    /// report bit-packed at the widths of `ldp_oracles::pipeline::layout`
+    /// (`docs/WIRE_FORMAT.md` §5). Wire v2 and v3 carried a different
+    /// body under this tag, which v4 readers refuse by version.
     pub const REPORT_BATCH: u8 = 0x41;
 
     /// A collector checkpoint (wire v3): the collector's identity and
@@ -116,16 +123,22 @@ pub mod tag {
 
 /// The current wire-format version. Writers always emit it.
 ///
-/// v2 added the [`tag::REPORT_BATCH`] envelope; v3 adds the federation
-/// frames ([`tag::REQ_PUSH`], [`tag::RESP_PUSH`], [`tag::CHECKPOINT`]).
-/// Every field layout of v1 is unchanged, so v1 blobs decode as-is
-/// (see [`MIN_VERSION`]).
-pub const VERSION: u8 = 3;
+/// v2 added the [`tag::REPORT_BATCH`] envelope; v3 added the federation
+/// frames ([`tag::REQ_PUSH`], [`tag::RESP_PUSH`], [`tag::CHECKPOINT`]);
+/// v4 bit-packs report batches and retires single-report frames. State,
+/// checkpoint, header and control layouts are unchanged since v1, so
+/// those blobs decode at any version from [`MIN_VERSION`] on.
+pub const VERSION: u8 = 4;
 
-/// The oldest wire-format version this build still decodes. Readers
-/// accept any version in `MIN_VERSION..=`[`VERSION`] and reject
-/// anything newer with [`WireError::UnsupportedVersion`].
+/// The oldest wire-format version this build still decodes for state,
+/// checkpoint, header and control blobs. Readers accept any version in
+/// `MIN_VERSION..=`[`VERSION`] and reject anything newer with
+/// [`WireError::UnsupportedVersion`].
 pub const MIN_VERSION: u8 = 1;
+
+/// The oldest version a [`tag::REPORT_BATCH`] may carry: v4 replaced the
+/// batch body, so report batches decode only from this version on.
+pub const MIN_BATCH_VERSION: u8 = 4;
 
 /// Why a byte blob failed to decode into an accumulator.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -217,20 +230,11 @@ impl Writer {
 
     /// Clear the buffer and restart it with a new tag + [`VERSION`]
     /// header, keeping the existing allocation. The reuse form of
-    /// [`with_tag`](Self::with_tag) for hot loops (batch encode kernels
-    /// fill one `Writer` per frame instead of allocating per report).
+    /// [`with_tag`](Self::with_tag) for hot loops (the batch encode
+    /// kernels fill one `Writer` per frame).
     #[inline]
     pub fn reset_with_tag(&mut self, tag: u8) {
         self.buf.clear();
-        self.buf.push(tag);
-        self.buf.push(VERSION);
-    }
-
-    /// Append a nested blob header (tag + current [`VERSION`]) mid-buffer
-    /// — used when packing self-describing report blobs back to back
-    /// inside a [`tag::REPORT_BATCH`] payload without per-report `Vec`s.
-    #[inline]
-    pub fn put_tag(&mut self, tag: u8) {
         self.buf.push(tag);
         self.buf.push(VERSION);
     }
@@ -253,21 +257,6 @@ impl Writer {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
-    }
-
-    /// Overwrite 4 bytes at `pos` with a little-endian `u32` — for
-    /// back-patching a count prefix once a batch loop knows its final
-    /// size. Returns `false` (and leaves the buffer untouched) if the
-    /// range is out of bounds.
-    #[inline]
-    pub fn patch_u32(&mut self, pos: usize, v: u32) -> bool {
-        match self.buf.get_mut(pos..pos + 4) {
-            Some(slot) => {
-                slot.copy_from_slice(&v.to_le_bytes());
-                true
-            }
-            None => false,
-        }
     }
 
     /// Append a raw byte.
@@ -331,10 +320,8 @@ impl Writer {
         self.buf.extend_from_slice(vs);
     }
 
-    /// Append pre-encoded bytes verbatim (no length prefix) — the
-    /// concatenation form [`tag::REPORT_BATCH`] payloads use, where each
-    /// constituent blob is already self-describing (tag + version +
-    /// fields).
+    /// Append bytes verbatim (no length prefix) — the tail of a
+    /// bit-packed [`tag::REPORT_BATCH`] body.
     pub fn put_raw(&mut self, vs: &[u8]) {
         self.buf.extend_from_slice(vs);
     }
@@ -354,9 +341,7 @@ impl Writer {
     }
 }
 
-/// Cursor-based decoder matching [`Writer`]. Cloning a reader forks
-/// the cursor, so a batch can be walked once to validate and again to
-/// absorb.
+/// Cursor-based decoder matching [`Writer`].
 #[derive(Clone, Debug)]
 pub struct Reader<'a> {
     bytes: &'a [u8],
@@ -364,50 +349,24 @@ pub struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    /// Open a blob, checking its type tag and version.
+    /// Open a blob, checking its type tag and that its version is one
+    /// this build decodes ([`MIN_VERSION`]`..=`[`VERSION`]).
     pub fn with_tag(bytes: &'a [u8], expected: u8) -> Result<Self, WireError> {
-        let mut r = Reader::new(bytes);
-        r.expect_tag(expected)?;
-        Ok(r)
-    }
-
-    /// Open a blob at its first byte without consuming anything — the
-    /// cursor form used to walk several concatenated tagged blobs (a
-    /// [`tag::REPORT_BATCH`] payload). Pair with [`Reader::expect_tag`]
-    /// per blob and one [`Reader::finish`] at the end.
-    #[inline]
-    #[must_use]
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
-    /// Consume a tag + version prelude at the cursor, checking the tag
-    /// and that the version is one this build decodes
-    /// ([`MIN_VERSION`]`..=`[`VERSION`]).
-    #[inline]
-    pub fn expect_tag(&mut self, expected: u8) -> Result<(), WireError> {
-        let found = self.get_u8().ok();
+        let mut r = Reader { bytes, pos: 0 };
+        let found = r.get_u8().ok();
         if found != Some(expected) {
             return Err(WireError::WrongTag { expected, found });
         }
-        let version = self.get_u8()?;
+        let version = r.get_u8()?;
         if !(MIN_VERSION..=VERSION).contains(&version) {
             return Err(WireError::UnsupportedVersion(version));
         }
-        Ok(())
+        Ok(r)
     }
 
     /// Peek at a blob's type tag without consuming anything.
     pub fn peek_tag(bytes: &[u8]) -> Option<u8> {
         bytes.first().copied()
-    }
-
-    /// Peek the byte at the cursor (the next blob's tag in a
-    /// concatenated batch payload) without consuming it.
-    #[inline]
-    #[must_use]
-    pub fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
     }
 
     /// Bytes not yet consumed.
@@ -494,49 +453,6 @@ impl<'a> Reader<'a> {
         (0..len).map(|_| self.get_i64()).collect()
     }
 
-    /// Read a `u32`-length-prefixed `u16` vector (the compact form of
-    /// report position lists) into a caller-owned buffer, cleared first
-    /// and reusing its capacity — the zero-allocation form the batched
-    /// ingest scratch uses. Absurd lengths fail before allocating.
-    #[inline]
-    pub fn get_u16_vec_into(&mut self, out: &mut Vec<u16>) -> Result<(), WireError> {
-        let prefix = self.get_u32()?;
-        let len = self.checked_len(u64::from(prefix), 2)?;
-        out.clear();
-        out.reserve(len);
-        for _ in 0..len {
-            out.push(self.get_u16()?);
-        }
-        Ok(())
-    }
-
-    /// [`Reader::get_u16_vec_into`] for `u32` elements.
-    #[inline]
-    pub fn get_u32_vec_into(&mut self, out: &mut Vec<u32>) -> Result<(), WireError> {
-        let prefix = self.get_u32()?;
-        let len = self.checked_len(u64::from(prefix), 4)?;
-        out.clear();
-        out.reserve(len);
-        for _ in 0..len {
-            out.push(self.get_u32()?);
-        }
-        Ok(())
-    }
-
-    /// Read a `u32`-length-prefixed list of `elem_bytes`-wide elements
-    /// as its raw little-endian bytes, without decoding or allocating —
-    /// the form the validate-then-absorb kernels of the protocol table
-    /// walk. A prefix the remaining bytes cannot back is `Truncated`.
-    #[inline]
-    pub fn get_list_bytes(&mut self, elem_bytes: u64) -> Result<&'a [u8], WireError> {
-        let prefix = self.get_u32()?;
-        let bytes = u64::from(prefix)
-            .checked_mul(elem_bytes)
-            .ok_or(WireError::Truncated)?;
-        let n = self.checked_len(bytes, 1)?;
-        self.take(n)
-    }
-
     /// Read a `u32`-length-prefixed raw byte string, rejecting absurd
     /// lengths before allocating.
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, WireError> {
@@ -551,13 +467,6 @@ impl<'a> Reader<'a> {
         let prefix = self.get_u64()?;
         let len = self.checked_len(prefix, 8)?;
         (0..len).map(|_| self.get_f64()).collect()
-    }
-
-    /// The bytes not yet consumed, as one slice.
-    #[inline]
-    #[must_use]
-    pub fn into_rest(self) -> &'a [u8] {
-        self.bytes.get(self.pos..).unwrap_or_default()
     }
 
     /// Assert the whole blob was consumed.
@@ -653,57 +562,10 @@ mod tests {
     }
 
     #[test]
-    fn cursor_walks_concatenated_blobs() {
-        // Three self-describing blobs back to back — the REPORT_BATCH
-        // payload shape — read with one cursor and a single finish.
-        let mut batch = Vec::new();
-        for v in [3u64, 5, 7] {
-            let mut w = Writer::with_tag(tag::REPORT_OLH);
-            w.put_u64(v);
-            batch.extend_from_slice(&w.into_bytes());
-        }
-        let mut r = Reader::new(&batch);
-        for v in [3u64, 5, 7] {
-            assert_eq!(r.peek(), Some(tag::REPORT_OLH));
-            r.expect_tag(tag::REPORT_OLH).unwrap();
-            assert_eq!(r.get_u64().unwrap(), v);
-        }
-        assert_eq!(r.peek(), None);
-        assert_eq!(r.remaining(), 0);
-        r.finish().unwrap();
-
-        // A wrong tag mid-batch names both sides; an empty cursor
-        // reports `found: None` like the slice form.
-        let mut r = Reader::new(&batch);
-        assert!(matches!(
-            r.expect_tag(tag::REPORT_CMS),
-            Err(WireError::WrongTag {
-                expected: tag::REPORT_CMS,
-                found: Some(tag::REPORT_OLH)
-            })
-        ));
-        let mut empty = Reader::new(&[]);
-        assert!(matches!(
-            empty.expect_tag(tag::REPORT_OLH),
-            Err(WireError::WrongTag { found: None, .. })
-        ));
-    }
-
-    #[test]
     fn put_raw_appends_verbatim() {
-        let mut inner = Writer::with_tag(tag::REPORT_OLH);
-        inner.put_u64(9);
-        let inner = inner.into_bytes();
         let mut w = Writer::with_tag(tag::REPORT_BATCH);
-        w.put_u32(1);
-        w.put_raw(&inner);
-        let bytes = w.into_bytes();
-        let mut r = Reader::with_tag(&bytes, tag::REPORT_BATCH).unwrap();
-        assert_eq!(r.get_u32().unwrap(), 1);
-        assert_eq!(r.remaining(), inner.len());
-        r.expect_tag(tag::REPORT_OLH).unwrap();
-        assert_eq!(r.get_u64().unwrap(), 9);
-        r.finish().unwrap();
+        w.put_raw(&[7, 0, 9]);
+        assert_eq!(w.into_bytes(), [tag::REPORT_BATCH, VERSION, 7, 0, 9]);
     }
 
     #[test]
@@ -713,46 +575,6 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::with_tag(&bytes, 0x01).unwrap();
         assert_eq!(r.get_u64_vec(), Err(WireError::Truncated));
-
-        // Same overflow guard on the compact u16/u32 report slices.
-        let mut w = Writer::with_tag(0x01);
-        w.put_u32(u32::MAX);
-        let bytes = w.into_bytes();
-        let mut r = Reader::with_tag(&bytes, 0x01).unwrap();
-        assert_eq!(
-            r.get_u16_vec_into(&mut Vec::new()),
-            Err(WireError::Truncated)
-        );
-        let mut r = Reader::with_tag(&bytes, 0x01).unwrap();
-        assert_eq!(
-            r.get_u32_vec_into(&mut Vec::new()),
-            Err(WireError::Truncated)
-        );
-    }
-
-    #[test]
-    fn compact_slices_round_trip_into_reused_buffers() {
-        let mut w = Writer::with_tag(0x02);
-        w.put_u16(513);
-        w.put_u32(3);
-        for v in [7, 0, u16::MAX] {
-            w.put_u16(v);
-        }
-        w.put_u32(2);
-        w.put_u32(1);
-        w.put_u32(u32::MAX);
-        w.put_u32(0);
-        let bytes = w.into_bytes();
-        let mut r = Reader::with_tag(&bytes, 0x02).unwrap();
-        assert_eq!(r.get_u16().unwrap(), 513);
-        let (mut u16s, mut u32s) = (vec![9u16; 5], Vec::new());
-        r.get_u16_vec_into(&mut u16s).unwrap();
-        assert_eq!(u16s, [7, 0, u16::MAX]);
-        r.get_u32_vec_into(&mut u32s).unwrap();
-        assert_eq!(u32s, [1, u32::MAX]);
-        r.get_u16_vec_into(&mut u16s).unwrap();
-        assert!(u16s.is_empty() && u16s.capacity() >= 5);
-        r.finish().unwrap();
     }
 
     #[test]
@@ -784,16 +606,10 @@ mod tests {
     #[test]
     fn truncated_mid_element_is_detected() {
         let mut w = Writer::with_tag(0x03);
-        w.put_u32(3);
-        for v in [1, 2, 3] {
-            w.put_u16(v);
-        }
+        w.put_u64_slice(&[1, 2, 3]);
         let mut bytes = w.into_bytes();
         bytes.truncate(bytes.len() - 1); // cut the last element short
         let mut r = Reader::with_tag(&bytes, 0x03).unwrap();
-        assert_eq!(
-            r.get_u16_vec_into(&mut Vec::new()),
-            Err(WireError::Truncated)
-        );
+        assert_eq!(r.get_u64_vec(), Err(WireError::Truncated));
     }
 }

@@ -8,7 +8,7 @@ use ldp_core::wire::{in_range, tag, Reader, WireError, Writer};
 use ldp_core::Accumulator;
 use ldp_mechanisms::{check_epsilon, UnaryEncoding, UnaryFlavor};
 use ldp_sampling::hash::{splitmix64, PolyHash};
-use ldp_sampling::{bernoulli_fixed, bernoulli_word};
+use ldp_sampling::one_hot_words;
 use rand::Rng;
 
 /// One user's report: the sampled row and the positions reporting 1.
@@ -76,7 +76,11 @@ impl Cms {
     pub fn encode<R: Rng + ?Sized>(&self, value: u64, rng: &mut R) -> CmsReport {
         let (row, bucket) = self.sample_row(value, rng);
         let mut ones = Vec::new();
-        self.perturb_row(bucket, rng, |b| ones.push(b));
+        let mut base = 0u16;
+        self.perturbed_row(bucket, rng, |word, lanes| {
+            ones.extend(ldp_bits::ones(word).map(|tz| base + tz as u16));
+            base = base.wrapping_add(lanes as u16);
+        });
         CmsReport { row, ones }
     }
 
@@ -91,41 +95,18 @@ impl Cms {
     }
 
     /// Second half of the encode, shared by the serial
-    /// [`encode`](Self::encode) and the batched kernel: walk the
-    /// perturbed `w`-bucket unary encoding's 1-positions in ascending
-    /// order (background coins drawn 64 lanes per RNG word via
-    /// [`bernoulli_word`], the true bucket overridden by a separate
-    /// `Bernoulli(p₁)` draw).
+    /// [`encode`](Self::encode) and the wire encoder: the perturbed
+    /// `w`-bucket unary encoding as successive words. See
+    /// [`ldp_sampling::one_hot_words`].
     #[inline]
-    pub fn perturb_row<R: Rng + ?Sized, F: FnMut(u16)>(
+    pub fn perturbed_row<R: Rng + ?Sized, F: FnMut(u64, u32)>(
         &self,
         bucket: u64,
         rng: &mut R,
-        mut emit: F,
+        emit: F,
     ) {
-        let cells = self.w as u64;
-        debug_assert!(bucket < cells);
-        let truth = rng.gen_bool(self.ue.p1());
-        let p0 = bernoulli_fixed(self.ue.p0());
-        let mut base = 0u64;
-        while base < cells {
-            let lanes = (cells - base).min(64) as u32;
-            let mut word = bernoulli_word(rng, p0, lanes);
-            if bucket >= base && bucket - base < u64::from(lanes) {
-                let bit = 1u64 << (bucket - base);
-                if truth {
-                    word |= bit;
-                } else {
-                    word &= !bit;
-                }
-            }
-            while word != 0 {
-                let tz = word.trailing_zeros();
-                emit(base as u16 + tz as u16);
-                word &= word - 1;
-            }
-            base += u64::from(lanes);
-        }
+        let (p1, p0) = (self.ue.p1(), self.ue.p0());
+        one_hot_words(rng, p1, p0, self.w as u64, bucket, emit);
     }
 
     /// Fresh aggregator.

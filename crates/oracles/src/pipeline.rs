@@ -6,22 +6,22 @@
 //! snapshot.
 //!
 //! Three flat enums carry one variant per protocol: [`Client`] writes
-//! report bytes, [`PipelineReport`] is what those bytes decode into, and
+//! report batches, [`PipelineReport`] is what a batch decodes into, and
 //! [`PipelineAccumulator`] absorbs, merges, serializes and finalizes
-//! them. Every operation is a single `match` over the ten protocols, so
-//! each protocol has exactly one encode kernel ([`Client::encode_into`]),
-//! one decode kernel (the arm of [`PipelineReport::decode_into`]'s
-//! match), one range check (its aggregator's `check`) and one absorb
-//! kernel (its aggregator's `absorb`; `InpEM` alone keeps a
-//! group-by-value batch kernel). The single-report forms are batches of
-//! one.
+//! them. Every operation is a single `match` over the ten protocols.
 //!
-//! Batch frames reach the absorb kernels two ways.
-//! [`PipelineAccumulator::absorb_frame`] — the collector's path —
-//! validates a whole `REPORT_BATCH` payload and then absorbs straight
-//! from its bytes. [`decode_report_batch_into`] followed by
-//! [`PipelineAccumulator::absorb_batch`] decodes into [`PipelineReport`]s
-//! first; it is the reference the frame kernels are tested against.
+//! Reports travel only in wire-v4 `REPORT_BATCH` frames
+//! (`docs/WIRE_FORMAT.md` §5): a 14-byte envelope naming the protocol,
+//! its shape and the report count, then every report as a fixed-width
+//! bit field whose widths come from one function, [`layout`] — the
+//! paper's Table 2 size or less. Each protocol has one encode kernel
+//! (its arm of [`Client::encode_batch`]), one range check (its
+//! aggregator's `check`) and one absorb kernel (its arm of
+//! [`PipelineAccumulator::absorb_frame`], which validates a whole batch
+//! and then absorbs straight from its bits). [`decode_report_batch_into`]
+//! followed by [`PipelineAccumulator::absorb_batch`] decodes into
+//! [`PipelineReport`]s first; it is the reference the frame kernels are
+//! tested against.
 //!
 //! This crate hosts the table because it is the lowest layer that can
 //! see both protocol families (`ldp_oracles` depends on `ldp_core`).
@@ -33,14 +33,16 @@ use crate::{
     Cms, CmsAggregator, CmsReport, FrequencyOracle, HadamardCms, HadamardCmsAggregator, HcmsReport,
     Olh, OlhAggregator, OlhReport, OracleKind,
 };
+use ldp_bits::binomial;
 use ldp_core::frame::StreamHeader;
-use ldp_core::wire::{tag, Reader, WireError, Writer, MIN_VERSION, VERSION};
+use ldp_core::wire::{tag, WireError, Writer, MIN_BATCH_VERSION, VERSION};
 use ldp_core::{
     user_rng, Accumulator, Estimate, InpEm, InpEmAggregator, InpHt, InpHtAggregator, InpHtReport,
     InpPs, InpPsAggregator, InpRr, InpRrAggregator, MargHt, MargHtAggregator, MargHtReport, MargPs,
     MargPsAggregator, MargPsReport, MargRr, MargRrAggregator, MargRrReport, MechanismKind,
 };
-use rand::Rng;
+use ldp_mechanisms::theory::coefficient_count;
+use rand::rngs::SmallRng;
 use std::fmt;
 
 /// A protocol named on the command line.
@@ -89,8 +91,8 @@ impl Protocol {
         }
     }
 
-    /// The accumulator type tag naming this protocol in stream headers
-    /// and serialized state (`StreamHeader::protocol`).
+    /// The accumulator type tag naming this protocol in stream headers,
+    /// batch envelopes and serialized state (`StreamHeader::protocol`).
     #[must_use]
     pub fn wire_tag(self) -> u8 {
         match self {
@@ -99,13 +101,18 @@ impl Protocol {
         }
     }
 
+    /// The protocol an accumulator type tag names, if it is known.
+    #[must_use]
+    pub fn from_wire_tag(t: u8) -> Option<Protocol> {
+        MechanismKind::from_wire_tag(t)
+            .map(Protocol::Mechanism)
+            .or_else(|| OracleKind::from_wire_tag(t).map(Protocol::Oracle))
+    }
+
     /// The protocol a header names, if its tag is known.
     #[must_use]
     pub fn from_header(header: &StreamHeader) -> Option<Protocol> {
-        if let Some(kind) = header.mechanism_kind() {
-            return Some(Protocol::Mechanism(kind));
-        }
-        OracleKind::from_wire_tag(header.protocol).map(Protocol::Oracle)
+        Protocol::from_wire_tag(header.protocol)
     }
 }
 
@@ -142,63 +149,197 @@ pub fn header_for(
     }
 }
 
-/// Reject parameter combinations the protocol constructors would panic
-/// on, with a message naming the offending flag/field, and return the
-/// protocol the header names. Applied to headers from the command line
-/// *and* from incoming streams, so a corrupt or hostile header degrades
-/// to an error instead of crashing the collector process.
-fn validate_header(header: &StreamHeader) -> Result<Protocol, String> {
-    let protocol = Protocol::from_header(header)
-        .ok_or_else(|| format!("header names unknown protocol tag {:#04x}", header.protocol))?;
-    let d = header.d;
+/// Largest number of marginals or InpHT coefficients a report's index
+/// field may name: the decoded reports carry a `u32` index.
+const MAX_INDEXED: u64 = 1 << 32;
+
+/// Reject shapes the protocol constructors would panic on or could not
+/// index, with a message naming the offending field. One limit table
+/// for headers (from the command line and from incoming streams) and
+/// for batch envelopes, so a corrupt or hostile shape degrades to an
+/// error instead of crashing the collector process. `k` is checked only
+/// where the protocol uses it, `hashes` and `width` only for sketches.
+fn check_shape(protocol: Protocol, d: u32, k: u32, hashes: u32, width: u32) -> Result<(), String> {
+    use MechanismKind::{InpEm, InpHt, InpPs, InpRr, MargHt, MargPs, MargRr};
+    if !(1..=63).contains(&d) {
+        return Err(format!("need 1 ≤ d ≤ 63, got {d}"));
+    }
     match protocol {
-        Protocol::Mechanism(MechanismKind::InpRr) if !(1..=24).contains(&d) => Err(format!(
+        Protocol::Mechanism(InpRr) if d > 24 => Err(format!(
             "InpRR materializes 2^d cells; need d ≤ 24, got {d}"
         )),
-        Protocol::Mechanism(kind @ (MechanismKind::InpPs | MechanismKind::InpEm))
-            if !(1..=26).contains(&d) =>
+        Protocol::Mechanism(kind @ (InpPs | InpEm)) if d > 26 => Err(format!(
+            "{} materializes 2^d cells; need d ≤ 26, got {d}",
+            kind.name()
+        )),
+        Protocol::Mechanism(kind @ (InpHt | MargRr | MargPs | MargHt)) if !(1..=d).contains(&k) => {
+            Err(format!("{} needs 1 ≤ k ≤ d = {d}, got {k}", kind.name()))
+        }
+        Protocol::Mechanism(kind @ (MargRr | MargPs | MargHt)) if k > 16 => Err(format!(
+            "{} materializes 2^k marginal tables; need k ≤ 16, got {k}",
+            kind.name()
+        )),
+        Protocol::Mechanism(kind @ (MargRr | MargPs | MargHt))
+            if binomial(u64::from(d), u64::from(k)) > MAX_INDEXED =>
         {
             Err(format!(
-                "{} materializes 2^d cells; need d ≤ 26, got {d}",
+                "{} indexes at most 2^32 marginals; C({d}, {k}) is more",
                 kind.name()
             ))
         }
-        Protocol::Mechanism(
-            kind @ (MechanismKind::MargRr | MechanismKind::MargPs | MechanismKind::MargHt),
-        ) if header.k > 16 => Err(format!(
-            "{} materializes 2^k marginal tables; need k ≤ 16, got {}",
-            kind.name(),
-            header.k
+        Protocol::Mechanism(InpHt) if coefficient_count(d, k) > MAX_INDEXED => Err(format!(
+            "InpHT indexes at most 2^32 coefficients; d={d} k={k} has more"
         )),
-        Protocol::Oracle(OracleKind::Olh) if !(1..=40).contains(&d) => {
-            Err(format!("OLH needs d ≤ 40, got {d}"))
+        Protocol::Oracle(OracleKind::Olh) if d > 40 => Err(format!("OLH needs d ≤ 40, got {d}")),
+        Protocol::Oracle(OracleKind::Cms | OracleKind::Hcms) if !(1..=255).contains(&hashes) => {
+            Err(format!("sketch needs 1 ≤ hashes ≤ 255, got {hashes}"))
         }
-        // g = ⌈e^ε⌉ + 1 must fit the u8 bucket in OlhReport.
-        Protocol::Oracle(OracleKind::Olh) if header.eps > 255f64.ln() => Err(format!(
+        Protocol::Oracle(OracleKind::Cms | OracleKind::Hcms) if !(2..=1 << 16).contains(&width) => {
+            Err(format!("sketch needs 2 ≤ width ≤ 65536, got {width}"))
+        }
+        Protocol::Oracle(OracleKind::Hcms) if !width.is_power_of_two() => {
+            Err(format!("HCMS width must be a power of two, got {width}"))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// Reject parameter combinations the protocol constructors would panic
+/// on ([`check_shape`], plus OLH's one-byte bucket), and return the
+/// protocol the header names. Applied to headers from the command line
+/// *and* from incoming streams.
+fn validate_header(header: &StreamHeader) -> Result<Protocol, String> {
+    let protocol = Protocol::from_header(header)
+        .ok_or_else(|| format!("header names unknown protocol tag {:#04x}", header.protocol))?;
+    check_shape(protocol, header.d, header.k, header.hashes, header.width)?;
+    // g = ⌈e^ε⌉ + 1 must fit the 8-bit bucket field.
+    if protocol == Protocol::Oracle(OracleKind::Olh) && header.eps > 255f64.ln() {
+        return Err(format!(
             "OLH buckets are reported as one byte; need eps ≤ ln(255) ≈ 5.54, got {}",
             header.eps
-        )),
-        Protocol::Oracle(OracleKind::Cms | OracleKind::Hcms)
-            if !(1..=255).contains(&header.hashes) =>
-        {
-            Err(format!(
-                "sketch needs 1 ≤ hashes ≤ 255, got {}",
-                header.hashes
-            ))
-        }
-        Protocol::Oracle(OracleKind::Cms | OracleKind::Hcms)
-            if header.width < 2 || header.width > 1 << 16 =>
-        {
-            Err(format!(
-                "sketch needs 2 ≤ width ≤ 65536, got {}",
-                header.width
-            ))
-        }
-        Protocol::Oracle(OracleKind::Hcms) if !header.width.is_power_of_two() => Err(format!(
-            "HCMS width must be a power of two, got {}",
-            header.width
-        )),
-        _ => Ok(protocol),
+        ));
+    }
+    Ok(protocol)
+}
+
+/// `⌈lg n⌉`: the bits an index below `n` needs (0 when `n ≤ 1`).
+#[inline]
+fn index_bits(n: u64) -> u32 {
+    match n {
+        0 | 1 => 0,
+        n => u64::BITS - (n - 1).leading_zeros(),
+    }
+}
+
+/// The low `bits` bits set (all 64 for `bits ≥ 64`).
+#[inline]
+fn low_mask(bits: u32) -> u64 {
+    match bits {
+        0 => 0,
+        1..=63 => (1u64 << bits) - 1,
+        _ => u64::MAX,
+    }
+}
+
+/// The bit widths of one report in a wire-v4 `REPORT_BATCH` body
+/// (`docs/WIRE_FORMAT.md` §5.1). A report is its fields in this order,
+/// packed LSB-first with no padding between reports: `index`, `value`,
+/// `sign`, then the `set` bitset.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Layout {
+    /// The leading field: the reported row (InpPS, InpEM), coefficient
+    /// (InpHT), marginal (MargRR, MargPS, MargHT), sketch row (CMS,
+    /// HCMS) or hash seed (OLH).
+    pub index: u32,
+    /// The second field: the cell (MargPS), coefficient (MargHT, HCMS)
+    /// or bucket (OLH); 0 bits otherwise.
+    pub value: u32,
+    /// One sign bit (InpHT, MargHT, HCMS); 0 bits otherwise.
+    pub sign: u32,
+    /// The trailing bitset: `2^d` cells (InpRR), `2^k` cells (MargRR),
+    /// `width` buckets (CMS); 0 bits otherwise.
+    pub set: u32,
+}
+
+impl Layout {
+    /// Bits before the set.
+    #[must_use]
+    pub fn fixed(self) -> u32 {
+        self.index + self.value + self.sign
+    }
+
+    /// Bits per report.
+    #[must_use]
+    pub fn bits(self) -> u64 {
+        u64::from(self.fixed()) + u64::from(self.set)
+    }
+
+    /// The exact body length of a batch of `count` reports: their bits,
+    /// rounded up to a byte.
+    #[must_use]
+    pub fn body_bytes(self, count: u32) -> u64 {
+        (u64::from(count) * self.bits()).div_ceil(8)
+    }
+
+    /// A report's fixed bits split into `(index, value, sign)`.
+    #[inline]
+    fn split(self, fixed: u64) -> (u64, u64, bool) {
+        let value = fixed.checked_shr(self.index).unwrap_or(0);
+        let sign = value.checked_shr(self.value).unwrap_or(0);
+        (
+            fixed & low_mask(self.index),
+            value & low_mask(self.value),
+            sign & 1 != 0,
+        )
+    }
+
+    /// `(index, value, sign)` packed into a report's fixed bits.
+    #[inline]
+    fn join(self, index: u64, value: u64, sign: bool) -> u64 {
+        index
+            | value.checked_shl(self.index).unwrap_or(0)
+            | u64::from(sign)
+                .checked_shl(self.index + self.value)
+                .unwrap_or(0)
+    }
+}
+
+/// The one field-width function of wire v4: how many bits each field of
+/// a `protocol` report takes at shape `d`, `k`, `hashes × width`, with
+/// `⌈lg n⌉` bits for an index below `n`. The encoder, both decoders and
+/// the size tests all read their widths here. Every width is at most
+/// the paper's Table 2 cost (`MethodBound::communication_bits`; `d` for
+/// InpEM, `w + 8` for CMS). Fields a protocol does not use are ignored;
+/// the shape must pass the header limits, or the widths are
+/// meaningless.
+#[must_use]
+pub fn layout(protocol: Protocol, d: u32, k: u32, hashes: u32, width: u32) -> Layout {
+    use MechanismKind::{InpEm, InpHt, InpPs, InpRr, MargHt, MargPs, MargRr};
+    let at = |index, value, sign, set| Layout {
+        index,
+        value,
+        sign,
+        set,
+    };
+    let marginals = || index_bits(binomial(u64::from(d), u64::from(k)));
+    let cells = |n: u32| 1u32.checked_shl(n).unwrap_or(0);
+    match protocol {
+        Protocol::Mechanism(InpRr) => at(0, 0, 0, cells(d)),
+        Protocol::Mechanism(InpPs | InpEm) => at(d, 0, 0, 0),
+        Protocol::Mechanism(InpHt) => at(index_bits(coefficient_count(d, k)), 0, 1, 0),
+        Protocol::Mechanism(MargRr) => at(marginals(), 0, 0, cells(k)),
+        Protocol::Mechanism(MargPs) => at(marginals(), k, 0, 0),
+        Protocol::Mechanism(MargHt) => at(marginals(), k, 1, 0),
+        // The bucket keeps a whole byte: its bound g depends on ε,
+        // which the envelope does not carry.
+        Protocol::Oracle(OracleKind::Olh) => at(64, 8, 0, 0),
+        Protocol::Oracle(OracleKind::Cms) => at(index_bits(u64::from(hashes)), 0, 0, width),
+        Protocol::Oracle(OracleKind::Hcms) => at(
+            index_bits(u64::from(hashes)),
+            index_bits(u64::from(width)),
+            1,
+            0,
+        ),
     }
 }
 
@@ -270,114 +411,89 @@ impl Client {
         }
     }
 
-    /// The encode kernels: write one user's report for `row` at the
-    /// writer's current position, consuming that user's private
-    /// randomness. This is the only row→bytes path; the report layouts
-    /// are `docs/WIRE_FORMAT.md` §5. The variable-size reports stream
-    /// their positions straight into the writer and back-patch the count
-    /// prefix, so nothing is allocated per report.
-    pub fn encode_into<R: Rng + ?Sized>(&self, row: u64, rng: &mut R, w: &mut Writer) {
-        match self {
-            Self::InpRr(m) => {
-                w.put_tag(tag::REPORT_INP_RR);
-                let prefix = w.len();
-                w.put_u32(0);
-                let mut count = 0u32;
-                m.perturbed_ones(row, rng, |cell| {
-                    w.put_u32(cell);
-                    count = count.saturating_add(1);
-                });
-                w.patch_u32(prefix, count);
-            }
-            Self::InpPs(m) => {
-                w.put_tag(tag::REPORT_INP_PS);
-                w.put_u64(m.encode(row, rng));
-            }
-            Self::InpHt(m) => {
-                let r = m.encode(row, rng);
-                w.put_tag(tag::REPORT_INP_HT);
-                w.put_u32(r.coefficient);
-                w.put_u8(u8::from(r.sign_positive));
-            }
-            Self::MargRr(m) => {
-                let (marginal, cell) = m.sample_marginal(row, rng);
-                w.put_tag(tag::REPORT_MARG_RR);
-                w.put_u32(marginal);
-                let prefix = w.len();
-                w.put_u32(0);
-                let mut count = 0u32;
-                m.perturb_table(cell, rng, |c| {
-                    w.put_u16(c);
-                    count = count.saturating_add(1);
-                });
-                w.patch_u32(prefix, count);
-            }
-            Self::MargPs(m) => {
-                let r = m.encode(row, rng);
-                w.put_tag(tag::REPORT_MARG_PS);
-                w.put_u32(r.marginal);
-                w.put_u16(r.cell);
-            }
-            Self::MargHt(m) => {
-                let r = m.encode(row, rng);
-                w.put_tag(tag::REPORT_MARG_HT);
-                w.put_u32(r.marginal);
-                w.put_u16(r.coefficient);
-                w.put_u8(u8::from(r.sign_positive));
-            }
-            Self::InpEm(m) => {
-                w.put_tag(tag::REPORT_INP_EM);
-                w.put_u64(m.encode(row, rng));
-            }
-            Self::Olh(o) => {
-                let r = o.encode(row, rng);
-                w.put_tag(tag::REPORT_OLH);
-                w.put_u64(r.seed);
-                w.put_u8(r.bucket);
-            }
-            Self::Cms(o) => {
-                let (sketch_row, bucket) = o.sample_row(row, rng);
-                w.put_tag(tag::REPORT_CMS);
-                w.put_u8(sketch_row);
-                let prefix = w.len();
-                w.put_u32(0);
-                let mut count = 0u32;
-                o.perturb_row(bucket, rng, |b| {
-                    w.put_u16(b);
-                    count = count.saturating_add(1);
-                });
-                w.patch_u32(prefix, count);
-            }
-            Self::Hcms(o) => {
-                let r = o.encode(row, rng);
-                w.put_tag(tag::REPORT_HCMS);
-                w.put_u8(r.row);
-                w.put_u16(r.coefficient);
-                w.put_u8(u8::from(r.sign_positive));
-            }
-        }
+    /// The shape this client's batches carry in their envelope.
+    fn shape(&self) -> Shape {
+        let (d, k, hashes, width) = match self {
+            Self::InpRr(m) => (m.d(), 0, 0, 0),
+            Self::InpPs(m) => (m.d(), 0, 0, 0),
+            Self::InpHt(m) => (m.d(), m.k(), 0, 0),
+            Self::MargRr(m) => (m.d(), m.k(), 0, 0),
+            Self::MargPs(m) => (m.d(), m.k(), 0, 0),
+            Self::MargHt(m) => (m.d(), m.k(), 0, 0),
+            Self::InpEm(m) => (m.d(), 0, 0, 0),
+            Self::Olh(o) => (o.d(), 0, 0, 0),
+            Self::Cms(o) => (o.d(), 0, o.rows(), o.width()),
+            Self::Hcms(o) => (o.d(), 0, o.rows(), o.width()),
+        };
+        Shape::new(self.protocol(), d, k, saturate(hashes), saturate(width))
     }
 
-    /// Encode a batch of rows into `w` as one complete
-    /// [`tag::REPORT_BATCH`] frame payload (the writer is reset first,
-    /// keeping its allocation). Row `i` is encoded under
+    /// The encode kernels: encode a batch of rows into `w` as one
+    /// complete wire-v4 [`tag::REPORT_BATCH`] frame payload (the writer
+    /// is reset first, keeping its allocation) — the envelope, then each
+    /// report packed at its [`layout`] widths. Row `i` is encoded under
     /// `user_rng(seed, first_user + i)`, so chunking a population into
-    /// batches of any size yields the same report bytes.
+    /// batches of any size yields the same reports. The unary protocols
+    /// (InpRR, MargRR, CMS) write their perturbed vectors as the words
+    /// the lane sampler draws, with no per-bit work.
     pub fn encode_batch(&self, rows: &[u64], seed: u64, first_user: u64, w: &mut Writer) {
-        w.reset_with_tag(tag::REPORT_BATCH);
-        w.put_u32(u32::try_from(rows.len()).unwrap_or(u32::MAX));
-        for (i, &row) in rows.iter().enumerate() {
-            let mut rng = user_rng(seed, first_user.wrapping_add(i as u64));
-            self.encode_into(row, &mut rng, w);
+        let shape = self.shape();
+        let l = shape.layout();
+        shape.write_envelope(u32::try_from(rows.len()).unwrap_or(u32::MAX), w);
+        let mut out = Bits::new(w);
+        match self {
+            Self::InpRr(m) => each_user(rows, seed, first_user, |row, rng| {
+                m.perturbed_words(row, rng, |word, lanes| out.put(word, lanes));
+            }),
+            Self::InpPs(m) => each_user(rows, seed, first_user, |row, rng| {
+                out.put(m.encode(row, rng), l.index);
+            }),
+            Self::InpHt(m) => each_user(rows, seed, first_user, |row, rng| {
+                let r = m.encode(row, rng);
+                out.put(
+                    l.join(u64::from(r.coefficient), 0, r.sign_positive),
+                    l.fixed(),
+                );
+            }),
+            Self::MargRr(m) => each_user(rows, seed, first_user, |row, rng| {
+                let (marginal, cell) = m.sample_marginal(row, rng);
+                out.put(u64::from(marginal), l.index);
+                m.perturbed_table(cell, rng, |word, lanes| out.put(word, lanes));
+            }),
+            Self::MargPs(m) => each_user(rows, seed, first_user, |row, rng| {
+                let r = m.encode(row, rng);
+                let fixed = l.join(u64::from(r.marginal), u64::from(r.cell), false);
+                out.put(fixed, l.fixed());
+            }),
+            Self::MargHt(m) => each_user(rows, seed, first_user, |row, rng| {
+                let r = m.encode(row, rng);
+                let fixed = l.join(
+                    u64::from(r.marginal),
+                    u64::from(r.coefficient),
+                    r.sign_positive,
+                );
+                out.put(fixed, l.fixed());
+            }),
+            Self::InpEm(m) => each_user(rows, seed, first_user, |row, rng| {
+                out.put(m.encode(row, rng), l.index);
+            }),
+            Self::Olh(o) => each_user(rows, seed, first_user, |row, rng| {
+                let r = o.encode(row, rng);
+                out.put(r.seed, 64);
+                out.put(u64::from(r.bucket), 8);
+            }),
+            Self::Cms(o) => each_user(rows, seed, first_user, |row, rng| {
+                let (sketch_row, bucket) = o.sample_row(row, rng);
+                out.put(u64::from(sketch_row), l.index);
+                o.perturbed_row(bucket, rng, |word, lanes| out.put(word, lanes));
+            }),
+            Self::Hcms(o) => each_user(rows, seed, first_user, |row, rng| {
+                let r = o.encode(row, rng);
+                let fixed = l.join(u64::from(r.row), u64::from(r.coefficient), r.sign_positive);
+                out.put(fixed, l.fixed());
+            }),
         }
-    }
-
-    /// Encode one user's record into a standalone report frame payload
-    /// (the wire-v1 one-frame-per-report shape).
-    pub fn encode_report<R: Rng + ?Sized>(&self, row: u64, rng: &mut R) -> Vec<u8> {
-        let mut w = Writer::default();
-        self.encode_into(row, rng, &mut w);
-        w.into_bytes()
+        out.finish();
     }
 
     /// A fresh, empty accumulator matching this client's configuration.
@@ -398,52 +514,87 @@ impl Client {
     }
 }
 
-/// One user's report, for any protocol — what a report frame payload
-/// decodes into.
+/// Call `encode(row, rng)` for each row, user `first_user + i` drawing
+/// from `user_rng(seed, first_user + i)`.
+#[inline]
+fn each_user(rows: &[u64], seed: u64, first_user: u64, mut encode: impl FnMut(u64, &mut SmallRng)) {
+    for (i, &row) in rows.iter().enumerate() {
+        encode(row, &mut user_rng(seed, first_user.wrapping_add(i as u64)));
+    }
+}
+
+/// A `usize` shape field as the `u32` the header carries (saturating;
+/// validated shapes fit).
+fn saturate(n: usize) -> u32 {
+    u32::try_from(n).unwrap_or(u32::MAX)
+}
+
+/// The LSB-first bit packer behind [`Client::encode_batch`]: fields go
+/// into a 128-bit accumulator, which spills to the writer 64 bits at a
+/// time.
+struct Bits<'w> {
+    w: &'w mut Writer,
+    acc: u128,
+    n: u32,
+}
+
+impl<'w> Bits<'w> {
+    fn new(w: &'w mut Writer) -> Self {
+        Bits { w, acc: 0, n: 0 }
+    }
+
+    /// Append the low `bits ≤ 64` bits of `value`.
+    #[inline]
+    fn put(&mut self, value: u64, bits: u32) {
+        self.acc |= u128::from(value & low_mask(bits)) << self.n;
+        self.n += bits;
+        if self.n >= 64 {
+            self.w.put_u64(self.acc as u64);
+            self.acc >>= 64;
+            self.n -= 64;
+        }
+    }
+
+    /// Flush the last partial word, zero-padded to a byte.
+    fn finish(self) {
+        let tail = self.acc.to_le_bytes();
+        let bytes = usize::try_from(self.n.div_ceil(8)).unwrap_or(0);
+        self.w.put_raw(tail.get(..bytes).unwrap_or_default());
+    }
+}
+
+/// One user's report, for any protocol — what a batch body decodes
+/// into. Each variant's fields are the wire-v4 report fields of
+/// [`layout`], widened to the protocol's report type.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PipelineReport {
-    /// InpRR (tag `0x21`): positions of the perturbed one-hot vector's
-    /// 1-bits.
+    /// InpRR: positions of the perturbed one-hot vector's 1-bits.
     InpRr(Vec<u32>),
-    /// InpPS (tag `0x22`): the perturbed input index.
+    /// InpPS: the perturbed input index.
     InpPs(u64),
-    /// InpHT (tag `0x23`): sampled Hadamard coefficient + sign.
+    /// InpHT: sampled Hadamard coefficient + sign.
     InpHt(InpHtReport),
-    /// MargRR (tag `0x24`): sampled marginal + perturbed table.
+    /// MargRR: sampled marginal + positions of its perturbed table's
+    /// 1-bits.
     MargRr(MargRrReport),
-    /// MargPS (tag `0x25`): sampled marginal + perturbed cell.
+    /// MargPS: sampled marginal + perturbed cell.
     MargPs(MargPsReport),
-    /// MargHT (tag `0x26`): sampled marginal + coefficient sign.
+    /// MargHT: sampled marginal + coefficient sign.
     MargHt(MargHtReport),
-    /// InpEM (tag `0x27`): the budget-split perturbed row.
+    /// InpEM: the budget-split perturbed row.
     InpEm(u64),
-    /// OLH (tag `0x33`): hash seed + reported bucket.
+    /// OLH: hash seed + reported bucket.
     Olh(OlhReport),
-    /// CMS (tag `0x32`): sketch row + perturbed row positions. Boxed so
-    /// the enum stays the size of the other position-list report.
+    /// CMS: sketch row + positions of the perturbed row's 1-bits. Boxed
+    /// so the enum stays the size of the other position-list report.
     Cms(Box<CmsReport>),
-    /// HCMS (tag `0x31`): sketch row + Hadamard coefficient sign.
+    /// HCMS: sketch row + Hadamard coefficient sign.
     Hcms(HcmsReport),
 }
 
 /// Placeholder a decode slot holds while its previous buffer is moved
 /// out; never absorbed.
 const EMPTY_SLOT: PipelineReport = PipelineReport::InpPs(0);
-
-/// A 0/1 sign byte as a flag; any other byte is invalid.
-#[inline]
-fn sign(byte: u8) -> Option<bool> {
-    match byte {
-        0 => Some(false),
-        1 => Some(true),
-        _ => None,
-    }
-}
-
-/// Decode a 0/1 byte back into a sign flag.
-fn get_sign(r: &mut Reader<'_>) -> Result<bool, WireError> {
-    sign(r.get_u8()?).ok_or(WireError::Invalid("report sign flag"))
-}
 
 impl PipelineReport {
     /// Which protocol this report belongs to.
@@ -462,184 +613,373 @@ impl PipelineReport {
             Self::Hcms(_) => Protocol::Oracle(OracleKind::Hcms),
         }
     }
+}
 
-    /// The decode kernels: read the report at the cursor, whose tag byte
-    /// `t` the caller peeked, into `self`, leaving the cursor on the
-    /// byte after it. A slot that already holds a report of the same protocol keeps
-    /// its position buffer, so refilling a scratch of `InpRR`, `MargRR`
-    /// or `CMS` reports allocates nothing once the buffers have grown.
-    /// Returns `Ok(false)` when the tag names no report. On error the
-    /// cursor and `self` are unspecified (but valid); neither must be
-    /// used further.
-    fn read_next(&mut self, t: u8, r: &mut Reader<'_>) -> Result<bool, WireError> {
-        *self = match t {
-            tag::REPORT_INP_RR => {
-                r.expect_tag(t)?;
-                let mut ones = match std::mem::replace(self, EMPTY_SLOT) {
-                    Self::InpRr(ones) => ones,
-                    _ => Vec::new(),
-                };
-                r.get_u32_vec_into(&mut ones)?;
-                Self::InpRr(ones)
-            }
-            tag::REPORT_INP_PS => {
-                r.expect_tag(t)?;
-                Self::InpPs(r.get_u64()?)
-            }
-            tag::REPORT_INP_HT => {
-                r.expect_tag(t)?;
-                Self::InpHt(InpHtReport {
-                    coefficient: r.get_u32()?,
-                    sign_positive: get_sign(r)?,
-                })
-            }
-            tag::REPORT_MARG_RR => {
-                r.expect_tag(t)?;
-                let mut ones = match std::mem::replace(self, EMPTY_SLOT) {
-                    Self::MargRr(report) => report.ones,
-                    _ => Vec::new(),
-                };
-                let marginal = r.get_u32()?;
-                r.get_u16_vec_into(&mut ones)?;
-                Self::MargRr(MargRrReport { marginal, ones })
-            }
-            tag::REPORT_MARG_PS => {
-                r.expect_tag(t)?;
-                Self::MargPs(MargPsReport {
-                    marginal: r.get_u32()?,
-                    cell: r.get_u16()?,
-                })
-            }
-            tag::REPORT_MARG_HT => {
-                r.expect_tag(t)?;
-                Self::MargHt(MargHtReport {
-                    marginal: r.get_u32()?,
-                    coefficient: r.get_u16()?,
-                    sign_positive: get_sign(r)?,
-                })
-            }
-            tag::REPORT_INP_EM => {
-                r.expect_tag(t)?;
-                Self::InpEm(r.get_u64()?)
-            }
-            tag::REPORT_OLH => {
-                r.expect_tag(t)?;
-                Self::Olh(OlhReport {
-                    seed: r.get_u64()?,
-                    bucket: r.get_u8()?,
-                })
-            }
-            tag::REPORT_CMS => {
-                r.expect_tag(t)?;
-                let mut report = match std::mem::replace(self, EMPTY_SLOT) {
-                    Self::Cms(report) => report,
-                    _ => Box::new(CmsReport {
-                        row: 0,
-                        ones: Vec::new(),
-                    }),
-                };
-                report.row = r.get_u8()?;
-                r.get_u16_vec_into(&mut report.ones)?;
-                Self::Cms(report)
-            }
-            tag::REPORT_HCMS => {
-                r.expect_tag(t)?;
-                Self::Hcms(HcmsReport {
-                    row: r.get_u8()?,
-                    coefficient: r.get_u16()?,
-                    sign_positive: get_sign(r)?,
-                })
-            }
-            _ => return Ok(false),
-        };
-        Ok(true)
+// The fixed-field reports, read off a report's fixed bits at their
+// layout widths. Every width fits its field type: indices take at most
+// 32 bits (`MAX_INDEXED`), cells and coefficients at most 16.
+
+/// A `u32` index field.
+#[inline]
+fn index_u32(index: u64) -> u32 {
+    u32::try_from(index).unwrap_or(u32::MAX)
+}
+
+/// A `u16` cell or coefficient field.
+#[inline]
+fn value_u16(value: u64) -> u16 {
+    u16::try_from(value).unwrap_or(u16::MAX)
+}
+
+/// InpHT: coefficient, sign.
+#[inline]
+fn inp_ht_report(l: Layout, fixed: u64) -> InpHtReport {
+    let (coefficient, _, sign_positive) = l.split(fixed);
+    InpHtReport {
+        coefficient: index_u32(coefficient),
+        sign_positive,
     }
+}
 
-    /// [`Self::read_next`] with the pipeline's error messages.
-    fn decode_next_into(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
-        let Some(t) = r.peek() else {
-            return Err("bad report frame: empty payload".to_string());
-        };
-        match self.read_next(t, r) {
-            Ok(true) => Ok(()),
-            Ok(false) => Err(format!("bad report frame: unknown report tag {t:#04x}")),
-            Err(e) => Err(format!("bad report frame: {e}")),
+/// MargPS: marginal, cell.
+#[inline]
+fn marg_ps_report(l: Layout, fixed: u64) -> MargPsReport {
+    let (marginal, cell, _) = l.split(fixed);
+    MargPsReport {
+        marginal: index_u32(marginal),
+        cell: value_u16(cell),
+    }
+}
+
+/// MargHT: marginal, coefficient, sign.
+#[inline]
+fn marg_ht_report(l: Layout, fixed: u64) -> MargHtReport {
+    let (marginal, coefficient, sign_positive) = l.split(fixed);
+    MargHtReport {
+        marginal: index_u32(marginal),
+        coefficient: value_u16(coefficient),
+        sign_positive,
+    }
+}
+
+/// HCMS: sketch row, coefficient, sign.
+#[inline]
+fn hcms_report(l: Layout, fixed: u64) -> HcmsReport {
+    let (row, coefficient, sign_positive) = l.split(fixed);
+    HcmsReport {
+        row: u8::try_from(row).unwrap_or(u8::MAX),
+        coefficient: value_u16(coefficient),
+        sign_positive,
+    }
+}
+
+/// OLH: a 9-byte report, `u64` seed then the bucket byte.
+#[inline]
+fn olh_report(b: &[u8; 9]) -> OlhReport {
+    let [seed @ .., bucket] = *b;
+    OlhReport {
+        seed: u64::from_le_bytes(seed),
+        bucket,
+    }
+}
+
+/// The header fields a serialized state and a batch envelope fix: the
+/// protocol and `d` always, `k` for the protocols whose tables depend on
+/// it, and `hashes × width` for the two sketches. Two states merge, and
+/// an accumulator absorbs a batch, only when their shapes are equal.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Shape {
+    protocol: Protocol,
+    d: u32,
+    k: Option<u32>,
+    sketch: Option<(u32, u32)>,
+}
+
+impl fmt::Display for Shape {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} d={}", self.protocol.name(), self.d)?;
+        if let Some(k) = self.k {
+            write!(f, " k={k}")?;
+        }
+        if let Some((hashes, width)) = self.sketch {
+            write!(f, " hashes×width={hashes}×{width}")?;
+        }
+        Ok(())
+    }
+}
+
+impl Shape {
+    /// The shape of `protocol` at these header fields, keeping only the
+    /// ones the protocol depends on.
+    fn new(protocol: Protocol, d: u32, k: u32, hashes: u32, width: u32) -> Shape {
+        use MechanismKind::{InpHt, MargHt, MargPs, MargRr};
+        let uses_k = matches!(
+            protocol,
+            Protocol::Mechanism(InpHt | MargRr | MargPs | MargHt)
+        );
+        let sketch = matches!(
+            protocol,
+            Protocol::Oracle(OracleKind::Cms | OracleKind::Hcms)
+        );
+        Shape {
+            protocol,
+            d,
+            k: uses_k.then_some(k),
+            sketch: sketch.then_some((hashes, width)),
         }
     }
 
-    /// Decode a report frame payload into `self`, reusing any heap
-    /// capacity the current value already owns — the zero-allocation
-    /// decode path of the batched ingest scratch. Accepts and rejects
-    /// exactly what [`Self::from_bytes`] does; on error `self`
-    /// is left as some valid (but unspecified) report and must not be
-    /// absorbed.
-    pub fn decode_into(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = Reader::new(bytes);
-        self.decode_next_into(&mut r)?;
-        r.finish().map_err(|e| format!("bad report frame: {e}"))
+    /// `(d, k, hashes, width)`, zero where the protocol does not use a
+    /// field.
+    fn fields(self) -> (u32, u32, u32, u32) {
+        let (hashes, width) = self.sketch.unwrap_or_default();
+        (self.d, self.k.unwrap_or_default(), hashes, width)
     }
 
-    /// Decode a report frame payload (self-describing by its leading
-    /// tag byte).
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let mut report = EMPTY_SLOT;
-        report.decode_into(bytes)?;
-        Ok(report)
+    /// The report layout of batches of this shape.
+    fn layout(self) -> Layout {
+        let (d, k, hashes, width) = self.fields();
+        layout(self.protocol, d, k, hashes, width)
+    }
+
+    /// Reset `w` to a batch envelope of this shape holding `count`
+    /// reports.
+    fn write_envelope(self, count: u32, w: &mut Writer) {
+        let (d, k, hashes, width) = self.fields();
+        let byte = |v: u32| u8::try_from(v).unwrap_or(u8::MAX);
+        w.reset_with_tag(tag::REPORT_BATCH);
+        w.put_u8(self.protocol.wire_tag());
+        w.put_u8(byte(d));
+        w.put_u8(byte(k));
+        w.put_u8(byte(hashes));
+        w.put_u32(width);
+        w.put_u32(count);
     }
 }
 
-/// The smallest encodable report blob: tag + version + a 4-byte field
-/// (`REPORT_RR` with an empty ones-vector). Used to reject batch
-/// frames whose count prefix claims more reports than the payload
-/// could possibly hold, before any decode work happens.
-const MIN_REPORT_BLOB_BYTES: u64 = 6;
+/// Bytes in a wire-v4 batch envelope: tag, version, protocol, `d`, `k`,
+/// `hashes` (one byte each), `width` and the report count (`u32` each).
+pub const ENVELOPE_BYTES: usize = 14;
 
-/// Build one [`tag::REPORT_BATCH`] frame payload (wire v2) out of
-/// pre-encoded report frame payloads: a `u32` count followed by the
-/// blobs back to back, each self-describing via its own tag byte.
+/// An opened batch frame: the envelope's shape and count, the layout
+/// they imply, and the body holding exactly `count` reports.
+struct Batch<'a> {
+    shape: Shape,
+    layout: Layout,
+    count: usize,
+    body: &'a [u8],
+}
+
+/// Why a payload is not a wire-v4 batch, for one whose prelude is wrong:
+/// a retired single-report frame or an older batch body (naming its
+/// wire version), or another tag.
+#[cold]
+fn wrong_prelude(payload: &[u8]) -> String {
+    let refuse = |why: String| format!("bad report batch frame: {why}");
+    match *payload {
+        [] => refuse("empty payload".to_string()),
+        [t, version, ..] if (tag::REPORT_INP_RR..=tag::REPORT_OLH).contains(&t) => refuse(format!(
+            "tag {t:#04x} is a wire-v{version} single-report frame; wire v4 retired them, \
+             so send reports in wire-v4 REPORT_BATCH frames"
+        )),
+        [tag::REPORT_BATCH, version, ..] => refuse(format!(
+            "a wire-v{version} batch; this build reads only wire-v{MIN_BATCH_VERSION} \
+             and later report batches"
+        )),
+        [t, ..] => refuse(format!(
+            "tag {t:#04x} is not a report batch (expected {:#04x})",
+            tag::REPORT_BATCH
+        )),
+    }
+}
+
+/// Open a wire-v4 [`tag::REPORT_BATCH`] frame payload: check the prelude,
+/// the envelope's shape (the header limits, with unused fields zero),
+/// that the body is exactly `⌈count · bits / 8⌉` bytes, and that the
+/// pad bits after the last report are zero. Nothing is allocated, so a
+/// forged count costs nothing.
+fn open_batch(payload: &[u8]) -> Result<Batch<'_>, String> {
+    let prelude_ok = matches!(
+        *payload,
+        [tag::REPORT_BATCH, version, ..] if (MIN_BATCH_VERSION..=VERSION).contains(&version)
+    );
+    if !prelude_ok {
+        return Err(wrong_prelude(payload));
+    }
+    let refuse = |why: String| format!("bad report batch frame: {why}");
+    let Some((envelope, body)) = payload.split_first_chunk::<ENVELOPE_BYTES>() else {
+        return Err(refuse(format!(
+            "the envelope is truncated ({} of {ENVELOPE_BYTES} bytes)",
+            payload.len()
+        )));
+    };
+    let [_, _, t, d, k, hashes, w0, w1, w2, w3, c0, c1, c2, c3] = *envelope;
+    let protocol = Protocol::from_wire_tag(t)
+        .ok_or_else(|| refuse(format!("unknown protocol tag {t:#04x}")))?;
+    let width = u32::from_le_bytes([w0, w1, w2, w3]);
+    let count = u32::from_le_bytes([c0, c1, c2, c3]);
+    let fields = (u32::from(d), u32::from(k), u32::from(hashes), width);
+    let shape = Shape::new(protocol, fields.0, fields.1, fields.2, fields.3);
+    if shape.fields() != fields {
+        return Err(refuse(format!(
+            "a {shape} envelope must zero the fields it does not use, got \
+             k={k} hashes={hashes} width={width}"
+        )));
+    }
+    check_shape(protocol, fields.0, fields.1, fields.2, fields.3)
+        .map_err(|e| refuse(format!("envelope shape: {e}")))?;
+    let layout = shape.layout();
+    let want = layout.body_bytes(count);
+    if body.len() as u64 != want {
+        return Err(refuse(format!(
+            "{count} {shape} reports of {} bits take {want} bytes, the body has {}",
+            layout.bits(),
+            body.len()
+        )));
+    }
+    let used = u64::from(count) * layout.bits() % 8;
+    if used != 0 && body.last().is_some_and(|last| last >> used != 0) {
+        return Err(refuse("nonzero pad bits after the last report".to_string()));
+    }
+    Ok(Batch {
+        shape,
+        layout,
+        count: usize::try_from(count).unwrap_or(usize::MAX),
+        body,
+    })
+}
+
+/// The 16 bytes of `bytes` from `at` on as one little-endian `u128`,
+/// zero-extended past the end.
+#[inline]
+fn window(bytes: &[u8], at: usize) -> u128 {
+    let rest = bytes.get(at..).unwrap_or_default();
+    match rest.first_chunk::<16>() {
+        Some(w) => u128::from_le_bytes(*w),
+        None => {
+            let mut w = [0u8; 16];
+            for (dst, src) in w.iter_mut().zip(rest) {
+                *dst = *src;
+            }
+            u128::from_le_bytes(w)
+        }
+    }
+}
+
+/// `width ≤ 64` bits of `bytes` from bit `bit` on, LSB-first.
+#[inline]
+fn bits_at(bytes: &[u8], bit: u64, width: u32) -> u64 {
+    let at = usize::try_from(bit / 8).unwrap_or(usize::MAX);
+    (window(bytes, at) >> (bit % 8)) as u64 & low_mask(width)
+}
+
+/// Visit the `count` fixed-width `bits`-bit (≤ 64) fields packed
+/// LSB-first from the start of `body`, in order, with their index,
+/// stopping at the first `Err`. Eight fields occupy exactly `bits`
+/// bytes, so for `bits ≤ 16` each group of eight is one `u128` load.
+#[inline]
+fn for_each_field<E>(
+    body: &[u8],
+    count: usize,
+    bits: u32,
+    mut visit: impl FnMut(usize, u64) -> Result<(), E>,
+) -> Result<(), E> {
+    let mask = low_mask(bits);
+    let grouped = if bits <= 16 { count / 8 } else { 0 };
+    let group_bytes = usize::try_from(bits).unwrap_or(usize::MAX);
+    for g in 0..grouped {
+        let word = window(body, g * group_bytes);
+        for j in 0..8u32 {
+            let field = (word >> (j * bits)) as u64 & mask;
+            visit(g * 8 + j as usize, field)?;
+        }
+    }
+    for i in grouped * 8..count {
+        visit(i, bits_at(body, i as u64 * u64::from(bits), bits))?;
+    }
+    Ok(())
+}
+
+/// Visit the `count` reports of a set-carrying layout (InpRR, MargRR,
+/// CMS), in order: each report's fixed bits and the bit where its set
+/// starts, stopping at the first `Err`.
+#[inline]
+fn for_each_set_report<E>(
+    b: &Batch<'_>,
+    mut visit: impl FnMut(usize, u64, u64) -> Result<(), E>,
+) -> Result<(), E> {
+    let (fixed, bits) = (b.layout.fixed(), b.layout.bits());
+    for i in 0..b.count {
+        let start = i as u64 * bits;
+        visit(i, bits_at(b.body, start, fixed), start + u64::from(fixed))?;
+    }
+    Ok(())
+}
+
+/// The positions of the 1-bits of the `len`-bit set starting at bit
+/// `start` of `bytes`, ascending: a `trailing_zeros` walk over 64-bit
+/// words.
+#[inline]
+fn set_positions(bytes: &[u8], start: u64, len: u32) -> impl Iterator<Item = u32> + '_ {
+    (0..len.div_ceil(64)).flat_map(move |w| {
+        let base = w * 64;
+        let word = bits_at(bytes, start + u64::from(base), (len - base).min(64));
+        ldp_bits::ones(word).map(move |tz| base + tz)
+    })
+}
+
+/// [`set_positions`] as the `u16` cells of a MargRR table or CMS row
+/// (at most 2^16 of them).
+#[inline]
+fn set_cells(bytes: &[u8], start: u64, len: u32) -> impl Iterator<Item = u16> + '_ {
+    set_positions(bytes, start, len).map(|p| u16::try_from(p).unwrap_or(u16::MAX))
+}
+
+/// The slot for report `i` of `scratch`, growing it by one when `i` is
+/// its length (a batch never grows it further than its count, which
+/// the exact length check ties to bytes actually received).
+#[inline]
+fn slot(scratch: &mut Vec<PipelineReport>, i: usize) -> Option<&mut PipelineReport> {
+    if i == scratch.len() {
+        scratch.push(EMPTY_SLOT);
+    }
+    scratch.get_mut(i)
+}
+
+/// Decode every report of a fixed-field batch into `scratch` through
+/// `report`, which builds one from its fixed bits.
+fn fill(scratch: &mut Vec<PipelineReport>, b: &Batch<'_>, report: impl Fn(u64) -> PipelineReport) {
+    let _ = for_each_field(b.body, b.count, b.layout.fixed(), |i, fixed| {
+        if let Some(s) = slot(scratch, i) {
+            *s = report(fixed);
+        }
+        Ok::<(), ()>(())
+    });
+}
+
+/// Visit every report of a set-carrying batch (see
+/// [`for_each_set_report`]) with no early exit.
+fn sets(b: &Batch<'_>, mut visit: impl FnMut(usize, u64, u64)) {
+    let _ = for_each_set_report(b, |i, fixed, set| {
+        visit(i, fixed, set);
+        Ok::<(), ()>(())
+    });
+}
+
+/// Decode a wire-v4 [`tag::REPORT_BATCH`] frame payload into a reusable
+/// scratch vector, returning the number of reports decoded. The
+/// envelope names the protocol and shape, so no header is needed.
+/// Existing `scratch` slots are refilled in place (reusing the position
+/// buffers of InpRR, MargRR and CMS reports) and the vector grows only
+/// when the batch is larger than any seen before; entries past the
+/// returned count are stale leftovers that must not be absorbed.
 ///
-/// The count prefix saturates at `u32::MAX`, which no encodable batch
-/// can reach: the 1 GiB frame cap holds fewer than `2^28` copies of
-/// even the smallest report blob.
-#[must_use]
-pub fn encode_report_batch<B: AsRef<[u8]>>(reports: &[B]) -> Vec<u8> {
-    let mut w = Writer::with_tag(tag::REPORT_BATCH);
-    w.put_u32(u32::try_from(reports.len()).unwrap_or(u32::MAX));
-    for report in reports {
-        w.put_raw(report.as_ref());
-    }
-    w.into_bytes()
-}
-
-/// Open a [`tag::REPORT_BATCH`] frame payload: check the envelope tag
-/// and version and that the count prefix could fit in the bytes that
-/// follow it. Returns the count and a cursor on the first report.
-fn open_batch(payload: &[u8]) -> Result<(usize, Reader<'_>), String> {
-    let mut r = Reader::new(payload);
-    r.expect_tag(tag::REPORT_BATCH)
-        .map_err(|e| format!("bad report batch frame: {e}"))?;
-    let count = r
-        .get_u32()
-        .map_err(|e| format!("bad report batch frame: {e}"))?;
-    if u64::from(count) * MIN_REPORT_BLOB_BYTES > r.remaining() as u64 {
-        return Err(format!(
-            "bad report batch frame: count {count} cannot fit in {} payload bytes",
-            r.remaining()
-        ));
-    }
-    Ok((usize::try_from(count).unwrap_or(usize::MAX), r))
-}
-
-/// Decode a [`tag::REPORT_BATCH`] frame payload into a reusable
-/// scratch vector, returning the number of reports decoded. Existing
-/// `scratch` slots are refilled in place (reusing their heap capacity)
-/// and the vector grows only when the batch is larger than any seen
-/// before; entries past the returned count are stale leftovers that
-/// must not be absorbed.
-///
-/// Rejects, without panicking: a non-batch tag, an unsupported
-/// version, a count that cannot fit in the payload, a payload that
-/// ends mid-report, and trailing bytes after the final report.
+/// Rejects, without panicking: a payload that is not a wire-v4 batch (a
+/// retired single-report frame or an older batch names its wire
+/// version), an envelope shape outside the header limits, a body that
+/// is not exactly `⌈count · bits / 8⌉` bytes, and nonzero pad bits.
+/// Range checks against an accumulator's shape are
+/// [`PipelineAccumulator::absorb_batch`]'s.
 ///
 /// The serve and `ingest` paths absorb batch frames through
 /// [`PipelineAccumulator::absorb_frame`] instead; this decoder and
@@ -649,25 +989,73 @@ pub fn decode_report_batch_into(
     payload: &[u8],
     scratch: &mut Vec<PipelineReport>,
 ) -> Result<usize, String> {
-    let (want, mut r) = open_batch(payload)?;
-    let mut filled = 0usize;
-    while filled < want {
-        if r.remaining() == 0 {
-            return Err(format!(
-                "bad report batch frame: payload ends after {filled} of {want} reports"
-            ));
+    use MechanismKind::{InpEm, InpHt, InpPs, InpRr, MargHt, MargPs, MargRr};
+    let b = open_batch(payload)?;
+    let (l, body) = (b.layout, b.body);
+    match b.shape.protocol {
+        Protocol::Mechanism(InpPs) => fill(scratch, &b, PipelineReport::InpPs),
+        Protocol::Mechanism(InpEm) => fill(scratch, &b, PipelineReport::InpEm),
+        Protocol::Mechanism(InpHt) => {
+            fill(scratch, &b, |f| PipelineReport::InpHt(inp_ht_report(l, f)));
         }
-        if filled == scratch.len() {
-            scratch.push(EMPTY_SLOT);
+        Protocol::Mechanism(MargPs) => fill(scratch, &b, |f| {
+            PipelineReport::MargPs(marg_ps_report(l, f))
+        }),
+        Protocol::Mechanism(MargHt) => fill(scratch, &b, |f| {
+            PipelineReport::MargHt(marg_ht_report(l, f))
+        }),
+        Protocol::Oracle(OracleKind::Hcms) => {
+            fill(scratch, &b, |f| PipelineReport::Hcms(hcms_report(l, f)));
         }
-        if let Some(slot) = scratch.get_mut(filled) {
-            slot.decode_next_into(&mut r)?;
+        Protocol::Oracle(OracleKind::Olh) => {
+            for (i, r) in body.as_chunks::<9>().0.iter().enumerate() {
+                if let Some(s) = slot(scratch, i) {
+                    *s = PipelineReport::Olh(olh_report(r));
+                }
+            }
         }
-        filled += 1;
+        Protocol::Mechanism(InpRr) => sets(&b, |i, _, set| {
+            if let Some(s) = slot(scratch, i) {
+                let mut ones = match std::mem::replace(s, EMPTY_SLOT) {
+                    PipelineReport::InpRr(ones) => ones,
+                    _ => Vec::new(),
+                };
+                ones.clear();
+                ones.extend(set_positions(body, set, l.set));
+                *s = PipelineReport::InpRr(ones);
+            }
+        }),
+        Protocol::Mechanism(MargRr) => sets(&b, |i, marginal, set| {
+            if let Some(s) = slot(scratch, i) {
+                let mut ones = match std::mem::replace(s, EMPTY_SLOT) {
+                    PipelineReport::MargRr(report) => report.ones,
+                    _ => Vec::new(),
+                };
+                ones.clear();
+                ones.extend(set_cells(body, set, l.set));
+                *s = PipelineReport::MargRr(MargRrReport {
+                    marginal: index_u32(marginal),
+                    ones,
+                });
+            }
+        }),
+        Protocol::Oracle(OracleKind::Cms) => sets(&b, |i, row, set| {
+            if let Some(s) = slot(scratch, i) {
+                let mut report = match std::mem::replace(s, EMPTY_SLOT) {
+                    PipelineReport::Cms(report) => report,
+                    _ => Box::new(CmsReport {
+                        row: 0,
+                        ones: Vec::new(),
+                    }),
+                };
+                report.row = u8::try_from(row).unwrap_or(u8::MAX);
+                report.ones.clear();
+                report.ones.extend(set_cells(body, set, l.set));
+                *s = PipelineReport::Cms(report);
+            }
+        }),
     }
-    r.finish()
-        .map_err(|e| format!("bad report batch frame: {e}"))?;
-    Ok(filled)
+    Ok(b.count)
 }
 
 /// Refuse a batch holding a report of another protocol than the
@@ -700,199 +1088,43 @@ fn out_of_range(i: usize, e: &WireError) -> String {
     format!("bad report frame: report {i} of the batch: {e}")
 }
 
-/// Why the first pass of [`PipelineAccumulator::absorb_frame`] refused
-/// a batch.
-enum Refusal {
-    /// The bytes are not a batch of this protocol's reports. The
-    /// reference decoder names the first fault ([`malformed`]).
-    Malformed,
-    /// Report `.0` parses but fails its range check.
-    OutOfRange(usize, WireError),
-}
-
-/// The reference path's verdict on a batch the frame kernels found
-/// malformed: the decoder's error, or the protocol mix it decoded to.
-/// Error path only; it allocates the reference scratch.
-#[cold]
-fn malformed(protocol: Protocol, payload: &[u8]) -> String {
-    let mut scratch = Vec::new();
-    let verdict = decode_report_batch_into(payload, &mut scratch)
-        .and_then(|n| check_protocol(protocol, scratch.get(..n).unwrap_or_default()));
-    match verdict {
-        Err(message) => message,
-        Ok(()) => format!(
-            "bad report batch frame: not a batch of {} reports",
-            protocol.name()
-        ),
-    }
-}
-
-/// Pass 1 of a fixed-size frame kernel: one length check (`count`
-/// reports of `N` bytes, nothing after them), then every report's tag,
-/// version and fields through `parse`, and its range through `check`.
-/// Returns the reports for pass 2 to absorb.
+/// Both passes of a fixed-field frame kernel: pass 1 reads every
+/// report (`parse` of its fixed bits) and range-checks it with `check`,
+/// naming the first report that fails; pass 2 reads them again into
+/// `absorb`.
 #[inline]
-fn fixed_reports<const N: usize, R>(
-    body: &[u8],
-    count: usize,
-    report_tag: u8,
-    parse: impl Fn(&[u8; N]) -> Option<R>,
-    check: impl Fn(R) -> Result<(), WireError>,
-) -> Result<&[[u8; N]], Refusal> {
-    let (reports, rest) = body.as_chunks::<N>();
-    if reports.len() != count || !rest.is_empty() {
-        return Err(Refusal::Malformed);
-    }
-    for (i, bytes) in reports.iter().enumerate() {
-        let prelude = matches!(
-            bytes.first_chunk(),
-            Some(&[t, v]) if t == report_tag && (MIN_VERSION..=VERSION).contains(&v)
-        );
-        let report = parse(bytes).filter(|_| prelude).ok_or(Refusal::Malformed)?;
-        check(report).map_err(|e| Refusal::OutOfRange(i, e))?;
-    }
-    Ok(reports)
-}
-
-/// Both passes of a list-carrying frame kernel (InpRR, MargRR, CMS),
-/// whose reports vary in length: pass 1 walks the `count` reports
-/// checking each prelude, `read`'s fields and `check`'s range, and that
-/// nothing trails them; pass 2 walks them again into `absorb`.
-#[inline]
-fn absorb_lists<'a, A, R>(
+fn absorb_fields<A, R>(
     acc: &mut A,
-    body: Reader<'a>,
-    count: usize,
-    report_tag: u8,
-    read: impl Fn(&mut Reader<'a>) -> Result<R, WireError>,
-    check: impl Fn(&A, &R) -> Result<(), WireError>,
-    absorb: impl Fn(&mut A, R),
-) -> Result<(), Refusal> {
-    let mut r = body.clone();
-    for i in 0..count {
-        r.expect_tag(report_tag).map_err(|_| Refusal::Malformed)?;
-        let report = read(&mut r).map_err(|_| Refusal::Malformed)?;
-        check(acc, &report).map_err(|e| Refusal::OutOfRange(i, e))?;
-    }
-    r.finish().map_err(|_| Refusal::Malformed)?;
-    let mut r = body;
-    for _ in 0..count {
-        // Pass 1 walked these exact bytes, so every step succeeds.
-        if r.expect_tag(report_tag).is_err() {
-            break;
-        }
-        let Ok(report) = read(&mut r) else { break };
-        absorb(acc, report);
-    }
-    Ok(())
-}
-
-/// A list of little-endian `u32`s, as raw bytes.
-#[inline]
-fn u32s(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
-    bytes
-        .as_chunks::<4>()
-        .0
-        .iter()
-        .map(|b| u32::from_le_bytes(*b))
-}
-
-/// A list of little-endian `u16`s, as raw bytes.
-#[inline]
-fn u16s(bytes: &[u8]) -> impl Iterator<Item = u16> + '_ {
-    bytes
-        .as_chunks::<2>()
-        .0
-        .iter()
-        .map(|b| u16::from_le_bytes(*b))
-}
-
-// The fixed report layouts of `docs/WIRE_FORMAT.md` §5, read off the
-// bytes after the tag and version; `None` for a sign byte other than
-// 0 or 1.
-
-/// InpPS and InpEM: `u64` row.
-#[inline]
-fn row_report(b: &[u8; 10]) -> Option<u64> {
-    let [_, _, row @ ..] = *b;
-    Some(u64::from_le_bytes(row))
-}
-
-/// InpHT: `u32` coefficient, sign.
-#[inline]
-fn inp_ht_report(b: &[u8; 7]) -> Option<InpHtReport> {
-    let [_, _, coefficient @ .., s] = *b;
-    Some(InpHtReport {
-        coefficient: u32::from_le_bytes(coefficient),
-        sign_positive: sign(s)?,
-    })
-}
-
-/// MargPS: `u32` marginal, `u16` cell.
-#[inline]
-fn marg_ps_report(b: &[u8; 8]) -> Option<MargPsReport> {
-    let [_, _, m0, m1, m2, m3, cell @ ..] = *b;
-    Some(MargPsReport {
-        marginal: u32::from_le_bytes([m0, m1, m2, m3]),
-        cell: u16::from_le_bytes(cell),
-    })
-}
-
-/// MargHT: `u32` marginal, `u16` coefficient, sign.
-#[inline]
-fn marg_ht_report(b: &[u8; 9]) -> Option<MargHtReport> {
-    let [_, _, m0, m1, m2, m3, c0, c1, s] = *b;
-    Some(MargHtReport {
-        marginal: u32::from_le_bytes([m0, m1, m2, m3]),
-        coefficient: u16::from_le_bytes([c0, c1]),
-        sign_positive: sign(s)?,
-    })
-}
-
-/// OLH: `u64` seed, bucket byte.
-#[inline]
-fn olh_report(b: &[u8; 11]) -> Option<OlhReport> {
-    let [_, _, seed @ .., bucket] = *b;
-    Some(OlhReport {
-        seed: u64::from_le_bytes(seed),
-        bucket,
-    })
-}
-
-/// HCMS: row byte, `u16` coefficient, sign.
-#[inline]
-fn hcms_report(b: &[u8; 6]) -> Option<HcmsReport> {
-    let [_, _, row, c0, c1, s] = *b;
-    Some(HcmsReport {
-        row,
-        coefficient: u16::from_le_bytes([c0, c1]),
-        sign_positive: sign(s)?,
-    })
-}
-
-/// The header fields a serialized state fixes: the protocol and `d`
-/// always, `k` for the protocols whose tables depend on it, and
-/// `hashes × width` for the two sketches. Two states merge only when
-/// their shapes are equal.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Shape {
-    protocol: Protocol,
-    d: u32,
-    k: Option<u32>,
-    sketch: Option<(u32, u32)>,
-}
-
-impl fmt::Display for Shape {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} d={}", self.protocol.name(), self.d)?;
-        if let Some(k) = self.k {
-            write!(f, " k={k}")?;
-        }
-        if let Some((hashes, width)) = self.sketch {
-            write!(f, " hashes×width={hashes}×{width}")?;
-        }
+    b: &Batch<'_>,
+    parse: impl Fn(u64) -> R,
+    check: impl Fn(&A, R) -> Result<(), WireError>,
+    mut absorb: impl FnMut(&mut A, R),
+) -> Result<(), (usize, WireError)> {
+    let bits = b.layout.fixed();
+    for_each_field(b.body, b.count, bits, |i, f| {
+        check(acc, parse(f)).map_err(|e| (i, e))
+    })?;
+    for_each_field(b.body, b.count, bits, |_, f| {
+        absorb(acc, parse(f));
         Ok(())
-    }
+    })
+}
+
+/// Both passes of a set-carrying frame kernel (InpRR, MargRR, CMS):
+/// pass 1 range-checks each report's fixed bits with `check`, pass 2
+/// hands them and the start of the report's set to `absorb`.
+#[inline]
+fn absorb_sets<A>(
+    acc: &mut A,
+    b: &Batch<'_>,
+    check: impl Fn(&A, u64) -> Result<(), WireError>,
+    mut absorb: impl FnMut(&mut A, u64, u64),
+) -> Result<(), (usize, WireError)> {
+    for_each_set_report(b, |i, fixed, _| check(acc, fixed).map_err(|e| (i, e)))?;
+    for_each_set_report(b, |_, fixed, set| {
+        absorb(acc, fixed, set);
+        Ok(())
+    })
 }
 
 /// The server half: the aggregator for one protocol, one variant per
@@ -955,12 +1187,13 @@ impl PipelineAccumulator {
         // The same fields read off the header, whose protocol the tag
         // check above has already matched.
         let shape = acc.shape();
-        let want = Shape {
-            d: header.d,
-            k: shape.k.map(|_| header.k),
-            sketch: shape.sketch.map(|_| (header.hashes, header.width)),
-            ..shape
-        };
+        let want = Shape::new(
+            shape.protocol,
+            header.d,
+            header.k,
+            header.hashes,
+            header.width,
+        );
         if shape != want {
             return Err(format!(
                 "snapshot state shape {shape} does not match header shape {want}"
@@ -988,38 +1221,19 @@ impl PipelineAccumulator {
 
     /// The header fields this state fixes (see [`Shape`]).
     fn shape(&self) -> Shape {
-        let sketch = |rows: usize, width: usize| {
-            Some((
-                u32::try_from(rows).unwrap_or(u32::MAX),
-                u32::try_from(width).unwrap_or(u32::MAX),
-            ))
+        let (d, k, hashes, width) = match self {
+            Self::InpRr(a) => (a.d(), 0, 0, 0),
+            Self::InpPs(a) => (a.d(), 0, 0, 0),
+            Self::InpHt(a) => (a.d(), a.k(), 0, 0),
+            Self::MargRr(a) => (a.d(), a.k(), 0, 0),
+            Self::MargPs(a) => (a.d(), a.k(), 0, 0),
+            Self::MargHt(a) => (a.d(), a.k(), 0, 0),
+            Self::InpEm(a) => (a.config().d(), 0, 0, 0),
+            Self::Olh(a) => (a.config().d(), 0, 0, 0),
+            Self::Cms(a) => (a.config().d(), 0, a.config().rows(), a.config().width()),
+            Self::Hcms(a) => (a.config().d(), 0, a.config().rows(), a.config().width()),
         };
-        let (d, k, sketch) = match self {
-            Self::InpRr(a) => (a.d(), None, None),
-            Self::InpPs(a) => (a.d(), None, None),
-            Self::InpHt(a) => (a.d(), Some(a.k()), None),
-            Self::MargRr(a) => (a.d(), Some(a.k()), None),
-            Self::MargPs(a) => (a.d(), Some(a.k()), None),
-            Self::MargHt(a) => (a.d(), Some(a.k()), None),
-            Self::InpEm(a) => (a.config().d(), None, None),
-            Self::Olh(a) => (a.config().d(), None, None),
-            Self::Cms(a) => (
-                a.config().d(),
-                None,
-                sketch(a.config().rows(), a.config().width()),
-            ),
-            Self::Hcms(a) => (
-                a.config().d(),
-                None,
-                sketch(a.config().rows(), a.config().width()),
-            ),
-        };
-        Shape {
-            protocol: self.protocol(),
-            d,
-            k,
-            sketch,
-        }
+        Shape::new(self.protocol(), d, k, saturate(hashes), saturate(width))
     }
 
     /// Absorb one decoded report: a batch of one.
@@ -1098,120 +1312,117 @@ impl PipelineAccumulator {
         Ok(())
     }
 
-    /// The frame kernels: absorb one [`tag::REPORT_BATCH`] frame payload
-    /// straight from its bytes, returning the number of reports in it.
+    /// The frame kernels: absorb one wire-v4 [`tag::REPORT_BATCH`] frame
+    /// payload straight from its bits, returning the number of reports
+    /// in it.
     ///
-    /// Two passes, so a batch settles or fails as a unit. Pass 1
-    /// validates the whole payload against this accumulator: the
-    /// envelope's tag, version and count, and for every report its tag,
-    /// version, fields and range check (the same aggregator `check`
-    /// [`Self::absorb_batch`] applies), with no bytes missing or left
-    /// over. Pass 2 absorbs straight from the bytes, with no
-    /// [`PipelineReport`] in between: the seven fixed-size reports as
-    /// `N`-byte chunks after one length check, the three list-carrying
-    /// ones (InpRR, MargRR, CMS) by a second walk.
+    /// Two passes, so a batch settles or fails as a unit. Opening the
+    /// batch checks its envelope (a payload that is not a wire-v4 batch
+    /// names its wire version), that its shape is this accumulator's
+    /// (naming both shapes if not), that the body is exactly the bits of
+    /// `count` reports, and that its pad bits are zero. Pass 1 then reads
+    /// every report and applies its protocol's range check (the same
+    /// aggregator `check` [`Self::absorb_batch`] applies); pass 2 absorbs
+    /// straight from the bits, with no [`PipelineReport`] in between:
+    /// fixed-width reports eight to a load, sets by a `trailing_zeros`
+    /// walk.
     ///
-    /// Accepts exactly the payloads [`decode_report_batch_into`] followed
-    /// by [`Self::absorb_batch`] accepts, leaving byte-identical state;
-    /// on `Err` the state is untouched.
+    /// Accepts exactly the payloads of this accumulator's shape that
+    /// [`decode_report_batch_into`] followed by [`Self::absorb_batch`]
+    /// accepts, leaving byte-identical state; on `Err` the state is
+    /// untouched.
     pub fn absorb_frame(&mut self, payload: &[u8]) -> Result<usize, String> {
-        let (count, body) = open_batch(payload)?;
-        let protocol = self.protocol();
-        self.absorb_body(count, body)
-            .map_err(|refusal| match refusal {
-                Refusal::Malformed => malformed(protocol, payload),
-                Refusal::OutOfRange(i, e) => out_of_range(i, &e),
-            })?;
-        Ok(count)
+        let batch = open_batch(payload)?;
+        let own = self.shape();
+        if batch.shape != own {
+            return Err(format!(
+                "bad report batch frame: a {} batch cannot be absorbed by a {own} accumulator",
+                batch.shape
+            ));
+        }
+        self.absorb_body(&batch)
+            .map_err(|(i, e)| out_of_range(i, &e))?;
+        Ok(batch.count)
     }
 
     /// [`Self::absorb_frame`] past the envelope: one kernel per protocol.
-    fn absorb_body(&mut self, count: usize, body: Reader<'_>) -> Result<(), Refusal> {
-        let bytes = body.clone().into_rest();
+    /// InpRR, InpPS and InpEM fields cannot leave their tables (a `d`-bit
+    /// row, a `2^d`-bit set), so only the other protocols have a pass 1.
+    fn absorb_body(&mut self, b: &Batch<'_>) -> Result<(), (usize, WireError)> {
+        let (l, body) = (b.layout, b.body);
         match self {
-            Self::InpRr(a) => absorb_lists(
+            Self::InpRr(a) => absorb_sets(
                 a,
-                body,
-                count,
-                tag::REPORT_INP_RR,
-                |r| r.get_list_bytes(4),
+                b,
                 |_, _| Ok(()),
-                |a, ones| a.absorb_ones(u32s(ones)),
-            )?,
-            Self::InpPs(a) => {
-                let reports =
-                    fixed_reports(bytes, count, tag::REPORT_INP_PS, row_report, |_| Ok(()))?;
-                for row in reports.iter().filter_map(row_report) {
-                    a.absorb(row);
-                }
-            }
-            Self::InpHt(a) => {
-                let reports =
-                    fixed_reports(bytes, count, tag::REPORT_INP_HT, inp_ht_report, |r| {
-                        a.check(r)
-                    })?;
-                for r in reports.iter().filter_map(inp_ht_report) {
-                    a.absorb(r);
-                }
-            }
-            Self::MargRr(a) => absorb_lists(
+                |a, _, set| {
+                    a.absorb_ones(set_positions(body, set, l.set));
+                },
+            ),
+            Self::InpPs(a) => absorb_fields(a, b, |row| row, |_, _| Ok(()), |a, row| a.absorb(row)),
+            Self::InpHt(a) => absorb_fields(
                 a,
-                body,
-                count,
-                tag::REPORT_MARG_RR,
-                |r| Ok((r.get_u32()?, r.get_list_bytes(2)?)),
-                |a, &(marginal, _)| a.check(marginal),
-                |a, (marginal, ones)| a.absorb_ones(marginal, u16s(ones)),
-            )?,
-            Self::MargPs(a) => {
-                let reports =
-                    fixed_reports(bytes, count, tag::REPORT_MARG_PS, marg_ps_report, |r| {
-                        a.check(r)
-                    })?;
-                for r in reports.iter().filter_map(marg_ps_report) {
-                    a.absorb(r);
-                }
-            }
-            Self::MargHt(a) => {
-                let reports =
-                    fixed_reports(bytes, count, tag::REPORT_MARG_HT, marg_ht_report, |r| {
-                        a.check(r)
-                    })?;
-                for r in reports.iter().filter_map(marg_ht_report) {
-                    a.absorb(r);
-                }
-            }
+                b,
+                |f| inp_ht_report(l, f),
+                |a, r| a.check(r),
+                |a, r| a.absorb(r),
+            ),
+            Self::MargRr(a) => absorb_sets(
+                a,
+                b,
+                |a, marginal| a.check(index_u32(marginal)),
+                |a, marginal, set| a.absorb_ones(index_u32(marginal), set_cells(body, set, l.set)),
+            ),
+            Self::MargPs(a) => absorb_fields(
+                a,
+                b,
+                |f| marg_ps_report(l, f),
+                |a, r| a.check(r),
+                |a, r| a.absorb(r),
+            ),
+            Self::MargHt(a) => absorb_fields(
+                a,
+                b,
+                |f| marg_ht_report(l, f),
+                |a, r| a.check(r),
+                |a, r| a.absorb(r),
+            ),
             Self::InpEm(a) => {
-                let reports = fixed_reports(bytes, count, tag::REPORT_INP_EM, row_report, |row| {
-                    a.check(row)
-                })?;
-                a.absorb_batch_iter(reports.iter().filter_map(row_report));
+                let bits = l.fixed();
+                a.absorb_batch_iter(
+                    (0..b.count as u64).map(|i| bits_at(body, i * u64::from(bits), bits)),
+                );
+                Ok(())
             }
             Self::Olh(a) => {
-                let reports =
-                    fixed_reports(bytes, count, tag::REPORT_OLH, olh_report, |r| a.check(r))?;
-                for r in reports.iter().filter_map(olh_report) {
-                    a.absorb(r);
+                let reports = body.as_chunks::<9>().0;
+                for (i, r) in reports.iter().enumerate() {
+                    a.check(olh_report(r)).map_err(|e| (i, e))?;
                 }
+                for r in reports {
+                    a.absorb(olh_report(r));
+                }
+                Ok(())
             }
-            Self::Cms(a) => absorb_lists(
+            Self::Cms(a) => absorb_sets(
                 a,
-                body,
-                count,
-                tag::REPORT_CMS,
-                |r| Ok((r.get_u8()?, r.get_list_bytes(2)?)),
-                |a, &(row, ones)| a.check(row, u16s(ones)),
-                |a, (row, ones)| a.absorb_ones(row, u16s(ones)),
-            )?,
-            Self::Hcms(a) => {
-                let reports =
-                    fixed_reports(bytes, count, tag::REPORT_HCMS, hcms_report, |r| a.check(r))?;
-                for r in reports.iter().filter_map(hcms_report) {
-                    a.absorb(r);
-                }
-            }
+                b,
+                |a, row| a.check(u8::try_from(row).unwrap_or(u8::MAX), std::iter::empty()),
+                |a, row, set| {
+                    a.absorb_ones(
+                        u8::try_from(row).unwrap_or(u8::MAX),
+                        set_cells(body, set, l.set),
+                    );
+                },
+            ),
+            Self::Hcms(a) => absorb_fields(
+                a,
+                b,
+                |f| hcms_report(l, f),
+                |a, r| a.check(r),
+                |a, r| a.absorb(r),
+            ),
         }
-        Ok(())
     }
 
     /// Fold another partial aggregate of the same pipeline into this
@@ -1299,7 +1510,10 @@ pub enum PipelineEstimate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::StdRng, SeedableRng};
+
+    fn mech(kind: MechanismKind, d: u32, k: u32) -> StreamHeader {
+        StreamHeader::mechanism(kind, d, k, 1.1)
+    }
 
     fn oracle_header(kind: OracleKind, d: u32, hashes: u32, width: u32) -> StreamHeader {
         let sketch = SketchShape {
@@ -1310,267 +1524,280 @@ mod tests {
         header_for(Protocol::Oracle(kind), d, 1, 1.1, sketch)
     }
 
-    /// A state of `n` reports for `header`, through the table.
+    fn batch(client: &Client, rows: &[u64], seed: u64) -> Vec<u8> {
+        let mut w = Writer::default();
+        client.encode_batch(rows, seed, 0, &mut w);
+        w.into_bytes()
+    }
+
+    /// A state of `n` reports for `header`, through the frame kernels.
     fn state(header: &StreamHeader, n: u64) -> Vec<u8> {
         let client = Client::from_header(header).unwrap();
         let mut acc = client.accumulator();
-        let mut rng = StdRng::seed_from_u64(n);
-        for u in 0..n {
-            let frame = client.encode_report(u % (1 << header.d), &mut rng);
-            acc.absorb(&PipelineReport::from_bytes(&frame).unwrap())
-                .unwrap();
-        }
+        let rows: Vec<u64> = (0..n).map(|u| u % (1 << header.d)).collect();
+        acc.absorb_frame(&batch(&client, &rows, n)).unwrap();
         acc.to_bytes()
     }
 
-    #[test]
-    fn report_decode_rejects_bad_tag_truncation_and_bad_sign() {
-        let bad = |bytes: &[u8]| PipelineReport::from_bytes(bytes).unwrap_err();
-        assert_eq!(bad(&[]), "bad report frame: empty payload");
-        assert_eq!(bad(&[0x7E, 1]), "bad report frame: unknown report tag 0x7e");
-
-        let header = StreamHeader::mechanism(MechanismKind::InpHt, 6, 2, 1.1);
-        let client = Client::from_header(&header).unwrap();
-        let full = client.encode_report(9, &mut StdRng::seed_from_u64(1));
-        assert!(bad(&full[..full.len() - 1]).contains("truncated"));
-        let mut bad_sign = full.clone();
-        if let Some(sign) = bad_sign.last_mut() {
-            *sign = 2;
+    /// A hand-packed batch for `header`'s shape: each report's
+    /// `(index, value, sign)` fields, then an all-zero set.
+    fn packed(header: &StreamHeader, reports: &[(u64, u64, bool)]) -> Vec<u8> {
+        let shape = Client::from_header(header).unwrap().shape();
+        let l = shape.layout();
+        let mut w = Writer::default();
+        shape.write_envelope(reports.len() as u32, &mut w);
+        let mut out = Bits::new(&mut w);
+        for &(index, value, sign) in reports {
+            if l.index == 64 {
+                out.put(index, 64);
+                out.put(value, l.value);
+            } else {
+                out.put(l.join(index, value, sign), l.fixed());
+            }
+            for _ in 0..l.set.div_ceil(64) {
+                out.put(0, l.set.min(64));
+            }
         }
-        assert!(bad(&bad_sign).contains("report sign flag"));
-        let mut long = full;
-        long.push(0);
-        assert!(bad(&long).contains("trailing"));
-
-        // A MargRR ones-list that claims more elements than the blob
-        // holds fails before allocating.
-        let mut w = Writer::with_tag(tag::REPORT_MARG_RR);
-        w.put_u32(0);
-        w.put_u32(u32::MAX);
-        assert!(bad(w.as_bytes()).contains("truncated"));
+        out.finish();
+        w.into_bytes()
     }
 
     #[test]
-    fn decode_slots_switch_protocols_and_reuse_buffers() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let rr = Client::from_header(&StreamHeader::mechanism(MechanismKind::InpRr, 6, 2, 1.1))
-            .unwrap()
-            .encode_report(5, &mut rng);
-        let ps = Client::from_header(&StreamHeader::mechanism(MechanismKind::MargPs, 6, 2, 1.1))
-            .unwrap()
-            .encode_report(5, &mut rng);
-        let mut slot = PipelineReport::from_bytes(&ps).unwrap();
-        slot.decode_into(&rr).unwrap();
-        assert_eq!(slot, PipelineReport::from_bytes(&rr).unwrap());
-        slot.decode_into(&ps).unwrap();
-        assert_eq!(slot, PipelineReport::from_bytes(&ps).unwrap());
+    fn layout_widths_follow_the_spec_table() {
+        let at = |p, d, k, h, w| layout(p, d, k, h, w).bits();
+        let m = Protocol::Mechanism;
+        assert_eq!(at(m(MechanismKind::MargPs), 8, 2, 0, 0), 7); // ⌈lg 28⌉ + 2
+        assert_eq!(at(m(MechanismKind::InpHt), 16, 3, 0, 0), 11); // ⌈lg 696⌉ + 1
+        assert_eq!(at(m(MechanismKind::InpRr), 8, 0, 0, 0), 256);
+        assert_eq!(at(m(MechanismKind::MargRr), 8, 2, 0, 0), 5 + 4);
+        assert_eq!(at(m(MechanismKind::MargHt), 8, 2, 0, 0), 5 + 2 + 1);
+        assert_eq!(at(m(MechanismKind::InpPs), 8, 0, 0, 0), 8);
+        assert_eq!(at(m(MechanismKind::InpEm), 8, 0, 0, 0), 8);
+        // C(d, k) = 1 and T = 1 need no index bits at all.
+        assert_eq!(at(m(MechanismKind::MargPs), 4, 4, 0, 0), 4);
+        assert_eq!(at(m(MechanismKind::InpHt), 1, 1, 0, 0), 1);
+        let o = Protocol::Oracle;
+        assert_eq!(at(o(OracleKind::Olh), 8, 0, 0, 0), 72);
+        assert_eq!(at(o(OracleKind::Cms), 8, 0, 5, 256), 3 + 256);
+        assert_eq!(at(o(OracleKind::Hcms), 8, 0, 1, 256), 8 + 1);
     }
 
     #[test]
-    fn batch_payload_round_trips_and_reuses_scratch() {
-        let mut rng = StdRng::seed_from_u64(29);
+    fn batch_round_trips_against_the_typed_encoders_and_reuses_scratch() {
+        use ldp_core::user_rng;
         for header in [
-            StreamHeader::mechanism(MechanismKind::InpRr, 6, 2, 1.1),
-            oracle_header(OracleKind::Cms, 6, 3, 16),
+            mech(MechanismKind::InpRr, 6, 2),
+            mech(MechanismKind::InpRr, 2, 2),
+            mech(MechanismKind::MargRr, 8, 7),
+            mech(MechanismKind::MargHt, 6, 2),
+            oracle_header(OracleKind::Cms, 6, 3, 100),
+            oracle_header(OracleKind::Olh, 6, 3, 16),
         ] {
             let client = Client::from_header(&header).unwrap();
-            let blobs: Vec<Vec<u8>> = (0..17u64)
-                .map(|u| client.encode_report(u % 64, &mut rng))
-                .collect();
-            let reports: Vec<PipelineReport> = blobs
+            let rows: Vec<u64> = (0..17u64).map(|u| (u * 5) % (1 << header.d)).collect();
+            let typed: Vec<PipelineReport> = rows
                 .iter()
-                .map(|b| PipelineReport::from_bytes(b).unwrap())
+                .enumerate()
+                .map(|(u, &row)| {
+                    let rng = &mut user_rng(29, u as u64);
+                    match &client {
+                        Client::InpRr(m) => PipelineReport::InpRr(m.encode(row, rng)),
+                        Client::MargRr(m) => PipelineReport::MargRr(m.encode(row, rng)),
+                        Client::MargHt(m) => PipelineReport::MargHt(m.encode(row, rng)),
+                        Client::Cms(o) => PipelineReport::Cms(Box::new(o.encode(row, rng))),
+                        Client::Olh(o) => PipelineReport::Olh(o.encode(row, rng)),
+                        _ => unreachable!(),
+                    }
+                })
                 .collect();
-            let payload = encode_report_batch(&blobs);
-            assert_eq!(payload.first(), Some(&tag::REPORT_BATCH));
+            let payload = batch(&client, &rows, 29);
+            let l = client.shape().layout();
+            assert_eq!(
+                payload.len() as u64,
+                ENVELOPE_BYTES as u64 + l.body_bytes(17)
+            );
 
             let mut scratch = Vec::new();
             let n = decode_report_batch_into(&payload, &mut scratch).unwrap();
-            assert_eq!(n, reports.len());
-            assert_eq!(&scratch[..n], &reports[..]);
+            assert_eq!(&scratch[..n], &typed[..], "{header:?}");
 
             // A second decode into the same scratch refills slots in
             // place; a smaller batch leaves stale tail entries behind.
-            let small = encode_report_batch(&blobs[..3]);
-            let n = decode_report_batch_into(&small, &mut scratch).unwrap();
-            assert_eq!(n, 3);
-            assert_eq!(&scratch[..3], &reports[..3]);
-            assert_eq!(scratch.len(), reports.len());
+            let small = batch(&client, &rows[..3], 29);
+            assert_eq!(decode_report_batch_into(&small, &mut scratch), Ok(3));
+            assert_eq!(&scratch[..3], &typed[..3]);
+            assert_eq!(scratch.len(), typed.len());
         }
     }
 
     #[test]
     fn batch_decode_rejects_corruption_without_panicking() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let header = StreamHeader::mechanism(MechanismKind::MargPs, 6, 2, 1.1);
+        let header = mech(MechanismKind::MargPs, 6, 2);
         let client = Client::from_header(&header).unwrap();
-        let blobs: Vec<Vec<u8>> = (0..4u64)
-            .map(|u| client.encode_report(u, &mut rng))
-            .collect();
-        let good = encode_report_batch(&blobs);
+        // 7 reports of 6 bits: 42 bits, so 6 pad bits in the last byte.
+        let good = batch(&client, &[0, 1, 2, 3, 4, 5, 6], 7);
         let mut scratch = Vec::new();
+        let bad = |bytes: &[u8]| {
+            let mut scratch = Vec::new();
+            decode_report_batch_into(bytes, &mut scratch).unwrap_err()
+        };
 
-        // Truncated anywhere inside the report region: never a panic,
-        // always an error mentioning the batch or report frame.
-        for cut in 0..good.len() - 1 {
-            let err = decode_report_batch_into(&good[..cut], &mut scratch).unwrap_err();
-            assert!(err.starts_with("bad report"), "cut {cut}: {err}");
+        // Truncated anywhere: never a panic, always a batch error.
+        for cut in 0..good.len() {
+            let err = bad(&good[..cut]);
+            assert!(
+                err.starts_with("bad report batch frame"),
+                "cut {cut}: {err}"
+            );
         }
+        let mut long = good.clone();
+        long.push(0);
+        assert!(bad(&long).contains("the body has"), "{}", bad(&long));
 
-        // Count prefix claims more reports than the payload can hold,
-        // including the overflow extreme near the frame cap.
-        for claim in [5u32, u32::MAX] {
+        // The count must match the body length, both ways, including the
+        // overflow extreme. (A count of 8 would also fit these 6 bytes:
+        // the count, not the length, says how many reports there are.)
+        for claim in [5u32, 9, u32::MAX] {
             let mut forged = good.clone();
-            forged[2..6].copy_from_slice(&claim.to_le_bytes());
-            let err = decode_report_batch_into(&forged, &mut scratch).unwrap_err();
-            assert!(err.contains("bad report batch frame"), "{err}");
+            forged[10..14].copy_from_slice(&claim.to_le_bytes());
+            assert!(bad(&forged).contains("take"), "{claim}: {}", bad(&forged));
         }
 
-        // Count prefix claims fewer reports: the leftover blobs are
-        // trailing bytes, not silently dropped data.
+        // Nonzero pad bits.
         let mut forged = good.clone();
-        forged[2..6].copy_from_slice(&3u32.to_le_bytes());
-        let err = decode_report_batch_into(&forged, &mut scratch).unwrap_err();
-        assert!(err.contains("trailing"), "{err}");
+        *forged.last_mut().unwrap() |= 0x80;
+        assert!(bad(&forged).contains("pad bits"), "{}", bad(&forged));
 
-        // Wrong envelope tag and a future envelope version.
-        let err = decode_report_batch_into(&blobs[0], &mut scratch).unwrap_err();
-        assert!(err.contains("bad report batch frame"), "{err}");
+        // A field the protocol does not use must be zero; the shape must
+        // pass the header limits.
         let mut forged = good.clone();
-        forged[1] = ldp_core::wire::VERSION + 1;
-        let err = decode_report_batch_into(&forged, &mut scratch).unwrap_err();
-        assert!(err.contains("unsupported"), "{err}");
+        forged[5] = 3; // hashes, for a mechanism
+        assert!(bad(&forged).contains("must zero"), "{}", bad(&forged));
+        let mut forged = good.clone();
+        forged[4] = 7; // k > d
+        assert!(bad(&forged).contains("envelope shape"), "{}", bad(&forged));
+        let mut forged = good.clone();
+        forged[2] = 0x7E;
+        assert!(
+            bad(&forged).contains("unknown protocol"),
+            "{}",
+            bad(&forged)
+        );
+
+        // Older batch bodies and retired single-report frames name their
+        // wire version; a future version is refused too.
+        let mut forged = good.clone();
+        forged[1] = 3;
+        assert!(bad(&forged).contains("wire-v3 batch"), "{}", bad(&forged));
+        forged[1] = VERSION + 1;
+        assert!(bad(&forged).contains(&format!("wire-v{} batch", VERSION + 1)));
+        let single = [tag::REPORT_MARG_PS, 1, 4, 0, 0, 0, 0, 0];
+        assert!(
+            bad(&single).contains("wire-v1 single-report frame"),
+            "{}",
+            bad(&single)
+        );
+        assert!(bad(&[]).contains("empty payload"));
+        assert!(bad(&[tag::STREAM_HEADER, VERSION]).contains("not a report batch"));
+
+        assert_eq!(decode_report_batch_into(&good, &mut scratch), Ok(7));
     }
 
     #[test]
     fn absorb_rejects_mixed_batches_whole() {
-        let margps = StreamHeader::mechanism(MechanismKind::MargPs, 6, 2, 1.1);
+        let margps = mech(MechanismKind::MargPs, 6, 2);
         let olh = oracle_header(OracleKind::Olh, 6, 3, 16);
-        let mut rng = StdRng::seed_from_u64(3);
-        let own = Client::from_header(&margps)
-            .unwrap()
-            .encode_report(1, &mut rng);
-        let other = Client::from_header(&olh)
-            .unwrap()
-            .encode_report(1, &mut rng);
-        let batch = [
-            PipelineReport::from_bytes(&own).unwrap(),
-            PipelineReport::from_bytes(&other).unwrap(),
-        ];
+        let mut reports = Vec::new();
+        for header in [&margps, &olh] {
+            let payload = batch(&Client::from_header(header).unwrap(), &[1], 3);
+            let mut scratch = Vec::new();
+            decode_report_batch_into(&payload, &mut scratch).unwrap();
+            reports.extend(scratch);
+        }
         let mut acc = PipelineAccumulator::empty(&margps).unwrap();
-        let err = acc.absorb_batch(&batch).unwrap_err();
+        let err = acc.absorb_batch(&reports).unwrap_err();
         assert!(err.contains("mixes protocols"), "{err}");
         assert!(err.contains("MargPS") && err.contains("OLH"), "{err}");
         assert_eq!(acc.report_count(), 0, "a mixed batch absorbs nothing");
     }
 
     #[test]
+    fn absorb_frame_refuses_another_shape_naming_both() {
+        let d8 = mech(MechanismKind::MargPs, 8, 2);
+        let d6 = mech(MechanismKind::MargPs, 6, 2);
+        let mut acc = PipelineAccumulator::empty(&d8).unwrap();
+        let before = acc.to_bytes();
+        let payload = batch(&Client::from_header(&d6).unwrap(), &[1, 2], 3);
+        let err = acc.absorb_frame(&payload).unwrap_err();
+        assert!(
+            err.contains("MargPS d=6 k=2") && err.contains("MargPS d=8 k=2"),
+            "{err}"
+        );
+        let payload = batch(
+            &Client::from_header(&mech(MechanismKind::MargHt, 8, 2)).unwrap(),
+            &[1],
+            3,
+        );
+        let err = acc.absorb_frame(&payload).unwrap_err();
+        assert!(
+            err.contains("MargHT d=8 k=2") && err.contains("MargPS d=8 k=2"),
+            "{err}"
+        );
+        assert_eq!(acc.to_bytes(), before, "a refused batch changes nothing");
+    }
+
+    #[test]
     fn range_checks_refuse_whole_batches_on_both_paths() {
-        let mech = |kind| StreamHeader::mechanism(kind, 6, 2, 1.1);
-        let report = |t: u8, fields: &dyn Fn(&mut Writer)| {
-            let mut w = Writer::default();
-            w.put_tag(t);
-            fields(&mut w);
-            w.into_bytes()
-        };
+        // Each case: a report whose index field has room for a value its
+        // shape does not allow (a 4-bit marginal below C(6, 2) = 15, a
+        // 5-bit InpHT coefficient below T = 21, …).
         let cases = [
             (
-                mech(MechanismKind::MargPs),
-                report(tag::REPORT_MARG_PS, &|w| {
-                    w.put_u32(999);
-                    w.put_u16(0);
-                }),
-                "MargPS marginal 999 is out of range (must be below 15)",
+                mech(MechanismKind::MargPs, 6, 2),
+                (15, 0, false),
+                "MargPS marginal 15 is out of range (must be below 15)",
             ),
             (
-                mech(MechanismKind::MargHt),
-                report(tag::REPORT_MARG_HT, &|w| {
-                    w.put_u32(15);
-                    w.put_u16(0);
-                    w.put_u8(1);
-                }),
+                mech(MechanismKind::MargHt, 6, 2),
+                (15, 0, true),
                 "MargHT marginal 15 is out of range (must be below 15)",
             ),
             (
-                mech(MechanismKind::MargRr),
-                report(tag::REPORT_MARG_RR, &|w| {
-                    w.put_u32(999);
-                    w.put_u32(0);
-                }),
-                "MargRR marginal 999",
+                mech(MechanismKind::MargRr, 6, 2),
+                (15, 0, false),
+                "MargRR marginal 15",
             ),
             (
-                mech(MechanismKind::InpHt),
-                report(tag::REPORT_INP_HT, &|w| {
-                    w.put_u32(4000);
-                    w.put_u8(1);
-                }),
-                "InpHT coefficient 4000",
-            ),
-            (
-                mech(MechanismKind::InpEm),
-                report(tag::REPORT_INP_EM, &|w| w.put_u64(64)),
-                "InpEM row 64 is out of range (must be below 64)",
+                mech(MechanismKind::InpHt, 6, 2),
+                (30, 0, true),
+                "InpHT coefficient 30",
             ),
             (
                 oracle_header(OracleKind::Olh, 6, 3, 16),
-                report(tag::REPORT_OLH, &|w| {
-                    w.put_u64(7);
-                    w.put_u8(200);
-                }),
+                (7, 200, false),
                 "OLH bucket 200",
             ),
             (
                 oracle_header(OracleKind::Cms, 6, 3, 16),
-                report(tag::REPORT_CMS, &|w| {
-                    w.put_u8(3);
-                    w.put_u32(0);
-                }),
+                (3, 0, false),
                 "CMS row 3 is out of range (must be below 3)",
             ),
             (
-                oracle_header(OracleKind::Cms, 6, 3, 16),
-                report(tag::REPORT_CMS, &|w| {
-                    w.put_u8(0);
-                    w.put_u32(2);
-                    w.put_u16(1);
-                    w.put_u16(16);
-                }),
-                "CMS bucket 16 is out of range (must be below 16)",
-            ),
-            (
                 oracle_header(OracleKind::Hcms, 6, 3, 16),
-                report(tag::REPORT_HCMS, &|w| {
-                    w.put_u8(3);
-                    w.put_u16(0);
-                    w.put_u8(1);
-                }),
+                (3, 0, true),
                 "HCMS row 3",
             ),
-            (
-                oracle_header(OracleKind::Hcms, 6, 3, 16),
-                report(tag::REPORT_HCMS, &|w| {
-                    w.put_u8(0);
-                    w.put_u16(16);
-                    w.put_u8(0);
-                }),
-                "HCMS coefficient 16 is out of range (must be below 16)",
-            ),
         ];
-        let mut rng = StdRng::seed_from_u64(5);
         for (header, bad, want) in cases {
-            let client = Client::from_header(&header).unwrap();
-            let good = client.encode_report(3, &mut rng);
-            let mut acc = client.accumulator();
+            let mut acc = PipelineAccumulator::empty(&header).unwrap();
+            let good = (0, 1, true);
 
-            let payload = encode_report_batch(&[&good, &bad]);
+            let payload = packed(&header, &[good, bad]);
             let err = acc.absorb_frame(&payload).unwrap_err();
             assert!(err.contains(want) && err.contains("report 1"), "{err}");
 
-            let reports = [
-                PipelineReport::from_bytes(&good).unwrap(),
-                PipelineReport::from_bytes(&bad).unwrap(),
-            ];
+            let mut reports = Vec::new();
+            decode_report_batch_into(&payload, &mut reports).unwrap();
             let err = acc.absorb_batch(&reports).unwrap_err();
             assert!(err.contains(want) && err.contains("report 1"), "{err}");
             assert_eq!(
@@ -1580,7 +1807,7 @@ mod tests {
             );
 
             // The good report alone passes both paths.
-            assert_eq!(acc.absorb_frame(&encode_report_batch(&[&good])), Ok(1));
+            assert_eq!(acc.absorb_frame(&packed(&header, &[good])), Ok(1));
             acc.absorb_batch(&reports[..1]).unwrap();
             assert_eq!(acc.report_count(), 2);
         }
@@ -1588,8 +1815,8 @@ mod tests {
 
     #[test]
     fn from_state_refuses_an_inprr_state_of_another_dimension() {
-        let d8 = StreamHeader::mechanism(MechanismKind::InpRr, 8, 2, 1.1);
-        let d6 = StreamHeader::mechanism(MechanismKind::InpRr, 6, 2, 1.1);
+        let d8 = mech(MechanismKind::InpRr, 8, 2);
+        let d6 = mech(MechanismKind::InpRr, 6, 2);
         let err = PipelineAccumulator::from_state(&d8, &state(&d6, 40)).unwrap_err();
         assert!(err.contains("InpRR d=6"), "{err}");
         assert!(err.contains("InpRR d=8"), "{err}");
@@ -1597,8 +1824,8 @@ mod tests {
 
     #[test]
     fn from_state_refuses_a_margps_state_of_another_dimension() {
-        let d8 = StreamHeader::mechanism(MechanismKind::MargPs, 8, 2, 1.1);
-        let d6 = StreamHeader::mechanism(MechanismKind::MargPs, 6, 2, 1.1);
+        let d8 = mech(MechanismKind::MargPs, 8, 2);
+        let d6 = mech(MechanismKind::MargPs, 6, 2);
         let err = PipelineAccumulator::from_state(&d8, &state(&d6, 40)).unwrap_err();
         assert!(err.contains("MargPS d=6 k=2"), "{err}");
         assert!(err.contains("MargPS d=8 k=2"), "{err}");
@@ -1613,8 +1840,8 @@ mod tests {
 
     #[test]
     fn from_state_checks_k_and_sketch_shape() {
-        let k2 = StreamHeader::mechanism(MechanismKind::InpHt, 6, 2, 1.1);
-        let k3 = StreamHeader::mechanism(MechanismKind::InpHt, 6, 3, 1.1);
+        let k2 = mech(MechanismKind::InpHt, 6, 2);
+        let k3 = mech(MechanismKind::InpHt, 6, 3);
         let err = PipelineAccumulator::from_state(&k3, &state(&k2, 30)).unwrap_err();
         assert!(err.contains("k=2") && err.contains("k=3"), "{err}");
 
@@ -1624,8 +1851,8 @@ mod tests {
         assert!(err.contains("3×16") && err.contains("3×32"), "{err}");
 
         // Fields a state does not depend on (InpRR's k) are not compared.
-        let k3_rr = StreamHeader::mechanism(MechanismKind::InpRr, 6, 3, 1.1);
-        let k2_rr = StreamHeader::mechanism(MechanismKind::InpRr, 6, 2, 1.1);
+        let k3_rr = mech(MechanismKind::InpRr, 6, 3);
+        let k2_rr = mech(MechanismKind::InpRr, 6, 2);
         assert!(PipelineAccumulator::from_state(&k3_rr, &state(&k2_rr, 30)).is_ok());
     }
 }

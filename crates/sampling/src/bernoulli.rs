@@ -102,6 +102,47 @@ pub fn bernoulli_fill<R: Rng + ?Sized>(rng: &mut R, fixed: u64, lanes: usize, ou
     }
 }
 
+/// The unary-encoding randomized response of a one-hot vector of
+/// `cells` bits whose single 1 sits at `hot`, drawn 64 lanes per word:
+/// the hot bit reports 1 with probability `p1` (one `gen_bool`, drawn
+/// first), every other bit with probability `p0` ([`bernoulli_word`]).
+/// `emit(word, lanes)` receives the perturbed vector as successive
+/// words in ascending position order, each holding `lanes = min(64,
+/// cells − base)` bits. The schedule is deterministic in the RNG state,
+/// so per-user reproducibility (`user_rng(seed, i)`) is preserved.
+///
+/// This is the one perturbation kernel behind InpRR's `2^d`-cell,
+/// MargRR's `2^k`-cell and CMS's `w`-bucket reports; their wire form is
+/// these words, verbatim.
+#[inline]
+pub fn one_hot_words<R: Rng + ?Sized, F: FnMut(u64, u32)>(
+    rng: &mut R,
+    p1: f64,
+    p0: f64,
+    cells: u64,
+    hot: u64,
+    mut emit: F,
+) {
+    debug_assert!(hot < cells);
+    let truth = rng.gen_bool(p1);
+    let p0 = bernoulli_fixed(p0);
+    let mut base = 0u64;
+    while base < cells {
+        let lanes = (cells - base).min(64) as u32;
+        let mut word = bernoulli_word(rng, p0, lanes);
+        if hot >= base && hot - base < u64::from(lanes) {
+            let bit = 1u64 << (hot - base);
+            if truth {
+                word |= bit;
+            } else {
+                word &= !bit;
+            }
+        }
+        emit(word, lanes);
+        base += u64::from(lanes);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

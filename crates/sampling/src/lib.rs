@@ -32,5 +32,5 @@ mod binomial;
 pub mod hash;
 
 pub use alias::AliasTable;
-pub use bernoulli::{bernoulli_fill, bernoulli_fixed, bernoulli_word};
+pub use bernoulli::{bernoulli_fill, bernoulli_fixed, bernoulli_word, one_hot_words};
 pub use binomial::{binomial, binomial_fill, BinomialSampler};

@@ -1,5 +1,5 @@
 //! Blocking client helpers for the aggregation server: push a report
-//! stream (single-report or batched frames), or hold a control session.
+//! stream of `REPORT_BATCH` frames, or hold a control session.
 
 use crate::protocol::{Request, Response};
 use ldp_core::frame::{FrameError, FrameReader, FrameWriter, StreamHeader};

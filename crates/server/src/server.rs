@@ -5,11 +5,11 @@
 //! `StreamHeader` establishes it and spawns the worker pool — `shards`
 //! threads, each owning a private `PipelineAccumulator`. Connection
 //! handlers round-robin work across workers over `std::sync::mpsc`
-//! channels: `REPORT_BATCH` frames (wire v2) are forwarded raw, and a
-//! single-report frame as a batch of one, to be validated and absorbed
-//! straight from their bytes on the worker
+//! channels: every report frame is forwarded raw, to be validated and
+//! absorbed straight from its bits on the worker
 //! (`PipelineAccumulator::absorb_frame`), keeping the socket thread on
-//! pure frame I/O. A live snapshot collects every worker's serialized
+//! pure frame I/O. A frame that is not a wire-v4 `REPORT_BATCH` is
+//! refused there like any other bad batch. A live snapshot collects every worker's serialized
 //! state and merges them **in worker order**, so the `Accumulator`
 //! partition-invariance law makes the result byte-identical to a
 //! serial single-process ingest of the same reports, no matter how
@@ -22,7 +22,7 @@ use ldp_bits::Mask;
 use ldp_core::frame::{FrameError, FrameReader, FrameWriter, StreamHeader};
 use ldp_core::wire::tag;
 use ldp_core::{clamp_normalize, MarginalEstimator};
-use ldp_oracles::pipeline::{encode_report_batch, PipelineAccumulator, PipelineEstimate, Protocol};
+use ldp_oracles::pipeline::{PipelineAccumulator, PipelineEstimate, Protocol};
 use std::collections::BTreeMap;
 use std::io::BufWriter;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -72,8 +72,7 @@ const ACCEPT_POLL: Duration = Duration::from_millis(1);
 /// contract: a `Flush` or `Collect` answers only after every report the
 /// same sender enqueued before it has been absorbed.
 enum WorkerMsg {
-    /// Absorb one raw `REPORT_BATCH` frame payload (a wire-v1 report
-    /// frame arrives wrapped as a batch of one), settling the outcome
+    /// Absorb one raw `REPORT_BATCH` frame payload, settling the outcome
     /// into the sender's [`IngestProgress`]. Validating and absorbing
     /// on the worker keeps the connection handler on pure frame I/O.
     Batch(Vec<u8>, Arc<IngestProgress>),
@@ -904,24 +903,16 @@ fn handle_ingest(
     // Outcome of report frames, settled by whichever workers absorb
     // them; folded into the ack after the end-of-stream flush round.
     let progress = Arc::new(IngestProgress::default());
-    // One frame buffer per connection: a batch frame hands the buffer
-    // itself to a worker and the next read starts fresh; a
-    // single-report frame is copied into its batch of one and the
-    // buffer is reused.
+    // One frame buffer per connection: each frame hands the buffer
+    // itself to a worker and the next read starts fresh.
     let mut frame = Vec::new();
     loop {
         match reader.next_frame_while_into(&mut frame, || shared.keep_going()) {
             Ok(true) => {
                 // Validation and absorption run on the worker; the
                 // handler only routes the raw payload, keeping the
-                // socket thread on pure frame I/O. A wire-v1 report
-                // frame travels as a batch of one, so it settles (and
-                // is refused) exactly like a batch.
-                let payload = if frame.first() == Some(&tag::REPORT_BATCH) {
-                    std::mem::take(&mut frame)
-                } else {
-                    encode_report_batch(std::slice::from_ref(&frame))
-                };
+                // socket thread on pure frame I/O.
+                let payload = std::mem::take(&mut frame);
                 let slot = shared.next_worker.fetch_add(1, Ordering::Relaxed) % senders.len();
                 // The modulo keeps `slot` in range (shards ≥ 1); `get`
                 // keeps the dispatch index-panic-free regardless.

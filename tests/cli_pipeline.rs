@@ -12,8 +12,11 @@
 //! estimate must equal `Mechanism::run`.
 
 use ldp_core::frame::{read_snapshot, FrameReader, FrameWriter, StreamHeader};
-use ldp_core::{user_rng, MarginalEstimator, MechanismKind};
-use ldp_oracles::pipeline::{Client, PipelineAccumulator, PipelineEstimate, PipelineReport};
+use ldp_core::wire::Writer;
+use ldp_core::{MarginalEstimator, MechanismKind};
+use ldp_oracles::pipeline::{
+    decode_report_batch_into, Client, PipelineAccumulator, PipelineEstimate,
+};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::OnceLock;
@@ -138,16 +141,17 @@ const EPS: f64 = 1.1;
 const SEED: u64 = 42;
 const N: usize = 600;
 
-/// The in-process reference: every user's report encoded and absorbed
-/// one at a time through the protocol table, under the same `user_rng`
-/// schedule the CLI uses.
+/// The in-process reference: every user's report encoded as a batch of
+/// one under the same `user_rng` schedule the CLI uses, decoded, and
+/// absorbed one at a time through the protocol table.
 fn reference_state(header: &StreamHeader, rows: &[u64]) -> Vec<u8> {
     let client = Client::from_header(header).unwrap();
     let mut acc = client.accumulator();
-    for (user, &row) in rows.iter().enumerate() {
-        let frame = client.encode_report(row, &mut user_rng(SEED, user as u64));
-        acc.absorb(&PipelineReport::from_bytes(&frame).unwrap())
-            .unwrap();
+    let (mut frame, mut scratch) = (Writer::default(), Vec::new());
+    for (user, row) in rows.iter().enumerate() {
+        client.encode_batch(std::slice::from_ref(row), SEED, user as u64, &mut frame);
+        decode_report_batch_into(frame.as_bytes(), &mut scratch).unwrap();
+        acc.absorb(&scratch[0]).unwrap();
     }
     acc.to_bytes()
 }
@@ -179,6 +183,8 @@ fn multiprocess_pipeline_matches_single_process_for_every_mechanism() {
                 &EPS.to_string(),
                 "--seed",
                 &SEED.to_string(),
+                "--batch",
+                "64",
                 "--input",
                 rows_csv.to_str().unwrap(),
                 "--output",
@@ -319,6 +325,8 @@ fn multiprocess_pipeline_matches_reference_for_oracles() {
                 "16",
                 "--family-seed",
                 "9",
+                "--batch",
+                "64",
                 "--input",
                 rows_csv.to_str().unwrap(),
                 "--output",
@@ -484,15 +492,29 @@ fn invalid_parameters_fail_gracefully() {
 
 /// The documented exit codes: 0 on success, 1 on a runtime failure of a
 /// known subcommand (a bad flag value included), 2 on a usage error (no
-/// subcommand, or an unknown one).
+/// subcommand, an unknown one, or `--batch 0`, which asked for the
+/// one-frame-per-report stream wire v4 retired).
 #[test]
 fn exit_codes_follow_the_documented_convention() {
-    let cases: [(&[&str], i32); 5] = [
+    let cases: [(&[&str], i32); 7] = [
         (&["version"], 0),
         (&["rows", "--n", "many"], 1),
         (&["nope"], 2),
         (&["bench"], 2),
         (&[], 2),
+        (&["encode", "--protocol", "MargPS", "--batch", "0"], 2),
+        (
+            &[
+                "load",
+                "--connect",
+                "127.0.0.1:1",
+                "--protocol",
+                "MargPS",
+                "--batch",
+                "0",
+            ],
+            2,
+        ),
     ];
     for (args, code) in cases {
         let output = Command::new(cli_bin())
@@ -523,4 +545,56 @@ fn ingest_rejects_truncated_streams() {
     let (ok, _, err) = run_cli_raw(&["ingest"], Some(cut));
     assert!(!ok, "truncated stream must fail");
     assert!(err.contains("truncated"), "unexpected error:\n{err}");
+}
+
+/// The worked example of `docs/WIRE_FORMAT.md` §8 is the real binary's
+/// output, byte for byte: the test reads the hex dump out of the doc,
+/// so neither the doc nor the encoder can drift without failing here.
+#[test]
+fn wire_format_worked_example_matches_the_binary() {
+    let doc_path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("docs/WIRE_FORMAT.md");
+    let doc = std::fs::read_to_string(doc_path).unwrap();
+    let section = doc
+        .split("## 8. Worked example")
+        .nth(1)
+        .expect("WIRE_FORMAT.md has a §8 worked example");
+    let dump = section
+        .split("```text")
+        .nth(1)
+        .and_then(|block| block.split("```").next())
+        .expect("§8 opens with a hex dump");
+    // `xxd` lines: "offset: hex groups  ascii"; the hex sits between
+    // the colon and the two-space gap before the ascii column.
+    let mut documented = Vec::new();
+    for line in dump.lines().filter(|l| !l.trim().is_empty()) {
+        let hex = line
+            .split_once(": ")
+            .and_then(|(_, rest)| rest.split("  ").next())
+            .unwrap_or_else(|| panic!("unparsable dump line {line:?}"));
+        let digits: String = hex.chars().filter(|c| !c.is_whitespace()).collect();
+        for pair in digits.as_bytes().chunks(2) {
+            let text = std::str::from_utf8(pair).unwrap();
+            documented.push(u8::from_str_radix(text, 16).unwrap());
+        }
+    }
+    let produced = run_cli(
+        &[
+            "encode",
+            "--protocol",
+            "MargPS",
+            "--d",
+            "4",
+            "--k",
+            "2",
+            "--eps",
+            "1.1",
+            "--seed",
+            "42",
+        ],
+        Some(b"5\n9\n2\n"),
+    );
+    assert_eq!(
+        produced, documented,
+        "docs/WIRE_FORMAT.md §8 no longer matches `ldp-cli encode`"
+    );
 }

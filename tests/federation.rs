@@ -21,11 +21,10 @@
 //! real sockets.
 
 use ldp_core::frame::{read_snapshot, FrameReader, FrameWriter, StreamHeader};
-use ldp_core::user_rng;
+use ldp_core::wire::Writer;
 use ldp_server::{push_with, Control, PushRequest, Request, Response, ServeConfig, Server};
 use marginal_ldp::oracles::pipeline::{
-    encode_report_batch, header_for, Client, PipelineAccumulator, PipelineReport, Protocol,
-    SketchShape,
+    decode_report_batch_into, header_for, Client, PipelineAccumulator, Protocol, SketchShape,
 };
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
@@ -203,25 +202,23 @@ fn push_stream(addr: &str, header: &[u8], frames: &[Vec<u8>]) -> Response {
     read_response(&stream)
 }
 
-/// Push pre-encoded single-report `frames` as one stream of
-/// `REPORT_BATCH` frames of up to `batch` reports each (`0` = one
-/// single-report frame per report) and return the acknowledged count.
+/// Push the reports of users `first_user..` (one per row) as one stream
+/// of `REPORT_BATCH` frames of up to `batch` reports each and return
+/// the acknowledged count.
 fn push_report_batches(
     addr: &str,
     header: &StreamHeader,
-    frames: &[Vec<u8>],
+    client: &Client,
+    rows: &[u64],
+    first_user: u64,
     batch: usize,
 ) -> Result<u64, String> {
     push_with(addr, header, |writer| {
-        if batch == 0 {
-            frames
-                .iter()
-                .try_for_each(|frame| writer.write_frame(frame))
-        } else {
-            frames
-                .chunks(batch)
-                .try_for_each(|chunk| writer.write_frame(&encode_report_batch(chunk)))
-        }
+        let mut w = Writer::default();
+        rows.chunks(batch).enumerate().try_for_each(|(c, chunk)| {
+            client.encode_batch(chunk, 42, first_user + (c * batch) as u64, &mut w);
+            writer.write_frame(w.as_bytes())
+        })
     })
 }
 
@@ -563,11 +560,10 @@ fn corrupt_and_stale_pushes_are_named_and_survivable() {
     };
     let wide_client = Client::from_header(&wide_header).unwrap();
     let mut wide = wide_client.accumulator();
-    for user in 0..50u64 {
-        let frame = wide_client.encode_report(user % 64, &mut user_rng(7, user));
-        wide.absorb(&PipelineReport::from_bytes(&frame).unwrap())
-            .unwrap();
-    }
+    let rows: Vec<u64> = (0..50u64).map(|user| user % 64).collect();
+    let mut frame = Writer::default();
+    wide_client.encode_batch(&rows, 7, 0, &mut frame);
+    wide.absorb_frame(frame.as_bytes()).unwrap();
     match control.request(&Request::Push(PushRequest {
         collector: "child-wide".to_string(),
         epoch: 1,
@@ -624,7 +620,7 @@ fn corrupt_and_stale_pushes_are_named_and_survivable() {
 #[test]
 fn merge_connect_folds_live_collectors_with_snapshot_files() {
     let dir = scratch("merge");
-    let (header, frames) = encoded_stream("InpEM", &[], 300);
+    let (header, frames) = encoded_stream("InpEM", &["--batch", "1"], 300);
     let third = frames.len() / 3;
 
     // Two live collectors hold a third each; the last third becomes a
@@ -688,7 +684,11 @@ fn merge_connect_folds_live_collectors_with_snapshot_files() {
 fn graceful_shutdown_checkpoint_resumes_exactly() {
     let dir = scratch("resume");
     let ckpt = dir.join("collector.ckpt");
-    let (header, frames) = encoded_stream("HCMS", &["--hashes", "3", "--width", "16"], 120);
+    let (header, frames) = encoded_stream(
+        "HCMS",
+        &["--hashes", "3", "--width", "16", "--batch", "1"],
+        120,
+    );
     let half = frames.len() / 2;
 
     let server = ServerProc::start(&["--checkpoint", ckpt.to_str().unwrap()]);
@@ -761,7 +761,7 @@ proptest! {
 
     /// For every random topology (depth ≤ 3, fan-in ≤ 4), every
     /// assignment of reports to nodes (interior nodes ingest too),
-    /// and every mix of single-report and batched framing, the root's
+    /// and every batch size from one report up, the root's
     /// snapshot after a leaf-to-root propagation walk is
     /// byte-identical to a serial single-process absorb of all
     /// reports — for a dense-table mechanism, a count-map mechanism,
@@ -771,7 +771,7 @@ proptest! {
         proto_idx in 0usize..3,
         parent_seeds in proptest::collection::vec(any::<u8>(), 1..8),
         assignments in proptest::collection::vec(any::<u64>(), 20..60),
-        batch_seeds in proptest::collection::vec(0usize..8, 8),
+        batch_seeds in proptest::collection::vec(1usize..9, 8),
     ) {
         let protocol = Protocol::parse(["MargPS", "InpEM", "HCMS"][proto_idx]).unwrap();
         let sketch = SketchShape { hashes: 3, width: 16, family_seed: 9 };
@@ -797,34 +797,43 @@ proptest! {
             nodes.push(Node { addr, depth: depths[i], handle });
         }
 
-        // Encode every report with the global user schedule and
-        // assign each to a node (low bits pick the row, a high byte
-        // picks the node — interior nodes ingest too); the serial
-        // reference absorbs them all in one accumulator.
+        // Assign every report to a node (low bits pick the row, a high
+        // byte picks the node — interior nodes ingest too) and number
+        // the users node by node, so each node pushes one contiguous
+        // run of the global user schedule; the serial reference decodes
+        // and absorbs them all in one accumulator.
         let mask = (1u64 << 4) - 1;
-        let mut per_node: Vec<Vec<Vec<u8>>> = vec![Vec::new(); n_nodes];
+        let mut per_node: Vec<Vec<u64>> = vec![Vec::new(); n_nodes];
+        for seed in &assignments {
+            per_node[(seed >> 32) as usize % n_nodes].push(seed & mask);
+        }
+        let mut first_users = Vec::with_capacity(n_nodes);
         let mut serial = PipelineAccumulator::empty(&header).unwrap();
-        for (user, seed) in assignments.iter().enumerate() {
-            let mut rng = user_rng(42, user as u64);
-            let frame = client.encode_report(seed & mask, &mut rng);
-            serial.absorb_batch(&[PipelineReport::from_bytes(&frame).unwrap()]).unwrap();
-            per_node[(seed >> 32) as usize % n_nodes].push(frame);
+        let (mut next_user, mut frame, mut scratch) = (0u64, Writer::default(), Vec::new());
+        for rows in &per_node {
+            first_users.push(next_user);
+            client.encode_batch(rows, 42, next_user, &mut frame);
+            let n = decode_report_batch_into(frame.as_bytes(), &mut scratch).unwrap();
+            serial.absorb_batch(&scratch[..n]).unwrap();
+            next_user += rows.len() as u64;
         }
         let expected = serial.to_bytes();
 
         // Concurrent clients: one per non-empty node, each with its
-        // own framing (batch 0 = wire-v1 single-report frames).
+        // own batch size.
         std::thread::scope(|scope| {
-            for (i, frames) in per_node.iter().enumerate() {
-                if frames.is_empty() {
+            for (i, rows) in per_node.iter().enumerate() {
+                if rows.is_empty() {
                     continue;
                 }
                 let addr = nodes[i].addr.clone();
                 let batch = batch_seeds[i % batch_seeds.len()];
-                let header = &header;
+                let (header, client, first_user) = (&header, &client, first_users[i]);
                 scope.spawn(move || {
-                    let acked = push_report_batches(&addr, header, frames, batch).unwrap();
-                    assert_eq!(acked as usize, frames.len());
+                    let acked =
+                        push_report_batches(&addr, header, client, rows, first_user, batch)
+                            .unwrap();
+                    assert_eq!(acked as usize, rows.len());
                 });
             }
         });

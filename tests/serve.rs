@@ -11,16 +11,18 @@
 //! writers speaking the framed wire format directly, so the protocol is
 //! exercised by an implementation independent of `ldp_server::client`.
 //!
-//! The `REPORT_BATCH` (wire v2) path gets its own fault-injection
-//! layer: batched streams written to the socket in adversarial chunk
-//! sizes (down to one byte, splitting length prefixes), clients killed
-//! mid-batch-frame, and corrupt batch envelopes — in every case the
-//! server must keep exactly the complete frames it saw and end up
+//! The `REPORT_BATCH` frames (wire v4, the only report frame) get their
+//! own fault-injection layer: batched streams written to the socket in
+//! adversarial chunk sizes (down to one byte, splitting length
+//! prefixes), clients killed mid-batch-frame, corrupt batch envelopes,
+//! and frames of the retired wire versions — in every case the server
+//! must keep exactly the complete frames it saw and end up
 //! byte-identical to serial ingest once the tail is resent.
 
 use ldp_core::frame::{FrameReader, FrameWriter, StreamHeader};
+use ldp_core::wire::Writer;
 use ldp_server::Response;
-use marginal_ldp::oracles::pipeline::encode_report_batch;
+use marginal_ldp::oracles::pipeline::Client;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
 use std::path::{Path, PathBuf};
@@ -247,11 +249,20 @@ fn scratch(name: &str) -> PathBuf {
 #[test]
 fn concurrent_ingest_is_byte_identical_to_serial_ingest() {
     for (protocol, extra) in [
-        ("MargPS", &[][..]),
-        ("InpEM", &[][..]),
+        ("MargPS", &["--batch", "1"][..]),
+        ("InpEM", &["--batch", "1"][..]),
         (
             "HCMS",
-            &["--hashes", "3", "--width", "16", "--family-seed", "9"][..],
+            &[
+                "--hashes",
+                "3",
+                "--width",
+                "16",
+                "--family-seed",
+                "9",
+                "--batch",
+                "1",
+            ][..],
         ),
     ] {
         let dir = scratch(&format!("determinism_{protocol}"));
@@ -430,7 +441,7 @@ fn load_traffic_matches_serial_encode_ingest() {
 #[test]
 fn malformed_and_mismatched_headers_are_rejected() {
     let dir = scratch("malformed");
-    let (header, frames) = encoded_stream(&dir, "MargPS", &[], 40);
+    let (header, frames) = encoded_stream(&dir, "MargPS", &["--batch", "1"], 40);
     let server = ServerProc::start(&[]);
 
     // Garbage first frame: neither a header nor a request.
@@ -463,7 +474,7 @@ fn malformed_and_mismatched_headers_are_rejected() {
         Response::Ingested(40) => {}
         other => panic!("establishing stream got {other:?}"),
     }
-    let (other_header, other_frames) = encoded_stream(&dir, "MargHT", &[], 4);
+    let (other_header, other_frames) = encoded_stream(&dir, "MargHT", &["--batch", "1"], 4);
     match push_stream(&server.addr, &other_header, &other_frames) {
         Response::Error(message) => assert!(
             message.contains("does not match the established"),
@@ -485,7 +496,7 @@ fn malformed_and_mismatched_headers_are_rejected() {
 #[test]
 fn mid_stream_disconnect_keeps_complete_reports_only() {
     let dir = scratch("disconnect");
-    let (header, frames) = encoded_stream(&dir, "MargPS", &[], 200);
+    let (header, frames) = encoded_stream(&dir, "MargPS", &["--batch", "1"], 200);
     let server = ServerProc::start(&[]);
 
     // Send the header, 3 complete reports, and half of a fourth frame —
@@ -553,18 +564,18 @@ fn mid_stream_disconnect_keeps_complete_reports_only() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A batched (wire v2) stream pushed through adversarially chunked
-/// socket writes — one-byte writes, chunk splits inside length
-/// prefixes and mid-payload — is reassembled without tearing a single
-/// frame: the ack covers every report, and both the live snapshot and
-/// a serial `ingest` of the batched stream file are byte-identical to
-/// ingesting the equivalent unbatched stream.
+/// A batched stream pushed through adversarially chunked socket writes
+/// — one-byte writes, chunk splits inside length prefixes and
+/// mid-payload — is reassembled without tearing a single frame: the ack
+/// covers every report, and both the live snapshot and a serial
+/// `ingest` of the batched stream file are byte-identical to ingesting
+/// the same population in batches of one.
 #[test]
 fn batched_stream_survives_adversarial_chunked_writes() {
     let batched_dir = scratch("chunked_batched");
     let single_dir = scratch("chunked_single");
     let (_, _) = encoded_stream(&batched_dir, "MargPS", &["--batch", "7"], 200);
-    let (_, _) = encoded_stream(&single_dir, "MargPS", &[], 200);
+    let (_, _) = encoded_stream(&single_dir, "MargPS", &["--batch", "1"], 200);
     let batched_bytes = std::fs::read(batched_dir.join("stream.bin")).unwrap();
     let server = ServerProc::start(&[]);
 
@@ -690,20 +701,21 @@ fn mid_batch_disconnect_keeps_complete_batches_only() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The batch decode-error matrix over the wire: a count prefix that
-/// cannot fit the payload, a future envelope version, and a batch of
-/// reports from the wrong protocol are each rejected with a named
-/// error on the ack — and the server keeps serving, with every
-/// complete good batch it saw still absorbed.
+/// The batch decode-error matrix over the wire: a count the body does
+/// not hold, a future envelope version, a batch of another protocol,
+/// and frames of the retired wire versions (a v2 batch body, a v1
+/// single-report frame, each named by its version) are each rejected
+/// with a named error on the ack — and the server keeps serving, with
+/// every complete good batch it saw still absorbed.
 #[test]
 fn corrupt_batch_frames_are_rejected_on_the_ack() {
     let dir = scratch("batch_corrupt");
     let (header, frames) = encoded_stream(&dir, "MargPS", &["--batch", "4"], 40);
     let server = ServerProc::start(&[]);
 
-    // Count overshoot: claims 1000 reports, payload holds 4.
+    // Count overshoot: claims 1000 reports, the body holds 4.
     let mut forged = frames[0].clone();
-    forged[2..6].copy_from_slice(&1000u32.to_le_bytes());
+    forged[10..14].copy_from_slice(&1000u32.to_le_bytes());
     match push_stream(&server.addr, &header, std::slice::from_ref(&forged)) {
         Response::Error(message) => {
             assert!(message.contains("bad report batch frame"), "{message}");
@@ -716,7 +728,7 @@ fn corrupt_batch_frames_are_rejected_on_the_ack() {
     forged[1] = 0x7F;
     match push_stream(&server.addr, &header, std::slice::from_ref(&forged)) {
         Response::Error(message) => {
-            assert!(message.contains("unsupported wire version"), "{message}");
+            assert!(message.contains("wire-v127 batch"), "{message}");
         }
         other => panic!("future-version batch got {other:?}"),
     }
@@ -724,13 +736,31 @@ fn corrupt_batch_frames_are_rejected_on_the_ack() {
     // A batch whose reports belong to another protocol.
     let (_, alien) = encoded_stream(&dir, "MargHT", &["--batch", "4"], 4);
     match push_stream(&server.addr, &header, &alien) {
-        Response::Error(message) => assert!(message.contains("mixes protocols"), "{message}"),
+        Response::Error(message) => assert!(
+            message.contains("a MargHT d=4 k=2 batch cannot be absorbed by a MargPS d=4 k=2"),
+            "{message}"
+        ),
         other => panic!("cross-protocol batch got {other:?}"),
     }
 
+    // Frames of the retired wire versions: a v2 batch of one MargPS
+    // report (count, then the report's own tag, version and fields), and
+    // the same report as a v1 single-report frame.
+    let v1_report = [0x25, 1, 4, 0, 0, 0, 3, 0];
+    let mut v2_batch = vec![0x41, 2, 1, 0, 0, 0];
+    v2_batch.extend_from_slice(&[0x25, 2, 4, 0, 0, 0, 3, 0]);
+    for (frame, version) in [(v2_batch, "wire-v2 batch"), (v1_report.to_vec(), "wire-v1")] {
+        match push_stream(&server.addr, &header, &[frame]) {
+            Response::Error(message) => assert!(message.contains(version), "{message}"),
+            other => panic!("{version} frame got {other:?}"),
+        }
+    }
+
     // An empty batch frame is legal and absorbs nothing.
-    let empty: [&[u8]; 0] = [];
-    match push_stream(&server.addr, &header, &[encode_report_batch(&empty)]) {
+    let client = Client::from_header(&StreamHeader::from_bytes(&header).unwrap()).unwrap();
+    let mut empty = Writer::default();
+    client.encode_batch(&[], 42, 0, &mut empty);
+    match push_stream(&server.addr, &header, &[empty.into_bytes()]) {
         Response::Ingested(0) => {}
         other => panic!("empty batch got {other:?}"),
     }
@@ -761,14 +791,13 @@ fn out_of_range_reports_are_refused_and_every_shard_keeps_serving() {
     assert_eq!(frames.len(), 10);
     let server = ServerProc::start(&[]);
 
-    // The first report's marginal sits at bytes 8..12 of a batch
-    // payload: the envelope's tag, version and count, then the
-    // report's own tag and version.
+    // The first report's 3-bit marginal is the low bits of the byte
+    // after the 14-byte envelope; 7 fits the field but not C(4,2).
     let mut forged = frames[0].clone();
-    forged[8..12].copy_from_slice(&999u32.to_le_bytes());
+    forged[14] |= 0b111;
     match push_stream(&server.addr, &header, &[forged]) {
         Response::Error(message) => assert!(
-            message.contains("MargPS marginal 999") && message.contains("below 6"),
+            message.contains("MargPS marginal 7") && message.contains("below 6"),
             "{message}"
         ),
         other => panic!("out-of-range batch got {other:?}"),
@@ -897,20 +926,20 @@ fn open_loop_load_reports_a_complete_latency_histogram() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// One connection may mix wire-v1 single-report frames and wire-v2
-/// batch frames freely: the ack counts every report once and the
-/// result is byte-identical to serial ingest.
+/// One connection may mix batches of one (`--batch 1`) and larger
+/// batch frames freely: the ack counts every report once and the result
+/// is byte-identical to serial ingest.
 #[test]
 fn mixed_single_and_batch_frames_coexist_on_one_stream() {
     let batched_dir = scratch("mixed_batched");
     let single_dir = scratch("mixed_single");
     let (header, batch_frames) = encoded_stream(&batched_dir, "MargPS", &["--batch", "6"], 60);
-    let (_, single_frames) = encoded_stream(&single_dir, "MargPS", &[], 60);
+    let (_, single_frames) = encoded_stream(&single_dir, "MargPS", &["--batch", "1"], 60);
     assert_eq!(batch_frames.len(), 10);
     let server = ServerProc::start(&[]);
 
     // First half as batch frames (reports 0..30), second half as
-    // single-report frames (reports 30..60).
+    // batches of one (reports 30..60).
     let mut mixed: Vec<Vec<u8>> = batch_frames[..5].to_vec();
     mixed.extend_from_slice(&single_frames[30..]);
     match push_stream(&server.addr, &header, &mixed) {

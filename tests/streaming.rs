@@ -11,11 +11,10 @@
 //! their states in any topology.
 
 use marginal_ldp::core::frame::StreamHeader;
-use marginal_ldp::core::user_rng;
 use marginal_ldp::core::wire::Writer;
 use marginal_ldp::oracles::pipeline::{
-    decode_report_batch_into, encode_report_batch, header_for, Client, PipelineAccumulator,
-    PipelineEstimate, PipelineReport, Protocol, SketchShape,
+    decode_report_batch_into, header_for, Client, PipelineAccumulator, PipelineEstimate,
+    PipelineReport, Protocol, SketchShape,
 };
 use marginal_ldp::oracles::OracleKind;
 use marginal_ldp::prelude::*;
@@ -171,11 +170,11 @@ proptest! {
         }
     }
 
-    /// `REPORT_BATCH` framing (wire v2) is a pure re-chunking of the
-    /// report stream: for **every** protocol and any random batch-size
-    /// sequence — empty and singleton batches included — decoding the
-    /// batch frames yields exactly the reports the single-report frames
-    /// of the same sequence decode to, and absorbing them batch-by-batch
+    /// `REPORT_BATCH` framing is a pure re-chunking of the report
+    /// stream: for **every** protocol and any random batch-size sequence
+    /// — empty batches included — decoding the wire-v4 batch frames
+    /// yields exactly the reports that batches of one (`--batch 1`) of
+    /// the same users decode to, and absorbing them batch-by-batch
     /// produces accumulator state byte-identical to serial ingest.
     #[test]
     fn batch_frames_decode_identical_to_singles(
@@ -183,42 +182,38 @@ proptest! {
         seed in 0u64..1_000,
         sizes in proptest::collection::vec(0usize..33, 1..8),
     ) {
+        let rows: Vec<u64> = (0..n as u64).map(|u| (u * 37 + seed) % (1 << D)).collect();
         for (header, client) in pipelines() {
-            let singles: Vec<Vec<u8>> = (0..n as u64)
-                .map(|u| client.encode_report((u * 37 + seed) % (1 << D), &mut user_rng(seed, u)))
-                .collect();
-            let reports: Vec<PipelineReport> = singles
-                .iter()
-                .map(|frame| PipelineReport::from_bytes(frame).unwrap())
-                .collect();
-
-            // Re-chunk the stream: each random size becomes one
-            // REPORT_BATCH frame (size 0 → an empty batch frame), and
-            // whatever is left over lands in one final batch.
-            let mut frames: Vec<Vec<u8>> = Vec::new();
-            let mut start = 0usize;
-            for &size in &sizes {
-                let take = size.min(singles.len() - start);
-                frames.push(encode_report_batch(&singles[start..start + take]));
-                start += take;
+            let mut frame = Writer::default();
+            let mut scratch: Vec<PipelineReport> = Vec::new();
+            let mut singles: Vec<PipelineReport> = Vec::new();
+            for (u, row) in rows.iter().enumerate() {
+                client.encode_batch(std::slice::from_ref(row), seed, u as u64, &mut frame);
+                let m = decode_report_batch_into(frame.as_bytes(), &mut scratch).unwrap();
+                singles.extend_from_slice(&scratch[..m]);
             }
-            frames.push(encode_report_batch(&singles[start..]));
 
             let mut serial = PipelineAccumulator::empty(&header).unwrap();
-            for report in &reports {
+            for report in &singles {
                 serial.absorb(report).unwrap();
             }
 
+            // Re-chunk the stream: each random size becomes one batch
+            // frame (size 0 → an empty batch frame), and whatever is
+            // left over lands in one final batch.
             let mut batched = PipelineAccumulator::empty(&header).unwrap();
-            let mut scratch: Vec<PipelineReport> = Vec::new();
             let mut decoded: Vec<PipelineReport> = Vec::new();
-            for frame in &frames {
-                let m = decode_report_batch_into(frame, &mut scratch).unwrap();
+            let mut start = 0usize;
+            for &size in sizes.iter().chain([&usize::MAX]) {
+                let end = start.saturating_add(size).min(rows.len());
+                client.encode_batch(&rows[start..end], seed, start as u64, &mut frame);
+                let m = decode_report_batch_into(frame.as_bytes(), &mut scratch).unwrap();
                 batched.absorb_batch(&scratch[..m]).unwrap();
                 decoded.extend_from_slice(&scratch[..m]);
+                start = end;
             }
 
-            prop_assert_eq!(&decoded, &reports, "protocol {:#04x}", header.protocol);
+            prop_assert_eq!(&decoded, &singles, "protocol {:#04x}", header.protocol);
             prop_assert_eq!(
                 &batched.to_bytes(),
                 &serial.to_bytes(),
@@ -233,11 +228,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The frame kernels (`absorb_frame`, validate-then-absorb straight
-    /// from the bytes) against the reference path (`decode_report_batch_into`
-    /// then `absorb_batch`): for every protocol and any random chunking
-    /// of a population into `REPORT_BATCH` frames — empty and singleton
-    /// frames included — each frame returns the same count and leaves
-    /// byte-identical state.
+    /// from the packed bits) against the reference path
+    /// (`decode_report_batch_into` then `absorb_batch`): for every
+    /// protocol and any random chunking of a population into wire-v4
+    /// `REPORT_BATCH` frames — empty and singleton frames, and every
+    /// batch size modulo the eight-report load groups, included — each
+    /// frame returns the same count and leaves byte-identical state.
     #[test]
     fn frame_kernels_match_the_reference_decoder(
         n in 0usize..300,
