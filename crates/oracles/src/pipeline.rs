@@ -281,15 +281,16 @@ impl Layout {
         (u64::from(count) * self.bits()).div_ceil(8)
     }
 
-    /// A report's fixed bits split into `(index, value, sign)`.
+    /// A report's fixed bits split into `(index, value, sign)`, without
+    /// branches: every layout that is split has fewer than 64 fixed
+    /// bits (OLH, the one with more, is read as whole bytes).
     #[inline]
     fn split(self, fixed: u64) -> (u64, u64, bool) {
-        let value = fixed.checked_shr(self.index).unwrap_or(0);
-        let sign = value.checked_shr(self.value).unwrap_or(0);
+        let mask = |bits: u32| 1u64.wrapping_shl(bits).wrapping_sub(1);
         (
-            fixed & low_mask(self.index),
-            value & low_mask(self.value),
-            sign & 1 != 0,
+            fixed & mask(self.index),
+            fixed.wrapping_shr(self.index) & mask(self.value),
+            fixed.wrapping_shr(self.index + self.value) & 1 != 0,
         )
     }
 
@@ -874,65 +875,117 @@ fn bits_at(bytes: &[u8], bit: u64, width: u32) -> u64 {
 }
 
 /// Visit the `count` fixed-width `bits`-bit (≤ 64) fields packed
-/// LSB-first from the start of `body`, in order, with their index,
-/// stopping at the first `Err`. Eight fields occupy exactly `bits`
-/// bytes, so for `bits ≤ 16` each group of eight is one `u128` load.
+/// LSB-first from the start of `body`, in order, with their index.
+/// Eight fields occupy exactly `bits` bytes, so for `bits ≤ 16` each
+/// group of eight is one load (a `u64` up to 8 bits, else a `u128`).
 #[inline]
-fn for_each_field<E>(
-    body: &[u8],
-    count: usize,
-    bits: u32,
-    mut visit: impl FnMut(usize, u64) -> Result<(), E>,
-) -> Result<(), E> {
+fn for_each_field(body: &[u8], count: usize, bits: u32, mut visit: impl FnMut(usize, u64)) {
     let mask = low_mask(bits);
     let grouped = if bits <= 16 { count / 8 } else { 0 };
     let group_bytes = usize::try_from(bits).unwrap_or(usize::MAX);
     for g in 0..grouped {
         let word = window(body, g * group_bytes);
-        for j in 0..8u32 {
-            let field = (word >> (j * bits)) as u64 & mask;
-            visit(g * 8 + j as usize, field)?;
+        let fields: [u64; 8] = if bits <= 8 {
+            let word = word as u64;
+            std::array::from_fn(|j| (word >> (j as u32 * bits)) & mask)
+        } else {
+            std::array::from_fn(|j| (word >> (j as u32 * bits)) as u64 & mask)
+        };
+        for (j, f) in fields.into_iter().enumerate() {
+            visit(g * 8 + j, f);
         }
     }
     for i in grouped * 8..count {
-        visit(i, bits_at(body, i as u64 * u64::from(bits), bits))?;
+        visit(i, field(body, i, bits));
     }
-    Ok(())
+}
+
+/// Field `i` of a body of `bits`-bit fields.
+#[inline]
+fn field(body: &[u8], i: usize, bits: u32) -> u64 {
+    bits_at(body, i as u64 * u64::from(bits), bits)
 }
 
 /// Visit the `count` reports of a set-carrying layout (InpRR, MargRR,
 /// CMS), in order: each report's fixed bits and the bit where its set
-/// starts, stopping at the first `Err`.
+/// starts.
 #[inline]
-fn for_each_set_report<E>(
-    b: &Batch<'_>,
-    mut visit: impl FnMut(usize, u64, u64) -> Result<(), E>,
-) -> Result<(), E> {
+fn for_each_set_report(b: &Batch<'_>, mut visit: impl FnMut(usize, u64, u64)) {
     let (fixed, bits) = (b.layout.fixed(), b.layout.bits());
     for i in 0..b.count {
         let start = i as u64 * bits;
-        visit(i, bits_at(b.body, start, fixed), start + u64::from(fixed))?;
+        visit(i, bits_at(b.body, start, fixed), start + u64::from(fixed));
     }
-    Ok(())
 }
 
-/// The positions of the 1-bits of the `len`-bit set starting at bit
-/// `start` of `bytes`, ascending: a `trailing_zeros` walk over 64-bit
-/// words.
+/// The positions of the 1-bits of a `len`-bit set starting at bit
+/// `start` of `bytes`, ascending: a `trailing_zeros` walk, one 64-bit
+/// word at a time.
+struct SetBits<'a> {
+    bytes: &'a [u8],
+    start: u64,
+    len: u32,
+    /// Position of bit 0 of `word`.
+    base: u32,
+    /// The current word's 1-bits not yet visited.
+    word: u64,
+}
+
+impl<'a> SetBits<'a> {
+    #[inline]
+    fn new(bytes: &'a [u8], start: u64, len: u32) -> Self {
+        let mut set = SetBits {
+            bytes,
+            start,
+            len,
+            base: 0,
+            word: 0,
+        };
+        set.word = set.word_at(0);
+        set
+    }
+
+    /// The set's word holding positions `base..base + 64`.
+    #[inline]
+    fn word_at(&self, base: u32) -> u64 {
+        let bits = self.len.saturating_sub(base).min(64);
+        bits_at(self.bytes, self.start + u64::from(base), bits)
+    }
+}
+
+impl Iterator for SetBits<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        while self.word == 0 {
+            if self.len.saturating_sub(self.base) <= 64 {
+                return None;
+            }
+            self.base += 64;
+            self.word = self.word_at(self.base);
+        }
+        let tz = self.word.trailing_zeros();
+        self.word &= self.word - 1;
+        Some(self.base + tz)
+    }
+}
+
+/// Append the positions of a set's 1-bits to `out` through `cell`,
+/// a word at a time so each extend knows its exact length.
 #[inline]
-fn set_positions(bytes: &[u8], start: u64, len: u32) -> impl Iterator<Item = u32> + '_ {
-    (0..len.div_ceil(64)).flat_map(move |w| {
-        let base = w * 64;
+fn extend_set<T>(out: &mut Vec<T>, bytes: &[u8], start: u64, len: u32, cell: impl Fn(u32) -> T) {
+    for base in (0..len).step_by(64) {
         let word = bits_at(bytes, start + u64::from(base), (len - base).min(64));
-        ldp_bits::ones(word).map(move |tz| base + tz)
-    })
+        out.extend(ldp_bits::ones(word).map(|tz| cell(base + tz)));
+    }
 }
 
-/// [`set_positions`] as the `u16` cells of a MargRR table or CMS row
-/// (at most 2^16 of them).
+/// A set position as the `u16` cell of a MargRR table or CMS row (at
+/// most 2^16 of them).
 #[inline]
-fn set_cells(bytes: &[u8], start: u64, len: u32) -> impl Iterator<Item = u16> + '_ {
-    set_positions(bytes, start, len).map(|p| u16::try_from(p).unwrap_or(u16::MAX))
+fn cell_u16(position: u32) -> u16 {
+    u16::try_from(position).unwrap_or(u16::MAX)
 }
 
 /// The slot for report `i` of `scratch`, growing it by one when `i` is
@@ -949,20 +1002,10 @@ fn slot(scratch: &mut Vec<PipelineReport>, i: usize) -> Option<&mut PipelineRepo
 /// Decode every report of a fixed-field batch into `scratch` through
 /// `report`, which builds one from its fixed bits.
 fn fill(scratch: &mut Vec<PipelineReport>, b: &Batch<'_>, report: impl Fn(u64) -> PipelineReport) {
-    let _ = for_each_field(b.body, b.count, b.layout.fixed(), |i, fixed| {
+    for_each_field(b.body, b.count, b.layout.fixed(), |i, fixed| {
         if let Some(s) = slot(scratch, i) {
             *s = report(fixed);
         }
-        Ok::<(), ()>(())
-    });
-}
-
-/// Visit every report of a set-carrying batch (see
-/// [`for_each_set_report`]) with no early exit.
-fn sets(b: &Batch<'_>, mut visit: impl FnMut(usize, u64, u64)) {
-    let _ = for_each_set_report(b, |i, fixed, set| {
-        visit(i, fixed, set);
-        Ok::<(), ()>(())
     });
 }
 
@@ -1014,32 +1057,32 @@ pub fn decode_report_batch_into(
                 }
             }
         }
-        Protocol::Mechanism(InpRr) => sets(&b, |i, _, set| {
+        Protocol::Mechanism(InpRr) => for_each_set_report(&b, |i, _, set| {
             if let Some(s) = slot(scratch, i) {
                 let mut ones = match std::mem::replace(s, EMPTY_SLOT) {
                     PipelineReport::InpRr(ones) => ones,
                     _ => Vec::new(),
                 };
                 ones.clear();
-                ones.extend(set_positions(body, set, l.set));
+                extend_set(&mut ones, body, set, l.set, |p| p);
                 *s = PipelineReport::InpRr(ones);
             }
         }),
-        Protocol::Mechanism(MargRr) => sets(&b, |i, marginal, set| {
+        Protocol::Mechanism(MargRr) => for_each_set_report(&b, |i, marginal, set| {
             if let Some(s) = slot(scratch, i) {
                 let mut ones = match std::mem::replace(s, EMPTY_SLOT) {
                     PipelineReport::MargRr(report) => report.ones,
                     _ => Vec::new(),
                 };
                 ones.clear();
-                ones.extend(set_cells(body, set, l.set));
+                extend_set(&mut ones, body, set, l.set, cell_u16);
                 *s = PipelineReport::MargRr(MargRrReport {
                     marginal: index_u32(marginal),
                     ones,
                 });
             }
         }),
-        Protocol::Oracle(OracleKind::Cms) => sets(&b, |i, row, set| {
+        Protocol::Oracle(OracleKind::Cms) => for_each_set_report(&b, |i, row, set| {
             if let Some(s) = slot(scratch, i) {
                 let mut report = match std::mem::replace(s, EMPTY_SLOT) {
                     PipelineReport::Cms(report) => report,
@@ -1050,7 +1093,7 @@ pub fn decode_report_batch_into(
                 };
                 report.row = u8::try_from(row).unwrap_or(u8::MAX);
                 report.ones.clear();
-                report.ones.extend(set_cells(body, set, l.set));
+                extend_set(&mut report.ones, body, set, l.set, cell_u16);
                 *s = PipelineReport::Cms(report);
             }
         }),
@@ -1088,10 +1131,12 @@ fn out_of_range(i: usize, e: &WireError) -> String {
     format!("bad report frame: report {i} of the batch: {e}")
 }
 
-/// Both passes of a fixed-field frame kernel: pass 1 reads every
-/// report (`parse` of its fixed bits) and range-checks it with `check`,
-/// naming the first report that fails; pass 2 reads them again into
-/// `absorb`.
+/// Both passes of a fixed-field frame kernel. Every range check bounds
+/// each field from above, so pass 1 reduces the batch to its per-field
+/// maxima and checks the report they make: the batch passes exactly
+/// when that report does. A batch that fails is read again to name its
+/// first bad report. Pass 2 reads every report (`parse` of its fixed
+/// bits) into `absorb`.
 #[inline]
 fn absorb_fields<A, R>(
     acc: &mut A,
@@ -1100,19 +1145,26 @@ fn absorb_fields<A, R>(
     check: impl Fn(&A, R) -> Result<(), WireError>,
     mut absorb: impl FnMut(&mut A, R),
 ) -> Result<(), (usize, WireError)> {
-    let bits = b.layout.fixed();
-    for_each_field(b.body, b.count, bits, |i, f| {
-        check(acc, parse(f)).map_err(|e| (i, e))
-    })?;
+    let (l, bits) = (b.layout, b.layout.fixed());
+    let (mut index, mut value) = (0, 0);
     for_each_field(b.body, b.count, bits, |_, f| {
-        absorb(acc, parse(f));
-        Ok(())
-    })
+        let (i, v, _) = l.split(f);
+        index = index.max(i);
+        value = value.max(v);
+    });
+    if b.count > 0 && check(acc, parse(l.join(index, value, false))).is_err() {
+        return Err(first_refusal(b.count, |i| {
+            check(acc, parse(field(b.body, i, bits)))
+        }));
+    }
+    for_each_field(b.body, b.count, bits, |_, f| absorb(acc, parse(f)));
+    Ok(())
 }
 
 /// Both passes of a set-carrying frame kernel (InpRR, MargRR, CMS):
-/// pass 1 range-checks each report's fixed bits with `check`, pass 2
-/// hands them and the start of the report's set to `absorb`.
+/// pass 1 range-checks the largest fixed field (the marginal or sketch
+/// row, bounded from above) with `check`, pass 2 hands each report's
+/// fixed bits and the start of its set to `absorb`.
 #[inline]
 fn absorb_sets<A>(
     acc: &mut A,
@@ -1120,11 +1172,28 @@ fn absorb_sets<A>(
     check: impl Fn(&A, u64) -> Result<(), WireError>,
     mut absorb: impl FnMut(&mut A, u64, u64),
 ) -> Result<(), (usize, WireError)> {
-    for_each_set_report(b, |i, fixed, _| check(acc, fixed).map_err(|e| (i, e)))?;
-    for_each_set_report(b, |_, fixed, set| {
-        absorb(acc, fixed, set);
-        Ok(())
-    })
+    let mut largest = 0;
+    for_each_set_report(b, |_, fixed, _| largest = largest.max(fixed));
+    if b.count > 0 && check(acc, largest).is_err() {
+        let (fixed, bits) = (b.layout.fixed(), b.layout.bits());
+        return Err(first_refusal(b.count, |i| {
+            check(acc, bits_at(b.body, i as u64 * bits, fixed))
+        }));
+    }
+    for_each_set_report(b, |_, fixed, set| absorb(acc, fixed, set));
+    Ok(())
+}
+
+/// The first of `count` reports whose `check` fails, with its error:
+/// the error path of a refused batch.
+#[cold]
+fn first_refusal(
+    count: usize,
+    check: impl Fn(usize) -> Result<(), WireError>,
+) -> (usize, WireError) {
+    (0..count)
+        .find_map(|i| check(i).err().map(|e| (i, e)))
+        .unwrap_or((0, WireError::Invalid("refused report not found")))
 }
 
 /// The server half: the aggregator for one protocol, one variant per
@@ -1356,7 +1425,7 @@ impl PipelineAccumulator {
                 b,
                 |_, _| Ok(()),
                 |a, _, set| {
-                    a.absorb_ones(set_positions(body, set, l.set));
+                    a.absorb_ones(SetBits::new(body, set, l.set));
                 },
             ),
             Self::InpPs(a) => absorb_fields(a, b, |row| row, |_, _| Ok(()), |a, row| a.absorb(row)),
@@ -1371,7 +1440,12 @@ impl PipelineAccumulator {
                 a,
                 b,
                 |a, marginal| a.check(index_u32(marginal)),
-                |a, marginal, set| a.absorb_ones(index_u32(marginal), set_cells(body, set, l.set)),
+                |a, marginal, set| {
+                    a.absorb_ones(
+                        index_u32(marginal),
+                        SetBits::new(body, set, l.set).map(cell_u16),
+                    );
+                },
             ),
             Self::MargPs(a) => absorb_fields(
                 a,
@@ -1388,10 +1462,7 @@ impl PipelineAccumulator {
                 |a, r| a.absorb(r),
             ),
             Self::InpEm(a) => {
-                let bits = l.fixed();
-                a.absorb_batch_iter(
-                    (0..b.count as u64).map(|i| bits_at(body, i * u64::from(bits), bits)),
-                );
+                a.absorb_batch_iter((0..b.count).map(|i| field(body, i, l.fixed())));
                 Ok(())
             }
             Self::Olh(a) => {
@@ -1411,7 +1482,7 @@ impl PipelineAccumulator {
                 |a, row, set| {
                     a.absorb_ones(
                         u8::try_from(row).unwrap_or(u8::MAX),
-                        set_cells(body, set, l.set),
+                        SetBits::new(body, set, l.set).map(cell_u16),
                     );
                 },
             ),
