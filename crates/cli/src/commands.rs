@@ -56,7 +56,7 @@ pub fn encode(flags: &Flags) -> Result<(), String> {
     let eps: f64 = flags.parsed("eps", 1.1)?;
     let seed: u64 = flags.parsed("seed", 42)?;
     let first_user: u64 = flags.parsed("first-user", 0)?;
-    let batch = batch_flag(flags)?;
+    let batch: usize = flags.parsed("batch", DEFAULT_BATCH)?;
     let sketch = SketchShape {
         hashes: flags.parsed("hashes", 5)?,
         width: flags.parsed("width", 256)?,
@@ -125,17 +125,9 @@ pub fn encode(flags: &Flags) -> Result<(), String> {
 }
 
 /// The reports per `REPORT_BATCH` frame `encode` and closed-loop `load`
-/// write when `--batch` is not given.
+/// write when `--batch` is not given (`main` refuses `--batch 0` as a
+/// usage error before either runs).
 pub const DEFAULT_BATCH: usize = 1024;
-
-/// `--batch B`: reports per frame, at least 1 (`main` refuses 0 as a
-/// usage error before any subcommand runs).
-pub fn batch_flag(flags: &Flags) -> Result<usize, String> {
-    match flags.parsed("batch", DEFAULT_BATCH)? {
-        0 => Err("--batch must be at least 1".to_string()),
-        batch => Ok(batch),
-    }
-}
 
 /// `ingest`: fold a report stream into a snapshot. The read loop reuses
 /// one frame buffer and absorbs each `REPORT_BATCH` frame straight from

@@ -26,7 +26,7 @@
 //! This file is covered by the `ldp-lint` hot-path panic scan: the send
 //! loops must not index, unwrap, or narrow unchecked lengths.
 
-use crate::commands::batch_flag;
+use crate::commands::DEFAULT_BATCH;
 use crate::flags::Flags;
 use ldp_bench::histogram::{fmt_ns, LogHistogram};
 use ldp_bench::DataSource;
@@ -61,7 +61,7 @@ fn parse_common(flags: &Flags) -> Result<Common, String> {
     let eps: f64 = flags.parsed("eps", 1.1)?;
     let seed: u64 = flags.parsed("seed", 42)?;
     let clients: usize = flags.parsed("clients", 4)?;
-    let batch = batch_flag(flags)?;
+    let batch: usize = flags.parsed("batch", DEFAULT_BATCH)?;
     let sketch = SketchShape {
         hashes: flags.parsed("hashes", 5)?,
         width: flags.parsed("width", 256)?,

@@ -728,7 +728,7 @@ fn corrupt_batch_frames_are_rejected_on_the_ack() {
     forged[1] = 0x7F;
     match push_stream(&server.addr, &header, std::slice::from_ref(&forged)) {
         Response::Error(message) => {
-            assert!(message.contains("wire-v127 batch"), "{message}");
+            assert!(message.contains("wire-v127 batch is newer"), "{message}");
         }
         other => panic!("future-version batch got {other:?}"),
     }
@@ -749,7 +749,10 @@ fn corrupt_batch_frames_are_rejected_on_the_ack() {
     let v1_report = [0x25, 1, 4, 0, 0, 0, 3, 0];
     let mut v2_batch = vec![0x41, 2, 1, 0, 0, 0];
     v2_batch.extend_from_slice(&[0x25, 2, 4, 0, 0, 0, 3, 0]);
-    for (frame, version) in [(v2_batch, "wire-v2 batch"), (v1_report.to_vec(), "wire-v1")] {
+    for (frame, version) in [
+        (v2_batch, "wire-v2 batch is older"),
+        (v1_report.to_vec(), "wire-v1"),
+    ] {
         match push_stream(&server.addr, &header, &[frame]) {
             Response::Error(message) => assert!(message.contains(version), "{message}"),
             other => panic!("{version} frame got {other:?}"),
