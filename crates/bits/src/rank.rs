@@ -5,9 +5,11 @@
 //! set attribute positions `c_1 < c_2 < … < c_k` has rank
 //! `Σ_i C(c_i, i)`, which enumerates weight-`k` masks in increasing numeric
 //! order. This means an aggregator can store per-coefficient sums in a flat
-//! `Vec` of length `T` instead of a hash map.
+//! `Vec` of length `T` instead of a hash map. The inverse direction is a
+//! table: [`WeightRank`] keeps the `T` masks in index order, and the
+//! arithmetic [`unrank_weight_k`] is the reference its tests check it by.
 
-use crate::{binomial, binomial_table, Mask};
+use crate::{binomial, binomial_table, masks_of_weight_at_most, Mask};
 
 /// Rank of a weight-`k` mask among all weight-`k` masks over any domain,
 /// in increasing numeric order. Inverse of [`unrank_weight_k`].
@@ -42,6 +44,12 @@ pub fn unrank_weight_k(rank: u64, k: u32) -> Mask {
 /// Dense indexer for the coefficient set `T = {α : 1 ≤ |α| ≤ k}` over `d`
 /// attributes, ordered by weight then numerically (matching
 /// [`crate::masks_of_weight_at_most`]).
+///
+/// [`index`](Self::index) ranks a mask arithmetically;
+/// [`mask`](Self::mask), its inverse, is one load from a table of the
+/// `|T|` masks in index order, so an encoder that samples an index pays
+/// no unranking. The table takes `8·|T|` bytes, half of what an
+/// aggregator's per-coefficient sums and counts take for the same shape.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WeightRank {
     d: u32,
@@ -50,10 +58,13 @@ pub struct WeightRank {
     /// weight-`w` masks starts at `offset[w]`).
     offsets: Vec<u64>,
     binom: Vec<Vec<u64>>,
+    /// Every indexed mask, at its index.
+    masks: Vec<Mask>,
 }
 
 impl WeightRank {
-    /// Build an indexer for weight-`1..=k` masks over `d` attributes.
+    /// Build an indexer for weight-`1..=k` masks over `d` attributes,
+    /// allocating its `8·|T|`-byte mask table.
     #[must_use]
     pub fn new(d: u32, k: u32) -> Self {
         assert!(d <= 63 && k <= d, "need k ≤ d ≤ 63");
@@ -66,13 +77,14 @@ impl WeightRank {
             k,
             offsets,
             binom: binomial_table(d as usize),
+            masks: masks_of_weight_at_most(d, k),
         }
     }
 
     /// Total number of indexed coefficients, the paper's `|T|`.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.offsets[self.k as usize + 1] as usize
+        self.masks.len()
     }
 
     /// `true` iff `k == 0` (no indexed coefficients).
@@ -113,16 +125,13 @@ impl WeightRank {
         (self.offsets[w as usize] + rank) as usize
     }
 
-    /// Inverse of [`WeightRank::index`].
+    /// Inverse of [`WeightRank::index`]: one table load.
+    ///
+    /// Panics if `index ≥ len`.
+    #[inline]
     #[must_use]
     pub fn mask(&self, index: usize) -> Mask {
-        let idx = index as u64;
-        assert!((idx as usize) < self.len(), "index out of range");
-        let mut w = 1u32;
-        while self.offsets[w as usize + 1] <= idx {
-            w += 1;
-        }
-        unrank_weight_k(idx - self.offsets[w as usize], w)
+        self.masks[index]
     }
 }
 
@@ -156,6 +165,28 @@ mod tests {
                     assert_eq!(wr.mask(i), *m);
                 }
             }
+        }
+    }
+
+    /// The table against the arithmetic unranking it replaced, at every
+    /// index of every shape in the grid.
+    #[test]
+    fn mask_table_matches_arithmetic_unranking() {
+        let shapes = (1..=24u32)
+            .flat_map(|d| (1..=d.min(4)).map(move |k| (d, k)))
+            .chain((5..=12u32).map(|d| (d, d)))
+            .chain([(63, 1), (63, 2)]);
+        for (d, k) in shapes {
+            let wr = WeightRank::new(d, k);
+            let mut i = 0;
+            for w in 1..=k {
+                for rank in 0..binomial(u64::from(d), u64::from(w)) {
+                    assert_eq!(wr.mask(i), unrank_weight_k(rank, w), "d={d} k={k} i={i}");
+                    assert_eq!(wr.index(wr.mask(i)), i, "d={d} k={k}");
+                    i += 1;
+                }
+            }
+            assert_eq!(i, wr.len(), "d={d} k={k}");
         }
     }
 

@@ -16,6 +16,7 @@
 use crate::wire::{in_range, tag, Reader, WireError, Writer};
 use crate::{Accumulator, HadamardEstimate};
 use ldp_bits::{pm_one, WeightRank};
+use ldp_mechanisms::theory::coefficient_count;
 use ldp_mechanisms::BinaryRandomizedResponse;
 use rand::Rng;
 
@@ -29,6 +30,10 @@ pub struct InpHtReport {
 }
 
 /// Configuration of the `InpHT` mechanism.
+///
+/// Its [`WeightRank`] holds the `|T|` coefficient masks as a table
+/// (`8·|T|` bytes), so [`encode`](Self::encode) turns the sampled index
+/// into its mask with one load.
 #[derive(Clone, Debug)]
 pub struct InpHt {
     indexer: WeightRank,
@@ -220,13 +225,15 @@ impl Accumulator for InpHtAggregator {
         if !(p > 0.5 && p < 1.0) {
             return Err(WireError::Invalid("InpHT keep probability"));
         }
-        let indexer = WeightRank::new(d, k);
-        if sums.len() != indexer.len() || counts.len() != indexer.len() {
+        // Check |T| arithmetically before building the indexer, so its
+        // mask table is never sized by a header the tables do not back.
+        let coefficients = coefficient_count(d, k);
+        if sums.len() as u64 != coefficients || counts.len() as u64 != coefficients {
             return Err(WireError::Invalid("InpHT coefficient-table length"));
         }
         Ok(InpHtAggregator {
             rr: BinaryRandomizedResponse::with_keep_probability(p),
-            indexer,
+            indexer: WeightRank::new(d, k),
             sums,
             counts,
         })

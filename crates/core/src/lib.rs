@@ -246,7 +246,11 @@ impl Mechanism {
     ///
     /// Each user's report comes from the mechanism's own `encode` and is
     /// absorbed into its typed aggregator, sharded across the available
-    /// cores and [`Accumulator::merge`]d. Because the seed schedule is
+    /// cores and [`Accumulator::merge`]d. `MargRr` skips the report: its
+    /// perturbed table's words are counted as they are drawn
+    /// ([`MargRr::sample_marginal`], [`MargRr::perturbed_table`],
+    /// [`MargRrAggregator::user_table`]), with the same draws and counts
+    /// as `encode` then `absorb`. Because the seed schedule is
     /// per-user (see [`user_rng`]) and accumulators obey the
     /// partition-invariance law of [`Accumulator`], the result is
     /// bit-identical to `run_sharded(rows, seed, 1)` — the serial
@@ -307,7 +311,30 @@ impl Mechanism {
             Mechanism::InpRr(m) => Estimate::Full(m.run_fast(rows, seed)),
             Mechanism::InpPs(m) => Estimate::Full(ingest!(m)),
             Mechanism::InpHt(m) => Estimate::Hadamard(ingest!(m)),
-            Mechanism::MargRr(m) => Estimate::MarginalSet(ingest!(m)),
+            // The encode and absorb kernels the protocol table shares,
+            // with no report in between: each word of the perturbed
+            // table goes straight into the sampled marginal's counts.
+            Mechanism::MargRr(m) => Estimate::MarginalSet(
+                run_population_sharded(
+                    rows,
+                    seed,
+                    shards,
+                    || m.aggregator(),
+                    |row, rng, acc| {
+                        let (marginal, cell) = m.sample_marginal(row, rng);
+                        let table = acc.user_table(marginal);
+                        let mut base = 0;
+                        m.perturbed_table(cell, rng, |word, lanes| {
+                            for tz in ldp_bits::ones(word) {
+                                table[base + tz as usize] += 1;
+                            }
+                            base += lanes as usize;
+                        });
+                    },
+                    |acc, part| acc.merge(part),
+                )
+                .finalize(),
+            ),
             Mechanism::MargPs(m) => Estimate::MarginalSet(ingest!(m)),
             Mechanism::MargHt(m) => Estimate::MarginalSet(ingest!(m)),
             Mechanism::InpEm(m) => Estimate::Em(ingest!(m)),

@@ -87,7 +87,8 @@ impl MargRr {
     /// First half of the encode: draw the marginal uniformly and project
     /// the row onto it. Returns `(marginal index, local cell)`. Split
     /// out so the batched kernel can write the marginal field before the
-    /// variable-length ones list.
+    /// variable-length ones list, and `Mechanism::run` can count the
+    /// table without building a report.
     #[inline]
     pub fn sample_marginal<R: Rng + ?Sized>(&self, row: u64, rng: &mut R) -> (u32, u64) {
         let mi = rng.gen_range(0..self.marginals.len());
@@ -96,9 +97,9 @@ impl MargRr {
     }
 
     /// Second half of the encode, shared by the serial
-    /// [`encode`](Self::encode) and the wire encoder: the perturbed
-    /// `2^k`-cell table as successive words (a single word of `2^k`
-    /// lanes for `k ≤ 6`). See [`ldp_sampling::one_hot_words`].
+    /// [`encode`](Self::encode), the wire encoder and `Mechanism::run`:
+    /// the perturbed `2^k`-cell table as successive words (a single word
+    /// of `2^k` lanes for `k ≤ 6`). See [`ldp_sampling::one_hot_words`].
     #[inline]
     pub fn perturbed_table<R: Rng + ?Sized, F: FnMut(u64, u32)>(
         &self,
@@ -163,14 +164,24 @@ impl MargRrAggregator {
     /// `C(d,k)`, and absorbing one directly panics.
     #[inline]
     pub fn absorb_ones<I: IntoIterator<Item = u16>>(&mut self, marginal: u32, ones: I) {
+        let mask = (1usize << self.k) - 1;
+        let table = self.user_table(marginal);
+        for c in ones {
+            table[c as usize & mask] += 1;
+        }
+    }
+
+    /// Count one user of `marginal` and return that marginal's `2^k`
+    /// cell counts, for the caller to add the user's 1-cells to. The
+    /// user is counted here, once, however many words their table
+    /// spans. The marginal must pass [`Self::check`] (one outside
+    /// `C(d,k)` panics).
+    #[inline]
+    pub fn user_table(&mut self, marginal: u32) -> &mut [u64] {
         let cells = 1usize << self.k;
-        let mask = cells - 1;
         let m = marginal as usize;
         self.users[m] += 1;
-        let base = m * cells;
-        for c in ones {
-            self.ones[base + (c as usize & mask)] += 1;
-        }
+        &mut self.ones[m * cells..(m + 1) * cells]
     }
 
     /// Number of reports absorbed.
