@@ -75,6 +75,9 @@ SERVING SUBCOMMANDS
           it per --checkpoint-every and at shutdown)
           --checkpoint-every N (50000; checkpoint once ≥N reports have
           been absorbed since the last one, checked at ingest acks)
+          --max-connections N (1024; at least 1 — most connections open
+          at once; one more is refused with an error frame naming
+          the cap)
   load    Drive a server with concurrent clients (traffic generator).
           --connect ADDR (required) --protocol NAME (required)
           --clients C (4) --reports M (2500; per client)
@@ -194,6 +197,7 @@ fn dispatch(subcommand: &str, rest: &[String]) -> Result<(), String> {
                     "id",
                     "checkpoint",
                     "checkpoint-every",
+                    "max-connections",
                 ],
                 &[],
             )?;

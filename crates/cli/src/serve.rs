@@ -24,6 +24,7 @@ pub fn serve(flags: &Flags) -> Result<(), String> {
     config.collector = flags.get("id").map(str::to_string);
     config.checkpoint = flags.get("checkpoint").map(std::path::PathBuf::from);
     config.checkpoint_every = flags.parsed("checkpoint-every", 50_000u64)?;
+    config.max_connections = flags.parsed("max-connections", config.max_connections)?;
     if config.upstream.is_none() && flags.get("push-every").is_some() {
         return Err("--push-every needs --upstream".to_string());
     }

@@ -89,6 +89,9 @@ where
     F: FnOnce(&mut PushWriter) -> Result<(), FrameError>,
 {
     let stream = connect(addr)?;
+    stream
+        .set_nodelay(true)
+        .map_err(|e| format!("cannot configure the socket: {e}"))?;
     let read_half = stream
         .try_clone()
         .map_err(|e| format!("cannot clone the socket: {e}"))?;

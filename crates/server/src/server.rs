@@ -14,8 +14,19 @@
 //! partition-invariance law makes the result byte-identical to a
 //! serial single-process ingest of the same reports, no matter how
 //! connections, batches, and workers interleaved.
+//!
+//! The accept loop blocks in `accept`. A shutdown request sets the
+//! shutdown flag and then connects to the server itself once (the
+//! bound address, with an unspecified IP replaced by the loopback of
+//! the same family), which wakes the loop to see the flag; the waking
+//! connection is dropped unserved. Every admitted connection gets its
+//! own handler thread; past `ServeConfig::max_connections` open
+//! connections, the accept loop answers a new one with a
+//! `Response::Error` naming the cap and closes it. At end of stream an
+//! ingest handler flushes only the workers its frames went to, so a
+//! busy worker never delays the ack of a connection that never fed it.
 
-use crate::client::Control;
+use crate::client::{Control, CONNECT_TIMEOUT};
 use crate::protocol::{PushRequest, QueryTarget, Request, Response, ServerStats};
 use crate::relay::{read_checkpoint, write_checkpoint, Checkpoint, DownstreamEntry};
 use ldp_bits::Mask;
@@ -25,7 +36,7 @@ use ldp_core::{clamp_normalize, MarginalEstimator};
 use ldp_oracles::pipeline::{PipelineAccumulator, PipelineEstimate, Protocol};
 use std::collections::BTreeMap;
 use std::io::BufWriter;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
@@ -59,14 +70,6 @@ const RELAY_BACKOFF_MAX: Duration = Duration::from_secs(2);
 /// Bounded retry budget for the one final upstream push during a
 /// graceful shutdown (a dead upstream must not wedge shutdown).
 const FINAL_PUSH_ATTEMPTS: u32 = 4;
-
-/// How often the (non-blocking) accept loop polls for the shutdown
-/// flag while no connection is pending. Also the worst-case latency
-/// before a new connection is accepted, so it is kept small: at 1 ms
-/// the idle loop costs ~1000 no-op `accept` calls per second
-/// (negligible), while connection setup stays off the critical path
-/// of short ingest bursts.
-const ACCEPT_POLL: Duration = Duration::from_millis(1);
 
 /// What a worker thread can be asked to do. Channel order is the
 /// contract: a `Flush` or `Collect` answers only after every report the
@@ -143,6 +146,9 @@ pub struct ServeConfig {
     /// been absorbed since the last one (checked when an ingest
     /// stream is acknowledged).
     pub checkpoint_every: u64,
+    /// Most connections open at once (must be ≥ 1). The accept loop
+    /// refuses one more with a `Response::Error` naming the cap.
+    pub max_connections: u64,
 }
 
 impl ServeConfig {
@@ -157,6 +163,7 @@ impl ServeConfig {
             collector: None,
             checkpoint: None,
             checkpoint_every: 50_000,
+            max_connections: 1024,
         }
     }
 }
@@ -176,6 +183,11 @@ pub struct Recovery {
 struct Shared {
     shards: usize,
     shutdown: AtomicBool,
+    /// Where a shutdown request connects to wake the blocked accept
+    /// loop: the bound address, loopback in place of an unspecified IP.
+    wake: SocketAddr,
+    /// Most connections open at once; counted on the accept thread.
+    max_connections: u64,
     next_worker: AtomicUsize,
     reports: AtomicU64,
     connections_accepted: AtomicU64,
@@ -249,6 +261,18 @@ fn worker_loop(mut acc: PipelineAccumulator, rx: mpsc::Receiver<WorkerMsg>, shar
 impl Shared {
     fn keep_going(&self) -> bool {
         !self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Set the shutdown flag, then wake the accept loop (blocked in
+    /// `accept`) with one connection to the server itself.
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        if let Err(e) = TcpStream::connect_timeout(&self.wake, CONNECT_TIMEOUT) {
+            eprintln!(
+                "shutdown: cannot wake the accept loop at {}: {e}",
+                self.wake
+            );
+        }
     }
 
     /// Lock the pipeline slot, recovering from poison: the lock is only
@@ -657,8 +681,14 @@ impl Server {
         if config.checkpoint.is_some() && config.checkpoint_every == 0 {
             return Err("checkpoint interval must be at least 1 report".to_string());
         }
+        if config.max_connections == 0 {
+            return Err("connection cap must be at least 1".to_string());
+        }
         let listener = TcpListener::bind(&config.listen)
             .map_err(|e| format!("cannot listen on {}: {e}", config.listen))?;
+        let bound = listener
+            .local_addr()
+            .map_err(|e| format!("cannot read the bound address: {e}"))?;
         let recovered = match config.checkpoint.as_ref() {
             Some(path) if path.exists() => Some(read_checkpoint(path)?),
             _ => None,
@@ -667,11 +697,12 @@ impl Server {
             .collector
             .clone()
             .or_else(|| recovered.as_ref().map(|cp| cp.collector.clone()))
-            .or_else(|| listener.local_addr().ok().map(|a| a.to_string()))
-            .unwrap_or_else(|| config.listen.clone());
+            .unwrap_or_else(|| bound.to_string());
         let shared = Arc::new(Shared {
             shards: config.shards,
             shutdown: AtomicBool::new(false),
+            wake: wake_addr(bound),
+            max_connections: config.max_connections,
             next_worker: AtomicUsize::new(0),
             reports: AtomicU64::new(0),
             connections_accepted: AtomicU64::new(0),
@@ -736,31 +767,40 @@ impl Server {
     /// connection handlers, take the final snapshot, and tear down the
     /// worker pool.
     pub fn run(self) -> Result<ServerSummary, String> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("cannot poll the listener: {e}"))?;
         let relay = self.shared.upstream.clone().map(|upstream| {
             let shared = Arc::clone(&self.shared);
             std::thread::spawn(move || relay_loop(&shared, &upstream))
         });
         let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-        while self.shared.keep_going() {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    self.shared
-                        .connections_accepted
-                        .fetch_add(1, Ordering::Relaxed);
-                    let shared = Arc::clone(&self.shared);
-                    handlers.push(std::thread::spawn(move || {
-                        handle_connection(shared, stream);
-                    }));
-                    handlers.retain(|h| !h.is_finished());
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) => return Err(format!("accept failed: {e}")),
+        loop {
+            let (stream, _peer) = self
+                .listener
+                .accept()
+                .map_err(|e| format!("accept failed: {e}"))?;
+            // A shutdown request sets the flag before it connects here
+            // to wake this `accept`; whatever connection returned after
+            // that is dropped unserved.
+            if !self.shared.keep_going() {
+                break;
             }
+            // Only this thread raises `connections_active`, so a burst
+            // of connects cannot race past the cap.
+            if self.shared.connections_active.load(Ordering::Relaxed) >= self.shared.max_connections
+            {
+                refuse(stream, self.shared.max_connections);
+                continue;
+            }
+            self.shared
+                .connections_active
+                .fetch_add(1, Ordering::Relaxed);
+            self.shared
+                .connections_accepted
+                .fetch_add(1, Ordering::Relaxed);
+            let shared = Arc::clone(&self.shared);
+            handlers.push(std::thread::spawn(move || {
+                handle_connection(shared, stream);
+            }));
+            handlers.retain(|h| !h.is_finished());
         }
         // Handlers notice the flag within one READ_TIMEOUT window; the
         // relay thread within one RELAY_POLL.
@@ -818,8 +858,37 @@ impl Server {
     }
 }
 
+/// The address a shutdown request connects to in order to wake the
+/// accept loop: `bound`, with an unspecified IP (`0.0.0.0` / `::`)
+/// replaced by the loopback of the same family. `set_ip` keeps an IPv6
+/// scope id, which a link-local bind needs.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut wake = bound;
+    match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => wake.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => wake.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    wake
+}
+
+/// Answer a connection beyond the cap with one `Response::Error` frame
+/// naming it, then close. The frame fits the fresh socket's empty send
+/// buffer, so the write does not stall the accept loop.
+fn refuse(stream: TcpStream, cap: u64) {
+    let mut writer = FrameWriter::new(BufWriter::new(stream));
+    let _ = reply(
+        &mut writer,
+        &Response::Error(format!(
+            "server is at its connection cap ({cap} open connections, \
+             serve --max-connections); retry after one closes"
+        )),
+    );
+}
+
+/// Serve one admitted connection. The accept loop counted it into
+/// `connections_active` before spawning this handler.
 fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
-    shared.connections_active.fetch_add(1, Ordering::Relaxed);
     // Per-connection failures are answered on the wire (or the peer
     // vanished); either way the server itself keeps serving.
     let _ = serve_connection(&shared, stream);
@@ -903,6 +972,9 @@ fn handle_ingest(
     // Outcome of report frames, settled by whichever workers absorb
     // them; folded into the ack after the end-of-stream flush round.
     let progress = Arc::new(IngestProgress::default());
+    // The workers this connection sent frames to: the only ones its
+    // end-of-stream flush round has to wait for.
+    let mut fed = vec![false; senders.len()];
     // One frame buffer per connection: each frame hands the buffer
     // itself to a worker and the next read starts fresh.
     let mut frame = Vec::new();
@@ -916,20 +988,25 @@ fn handle_ingest(
                 let slot = shared.next_worker.fetch_add(1, Ordering::Relaxed) % senders.len();
                 // The modulo keeps `slot` in range (shards ≥ 1); `get`
                 // keeps the dispatch index-panic-free regardless.
-                match senders.get(slot) {
-                    Some(sender)
+                match (senders.get(slot), fed.get_mut(slot)) {
+                    (Some(sender), Some(slot_fed))
                         if sender
                             .send(WorkerMsg::Batch(payload, Arc::clone(&progress)))
-                            .is_ok() => {}
+                            .is_ok() =>
+                    {
+                        *slot_fed = true;
+                    }
                     _ => return Ok(()), // workers torn down: shutting down
                 }
             }
             Ok(false) => {
-                // Clean end-of-stream: flush every worker so the ack
-                // means "absorbed", not "enqueued". The flush round
-                // settles every frame this connection enqueued, so
-                // `progress` is complete below.
-                for sender in &senders {
+                // Clean end-of-stream: flush every worker this
+                // connection fed so the ack means "absorbed", not
+                // "enqueued". Channel order settles every frame this
+                // connection enqueued before its worker answers the
+                // flush, so `progress` is complete below; a header-only
+                // stream fed no worker and acks at once.
+                for (sender, _) in senders.iter().zip(&fed).filter(|(_, &f)| f) {
                     let (tx, rx) = mpsc::channel();
                     if sender.send(WorkerMsg::Flush(tx)).is_ok() {
                         let _ = rx.recv();
@@ -999,7 +1076,7 @@ fn handle_control(
             ),
             Ok(Request::Stats) => (Response::Stats(shared.stats()), false),
             Ok(Request::Shutdown) => {
-                shared.shutdown.store(true, Ordering::SeqCst);
+                shared.begin_shutdown();
                 (
                     Response::Shutdown(shared.reports.load(Ordering::Relaxed)),
                     true,
@@ -1016,5 +1093,25 @@ fn handle_control(
             Ok(None) | Err(FrameError::Interrupted) => return Ok(()),
             Err(e) => return Err(format!("control connection: {e}")),
         };
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::wake_addr;
+    use std::net::{SocketAddr, SocketAddrV6};
+
+    fn addr(text: &str) -> SocketAddr {
+        text.parse().unwrap()
+    }
+
+    #[test]
+    fn wake_addr_replaces_only_an_unspecified_ip() {
+        assert_eq!(wake_addr(addr("0.0.0.0:7878")), addr("127.0.0.1:7878"));
+        assert_eq!(wake_addr(addr("[::]:7878")), addr("[::1]:7878"));
+        assert_eq!(wake_addr(addr("127.0.0.1:9")), addr("127.0.0.1:9"));
+        assert_eq!(wake_addr(addr("10.1.2.3:9")), addr("10.1.2.3:9"));
+        let scoped = SocketAddr::V6(SocketAddrV6::new("fe80::1".parse().unwrap(), 9, 0, 2));
+        assert_eq!(wake_addr(scoped), scoped);
     }
 }

@@ -18,10 +18,17 @@
 //! and frames of the retired wire versions — in every case the server
 //! must keep exactly the complete frames it saw and end up
 //! byte-identical to serial ingest once the tail is resent.
+//!
+//! The connection path has its own cases: a shutdown request wakes an
+//! accept loop that is blocked with no connection pending (on IPv4,
+//! wildcard and IPv6 binds) and ends the server promptly even with idle
+//! connections open, `--max-connections` refuses one connection too
+//! many by name and keeps serving, and a header-only push acks at once
+//! without touching the state.
 
 use ldp_core::frame::{FrameReader, FrameWriter, StreamHeader};
 use ldp_core::wire::Writer;
-use ldp_server::Response;
+use ldp_server::{Request, Response};
 use marginal_ldp::oracles::pipeline::Client;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
@@ -94,11 +101,17 @@ struct ServerProc {
 }
 
 impl ServerProc {
-    /// Spawn the server and parse the bound address off its first
-    /// stderr line (`serving on 127.0.0.1:PORT (W shards)`).
+    /// Spawn the server on `127.0.0.1:0`.
     fn start(extra_args: &[&str]) -> ServerProc {
+        ServerProc::start_on("127.0.0.1:0", extra_args)
+    }
+
+    /// Spawn the server bound to `listen` and parse the bound address
+    /// off its first stderr line (`serving on HOST:PORT (W shards)`).
+    /// A wildcard bind is reached over the loopback of its family.
+    fn start_on(listen: &str, extra_args: &[&str]) -> ServerProc {
         let mut cmd = Command::new(cli_bin());
-        cmd.args(["serve", "--listen", "127.0.0.1:0", "--shards", "4"])
+        cmd.args(["serve", "--listen", listen, "--shards", "4"])
             .args(extra_args)
             .stdin(Stdio::null())
             .stdout(Stdio::null())
@@ -117,7 +130,8 @@ impl ServerProc {
             .split_whitespace()
             .next()
             .expect("address on the first stderr line")
-            .to_string();
+            .replace("0.0.0.0:", "127.0.0.1:")
+            .replace("[::]:", "[::1]:");
         // Keep draining stderr so the server never blocks on the pipe.
         std::thread::spawn(move || for _ in lines.lines() {});
         ServerProc { child, addr }
@@ -128,6 +142,29 @@ impl ServerProc {
         run_cli(&["shutdown", "--connect", &self.addr], None);
         let status = self.child.wait().expect("failed to wait on the server");
         assert!(status.success(), "server exited with {status}");
+    }
+
+    /// Wait for the server to exit 0 no later than `limit` after
+    /// `since`; a server still running then is killed and fails the
+    /// test.
+    fn exits_within(mut self, since: Instant, limit: Duration) {
+        loop {
+            if let Some(status) = self.child.try_wait().expect("poll the server") {
+                let took = since.elapsed();
+                assert!(status.success(), "server exited with {status}");
+                assert!(
+                    took <= limit,
+                    "server took {took:?} to exit (limit {limit:?})"
+                );
+                return;
+            }
+            if since.elapsed() > limit {
+                let _ = self.child.kill();
+                let _ = self.child.wait();
+                panic!("server still running {limit:?} after the shutdown request");
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
     }
 }
 
@@ -148,6 +185,29 @@ fn read_response(stream: &TcpStream) -> Response {
         .expect("read a response frame")
         .expect("server closed without responding");
     Response::from_bytes(&frame).expect("decode the response frame")
+}
+
+/// Send one control request on an open connection and read its answer.
+fn request(stream: &TcpStream, request: &Request) -> Response {
+    let mut writer = FrameWriter::new(stream.try_clone().unwrap());
+    writer.write_frame(&request.to_bytes()).unwrap();
+    writer.flush().unwrap();
+    read_response(stream)
+}
+
+/// Fetch the live snapshot file bytes with the real `snapshot` command.
+fn live_snapshot(addr: &str, path: &Path) -> Vec<u8> {
+    run_cli(
+        &[
+            "snapshot",
+            "--connect",
+            addr,
+            "--output",
+            path.to_str().unwrap(),
+        ],
+        None,
+    );
+    std::fs::read(path).unwrap()
 }
 
 /// The deterministic test population: n records over d attributes.
@@ -973,4 +1033,159 @@ fn mixed_single_and_batch_frames_coexist_on_one_stream() {
     );
     let _ = std::fs::remove_dir_all(&batched_dir);
     let _ = std::fs::remove_dir_all(&single_dir);
+}
+
+/// The accept loop blocks in `accept`, so a shutdown request has to
+/// wake it. With no connection pending, a server bound on loopback, on
+/// the IPv4 wildcard and (where the host has it) on the IPv6 loopback
+/// still exits 0 within a second of the request.
+#[test]
+fn shutdown_wakes_a_server_blocked_in_accept() {
+    let mut listens = vec!["127.0.0.1:0", "0.0.0.0:0"];
+    if std::net::TcpListener::bind("[::1]:0").is_ok() {
+        listens.push("[::1]:0");
+    }
+    for listen in listens {
+        let server = ServerProc::start_on(listen, &[]);
+        // Let the accept loop settle into a blocking `accept`.
+        std::thread::sleep(Duration::from_millis(100));
+        let asked = Instant::now();
+        match request(&client_socket(&server.addr), &Request::Shutdown) {
+            Response::Shutdown(0) => {}
+            other => panic!("{listen}: shutdown got {other:?}"),
+        }
+        server.exits_within(asked, Duration::from_secs(1));
+    }
+}
+
+/// Idle connections do not hold a shutdown up: an ingest stream that
+/// sent its header and went quiet, a control session between requests
+/// and a connection that never sent a byte all end within one read
+/// timeout, and the server exits 0 within a second of the request.
+#[test]
+fn shutdown_with_idle_connections_open_exits_promptly() {
+    let dir = scratch("idle_shutdown");
+    let (header, _) = encoded_stream(&dir, "MargPS", &[], 10);
+    let server = ServerProc::start(&[]);
+
+    let ingest = client_socket(&server.addr);
+    let mut writer = FrameWriter::new(ingest.try_clone().unwrap());
+    writer.write_frame(&header).unwrap();
+    writer.flush().unwrap();
+    let control = client_socket(&server.addr);
+    let silent = client_socket(&server.addr);
+    // The stats answer also proves all three were admitted.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        match request(&control, &Request::Stats) {
+            Response::Stats(s) if s.header.is_some() && s.connections_active == 3 => break,
+            Response::Stats(_) => {}
+            other => panic!("stats got {other:?}"),
+        }
+        assert!(Instant::now() < deadline, "idle connections never settled");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let asked = Instant::now();
+    match request(&client_socket(&server.addr), &Request::Shutdown) {
+        Response::Shutdown(0) => {}
+        other => panic!("shutdown got {other:?}"),
+    }
+    server.exits_within(asked, Duration::from_secs(1));
+    drop((ingest, control, silent));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--max-connections 2`: with two control sessions held open, a third
+/// connection reads an error frame naming the cap and is closed. Once
+/// one held session closes, a push is admitted and acked, and the
+/// remaining session's `stats` still answers.
+#[test]
+fn connections_beyond_the_cap_are_refused_and_the_server_keeps_serving() {
+    let dir = scratch("cap");
+    let (header, frames) = encoded_stream(&dir, "MargPS", &[], 40);
+    let server = ServerProc::start(&["--max-connections", "2"]);
+
+    let mut held: Vec<TcpStream> = (0..2)
+        .map(|_| {
+            let stream = client_socket(&server.addr);
+            match request(&stream, &Request::Stats) {
+                Response::Stats(_) => stream,
+                other => panic!("an admitted session got {other:?}"),
+            }
+        })
+        .collect();
+    match read_response(&client_socket(&server.addr)) {
+        Response::Error(message) => assert!(
+            message.contains("connection cap (2 open connections"),
+            "unexpected refusal: {message}"
+        ),
+        other => panic!("a connection beyond the cap got {other:?}"),
+    }
+
+    drop(held.pop());
+    let control = held.pop().unwrap();
+    // The closed session's handler leaves on its own thread; wait for
+    // its slot to free.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        match request(&control, &Request::Stats) {
+            Response::Stats(s) if s.connections_active == 1 => break,
+            Response::Stats(_) => {}
+            other => panic!("stats got {other:?}"),
+        }
+        assert!(Instant::now() < deadline, "the closed session never left");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    match push_stream(&server.addr, &header, &frames) {
+        Response::Ingested(n) => assert_eq!(n as usize, 40),
+        other => panic!("a push under the cap got {other:?}"),
+    }
+    match request(&control, &Request::Stats) {
+        Response::Stats(s) => assert_eq!(s.reports, 40),
+        other => panic!("stats after the push got {other:?}"),
+    }
+    // Shut down over the held session: a fresh connection could still
+    // find the push's slot taken.
+    let asked = Instant::now();
+    match request(&control, &Request::Shutdown) {
+        Response::Shutdown(40) => {}
+        other => panic!("shutdown got {other:?}"),
+    }
+    server.exits_within(asked, Duration::from_secs(1));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A stream of only a header feeds no worker, so its ack needs no flush
+/// round: it acks `Ingested(0)` whether it establishes the pipeline or
+/// arrives later, and the snapshot stays byte-identical to serial
+/// ingest of the reports that were pushed.
+#[test]
+fn header_only_push_acks_zero_and_leaves_the_snapshot_unchanged() {
+    let dir = scratch("header_only");
+    let (header, frames) = encoded_stream(&dir, "MargPS", &["--batch", "16"], 100);
+    let server = ServerProc::start(&[]);
+
+    match push_stream(&server.addr, &header, &[]) {
+        Response::Ingested(0) => {}
+        other => panic!("an establishing header-only push got {other:?}"),
+    }
+    match push_stream(&server.addr, &header, &frames) {
+        Response::Ingested(100) => {}
+        other => panic!("the report push got {other:?}"),
+    }
+    let before = live_snapshot(&server.addr, &dir.join("before.bin"));
+    match push_stream(&server.addr, &header, &[]) {
+        Response::Ingested(0) => {}
+        other => panic!("a later header-only push got {other:?}"),
+    }
+    let after = live_snapshot(&server.addr, &dir.join("after.bin"));
+    assert_eq!(after, before, "a header-only push changed the snapshot");
+    let serial = run_cli(
+        &["ingest"],
+        Some(&std::fs::read(dir.join("stream.bin")).unwrap()),
+    );
+    assert_eq!(after, serial, "snapshot differs from serial ingest");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
