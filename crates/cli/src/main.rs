@@ -63,7 +63,9 @@ BATCH SUBCOMMANDS
 SERVING SUBCOMMANDS
   serve   Run the concurrent aggregation server until `shutdown`.
           --listen ADDR (127.0.0.1:7878; port 0 picks a free port — the
-          bound address is the first stderr line) --shards W (cores)
+          bound address is the first stderr line) --shards W (cores;
+          W lock-guarded accumulators, absorbed into by W−1 helper
+          threads and by connection threads when the helpers are busy)
           --output PATH (write the final snapshot on shutdown)
           --upstream ADDR (relay mode: push the merged snapshot to a
           parent collector periodically, on every snapshot request,

@@ -15,8 +15,8 @@
 //!   length-prefixed frame format as report streams;
 //! * [`server`] — [`server::Server`]: an accept loop that classifies
 //!   each connection by its first frame (a `StreamHeader` opens an
-//!   ingest stream, a request tag opens a control session) and shards
-//!   ingestion across a worker pool of per-thread accumulators;
+//!   ingest stream, a request tag opens a control session) and absorbs
+//!   ingest into lock-guarded shard accumulators;
 //! * [`client`] — blocking client helpers ([`client::push_reports`],
 //!   [`client::Control`]) used by `ldp-cli load` / `snapshot` / `stats`
 //!   / `query --connect` and by the repo benchmark (`benchmark/`);
@@ -34,8 +34,8 @@
 //!
 //! The server's correctness contract is the `Accumulator`
 //! partition-invariance law: however concurrent connections interleave
-//! and however reports land on workers, merging the worker states in
-//! worker order yields accumulator state **byte-identical** to a serial
+//! and however reports land on shards, merging the shard states in
+//! shard order yields accumulator state **byte-identical** to a serial
 //! single-process ingest of the same reports (proved end-to-end against
 //! the real binary by `tests/serve.rs`, and across whole process trees
 //! by `tests/federation.rs`). The byte-level encoding of every frame is

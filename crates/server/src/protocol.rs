@@ -153,9 +153,9 @@ pub struct ServerStats {
     /// The established pipeline's header (`None` until the first
     /// report stream arrives).
     pub header: Option<StreamHeader>,
-    /// Reports absorbed across all workers.
+    /// Reports absorbed across all shards.
     pub reports: u64,
-    /// Worker (shard) count.
+    /// Shard count (`--shards`).
     pub workers: u32,
     /// Connections accepted since startup.
     pub connections_accepted: u64,

@@ -6,7 +6,7 @@
 //! latest snapshot each downstream collector pushed. `ldp-cli serve
 //! --checkpoint PATH` writes one after every ingest acknowledgement
 //! that crosses the `--checkpoint-every` threshold (and on graceful
-//! shutdown); on restart the file seeds the worker pool and the
+//! shutdown); on restart the file seeds shard 0 and the
 //! downstream replacement table, so the collector resumes exactly
 //! where the last checkpoint left it — reports absorbed after it are
 //! lost with the crash and covered by the clients' at-least-once
@@ -52,7 +52,7 @@ pub struct Checkpoint {
     pub reports: u64,
     /// The established pipeline header.
     pub header: StreamHeader,
-    /// Worker states merged in worker order — local reports only.
+    /// Shard states merged in shard order — local reports only.
     pub local_state: Vec<u8>,
     /// The downstream replacement table, in collector-id order.
     pub downstream: Vec<DownstreamEntry>,

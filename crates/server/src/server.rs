@@ -1,30 +1,42 @@
 //! The aggregation server: accept loop, connection classification, and
-//! the sharded worker pool.
+//! the sharded accumulators.
 //!
 //! One server aggregates one pipeline. The first ingest connection's
-//! `StreamHeader` establishes it and spawns the worker pool — `shards`
-//! threads, each owning a private `PipelineAccumulator`. Connection
-//! handlers round-robin work across workers over `std::sync::mpsc`
-//! channels: every report frame is forwarded raw, to be validated and
-//! absorbed straight from its bits on the worker
-//! (`PipelineAccumulator::absorb_frame`), keeping the socket thread on
-//! pure frame I/O. A frame that is not a wire-v4 `REPORT_BATCH` is
-//! refused there like any other bad batch. A live snapshot collects every worker's serialized
-//! state and merges them **in worker order**, so the `Accumulator`
-//! partition-invariance law makes the result byte-identical to a
-//! serial single-process ingest of the same reports, no matter how
-//! connections, batches, and workers interleaved.
+//! `StreamHeader` establishes it: `shards` accumulators, each behind its
+//! own lock, plus `shards − 1` helper threads. A connection handler
+//! offers each raw `REPORT_BATCH` frame to the helpers over one shared
+//! channel `shards` frames deep; when the channel is full it absorbs the
+//! frame itself ("caller runs"), so no frame ever waits in an unbounded
+//! queue and TCP flow control holds back a pusher faster than absorb.
+//! Whoever absorbs a frame validates it and absorbs it straight from its
+//! bits (`PipelineAccumulator::absorb_frame`) into the first shard it can
+//! lock, trying from a round-robin start. A frame that is not a wire-v4
+//! `REPORT_BATCH` is refused there like any other bad batch. A live
+//! snapshot locks the shards one at a time, clones each and merges them
+//! **in shard order**, so the `Accumulator` partition-invariance law
+//! makes the result byte-identical to a serial single-process ingest of
+//! the same reports, no matter how connections, frames and shards
+//! interleaved. A query never waits behind queued ingest: at most behind
+//! one frame's absorb per shard.
+//!
+//! Each ingest connection counts the frames it offered that a helper has
+//! not yet absorbed. Every way out of the connection — end of stream,
+//! error, disconnect, shutdown — first waits for that count to reach
+//! zero, so an ack means "absorbed" and a final snapshot holds every
+//! complete frame the server read.
 //!
 //! The accept loop blocks in `accept`. A shutdown request sets the
 //! shutdown flag and then connects to the server itself once (the
 //! bound address, with an unspecified IP replaced by the loopback of
 //! the same family), which wakes the loop to see the flag; the waking
 //! connection is dropped unserved. Every admitted connection gets its
-//! own handler thread; past `ServeConfig::max_connections` open
-//! connections, the accept loop answers a new one with a
-//! `Response::Error` naming the cap and closes it. At end of stream an
-//! ingest handler flushes only the workers its frames went to, so a
-//! busy worker never delays the ack of a connection that never fed it.
+//! own handler thread and holds one descriptor; past
+//! `ServeConfig::max_connections` open connections, the accept loop
+//! answers a new one with a `Response::Error` naming the cap and closes
+//! it. When `accept` runs out of descriptors (`EMFILE`/`ENFILE`) while a
+//! connection is open, the loop waits for a connection to close (or for
+//! shutdown) and accepts again; with none open the error ends the
+//! server.
 
 use crate::client::{Control, CONNECT_TIMEOUT};
 use crate::protocol::{PushRequest, QueryTarget, Request, Response, ServerStats};
@@ -35,11 +47,12 @@ use ldp_core::wire::tag;
 use ldp_core::{clamp_normalize, MarginalEstimator};
 use ldp_oracles::pipeline::{PipelineAccumulator, PipelineEstimate, Protocol};
 use std::collections::BTreeMap;
-use std::io::BufWriter;
+use std::io::{self, BufWriter};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -71,55 +84,114 @@ const RELAY_BACKOFF_MAX: Duration = Duration::from_secs(2);
 /// graceful shutdown (a dead upstream must not wedge shutdown).
 const FINAL_PUSH_ATTEMPTS: u32 = 4;
 
-/// What a worker thread can be asked to do. Channel order is the
-/// contract: a `Flush` or `Collect` answers only after every report the
-/// same sender enqueued before it has been absorbed.
-enum WorkerMsg {
-    /// Absorb one raw `REPORT_BATCH` frame payload, settling the outcome
-    /// into the sender's [`IngestProgress`]. Validating and absorbing
-    /// on the worker keeps the connection handler on pure frame I/O.
-    Batch(Vec<u8>, Arc<IngestProgress>),
-    /// Acknowledge that everything enqueued earlier is absorbed.
-    Flush(mpsc::Sender<()>),
-    /// Serialize the current accumulator state.
-    Collect(mpsc::Sender<Vec<u8>>),
-}
+/// `errno` for "too many open files" in this process (`EMFILE`) and in
+/// the system (`ENFILE`); the values are the same on Linux, macOS and
+/// the BSDs.
+const EMFILE: i32 = 24;
+const ENFILE: i32 = 23;
 
-/// Per-connection outcome of report frames settled on worker threads.
-/// The connection handler reads it only after a flush round, when
-/// channel order guarantees every frame it enqueued has been absorbed
-/// (or refused) — so the ack still means "absorbed", never "enqueued".
+/// Per-connection outcome of its report frames. Frames the handler
+/// absorbs itself settle at once; frames it offers to a helper stay
+/// pending until the helper has absorbed (or refused) them, and every
+/// exit from the connection waits for the pending count to reach zero
+/// — so the ack means "absorbed", never "offered".
 #[derive(Default)]
 struct IngestProgress {
     /// Reports absorbed out of this connection's frames.
     absorbed: AtomicU64,
     /// The first refused frame's error, folded into the ack.
     error: Mutex<Option<String>>,
+    /// Frames offered and not yet settled.
+    pending: Mutex<Pending>,
+    /// Signalled when the pending count falls to zero while the
+    /// connection handler waits for it.
+    settled: Condvar,
+}
+
+#[derive(Default)]
+struct Pending {
+    frames: u64,
+    /// The handler is blocked in [`IngestProgress::wait_settled`]; only
+    /// then does the last settle pay for a wakeup.
+    waiting: bool,
+}
+
+/// Lock `mutex`, recovering from poison. Every value locked this way
+/// (a counter, an error slot, a channel end, an accumulator that
+/// `absorb_frame` changes only after validating a whole frame) is valid
+/// at every instruction, so one panicked thread must not cascade.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl IngestProgress {
     fn record_error(&self, message: String) {
-        let mut slot = self.error.lock().unwrap_or_else(PoisonError::into_inner);
-        slot.get_or_insert(message);
+        lock(&self.error).get_or_insert(message);
     }
 
     fn take_error(&self) -> Option<String> {
-        self.error
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
+        lock(&self.error).take()
+    }
+
+    fn settle(&self) {
+        let mut pending = lock(&self.pending);
+        pending.frames = pending.frames.saturating_sub(1);
+        if pending.frames == 0 && pending.waiting {
+            self.settled.notify_one();
+        }
+    }
+
+    /// Block until every offered frame has settled.
+    fn wait_settled(&self) {
+        let mut pending = lock(&self.pending);
+        pending.waiting = true;
+        while pending.frames > 0 {
+            pending = self
+                .settled
+                .wait(pending)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        pending.waiting = false;
     }
 }
 
-struct Worker {
-    sender: mpsc::Sender<WorkerMsg>,
-    handle: JoinHandle<()>,
+/// One frame offered to the helpers. It is pending from [`Offer::new`]
+/// until it is dropped: after a helper absorbed it, after the handler
+/// absorbed an offer no helper took, or while a helper unwinds — so the
+/// pending count can neither leak nor settle early.
+struct Offer {
+    payload: Vec<u8>,
+    progress: Arc<IngestProgress>,
 }
 
-/// The established pipeline: fixed header + the worker pool.
+impl Offer {
+    fn new(payload: Vec<u8>, progress: &Arc<IngestProgress>) -> Offer {
+        lock(&progress.pending).frames += 1;
+        Offer {
+            payload,
+            progress: Arc::clone(progress),
+        }
+    }
+}
+
+impl Drop for Offer {
+    fn drop(&mut self) {
+        self.progress.settle();
+    }
+}
+
+/// The shard accumulators, each behind its own lock.
+type Shards = Arc<[Mutex<PipelineAccumulator>]>;
+
+/// The established pipeline: fixed header, the shards, and the helpers
+/// that absorb offered frames into them.
 struct Pipeline {
     header: StreamHeader,
-    workers: Vec<Worker>,
+    shards: Shards,
+    /// The helpers' shared offer channel, `shards` frames deep. With one
+    /// shard there is no helper and every offer is refused at once.
+    offers: SyncSender<Offer>,
+    helpers: Vec<JoinHandle<()>>,
 }
 
 /// How the server participates in a federation tree (all optional:
@@ -129,7 +201,10 @@ struct Pipeline {
 pub struct ServeConfig {
     /// Bind address (port `0` picks a free port).
     pub listen: String,
-    /// Worker-pool size (must be ≥ 1).
+    /// Shard accumulators (must be ≥ 1). Ingest runs on the connection
+    /// handlers plus `shards − 1` helper threads, each absorbing into
+    /// whichever shard is free; more shards than cores adds lock and
+    /// merge work without adding absorb capacity.
     pub shards: usize,
     /// Push the merged snapshot to this collector periodically, on
     /// every snapshot request served, and on graceful shutdown.
@@ -171,7 +246,7 @@ impl ServeConfig {
 /// What a checkpoint recovery restored, for startup logging.
 #[derive(Clone, Copy, Debug)]
 pub struct Recovery {
-    /// Locally-absorbed reports restored into the worker pool.
+    /// Locally-absorbed reports restored into shard 0.
     pub reports: u64,
     /// The push-epoch counter at the checkpoint.
     pub epoch: u64,
@@ -188,10 +263,15 @@ struct Shared {
     wake: SocketAddr,
     /// Most connections open at once; counted on the accept thread.
     max_connections: u64,
-    next_worker: AtomicUsize,
+    /// Where the next frame starts looking for a free shard.
+    next_shard: AtomicUsize,
     reports: AtomicU64,
     connections_accepted: AtomicU64,
-    connections_active: AtomicU64,
+    /// Connections open now. Only the accept loop raises it.
+    connections_active: Mutex<u64>,
+    /// Signalled when `connections_active` falls or shutdown begins:
+    /// what an accept loop out of descriptors waits for.
+    connection_closed: Condvar,
     rejected_frames: AtomicU64,
     started: Instant,
     pipeline: Mutex<Option<Pipeline>>,
@@ -242,19 +322,56 @@ fn absorb_batch_frame(
     }
 }
 
-fn worker_loop(mut acc: PipelineAccumulator, rx: mpsc::Receiver<WorkerMsg>, shared: Arc<Shared>) {
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            WorkerMsg::Batch(payload, progress) => {
-                absorb_batch_frame(&mut acc, &payload, &progress, &shared);
-            }
-            WorkerMsg::Flush(ack) => {
-                let _ = ack.send(());
-            }
-            WorkerMsg::Collect(reply) => {
-                let _ = reply.send(acc.to_bytes());
-            }
-        }
+/// Lock a shard if it is free, recovering from poison as [`lock`] does.
+fn try_lock_shard(
+    shard: &Mutex<PipelineAccumulator>,
+) -> Option<MutexGuard<'_, PipelineAccumulator>> {
+    match shard.try_lock() {
+        Ok(acc) => Some(acc),
+        Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
+}
+
+/// Absorb one frame into the first shard free to take it, trying from a
+/// round-robin start; if every shard is busy, wait for the start shard.
+/// Any shard will do: the partition-invariance law makes the merged
+/// state independent of where each frame landed.
+fn absorb_into_shards(
+    shards: &[Mutex<PipelineAccumulator>],
+    payload: &[u8],
+    progress: &IngestProgress,
+    shared: &Shared,
+) {
+    // `shards` is never empty (`bind_with` refuses zero).
+    let start = shared.next_shard.fetch_add(1, Ordering::Relaxed) % shards.len().max(1);
+    let free = shards
+        .iter()
+        .cycle()
+        .skip(start)
+        .take(shards.len())
+        .find_map(try_lock_shard);
+    let acc = free.or_else(|| shards.get(start).map(lock));
+    if let Some(mut acc) = acc {
+        absorb_batch_frame(&mut acc, payload, progress, shared);
+    }
+}
+
+/// A helper thread: absorb offered frames until the pipeline is torn
+/// down. Dropping each offer after its absorb settles it.
+fn helper_loop(
+    offers: &Mutex<Receiver<Offer>>,
+    shards: &[Mutex<PipelineAccumulator>],
+    shared: &Shared,
+) {
+    loop {
+        // A statement of its own, so the receiver is released before the
+        // absorb and another helper can take the next offer meanwhile.
+        let next = lock(offers).recv();
+        let Ok(offer) = next else {
+            return;
+        };
+        absorb_into_shards(shards, &offer.payload, &offer.progress, shared);
     }
 }
 
@@ -263,10 +380,15 @@ impl Shared {
         !self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Set the shutdown flag, then wake the accept loop (blocked in
-    /// `accept`) with one connection to the server itself.
+    /// Set the shutdown flag, then wake the accept loop — blocked in
+    /// `accept`, or waiting for a descriptor to free — with one
+    /// connection to the server itself and a condvar signal.
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        // Signalled under the lock the waiter checks the flag under, so
+        // the wakeup cannot slip in between its check and its wait.
+        drop(lock(&self.connections_active));
+        self.connection_closed.notify_all();
         if let Err(e) = TcpStream::connect_timeout(&self.wake, CONNECT_TIMEOUT) {
             eprintln!(
                 "shutdown: cannot wake the accept loop at {}: {e}",
@@ -275,24 +397,62 @@ impl Shared {
         }
     }
 
+    /// Count a connection out and wake an accept loop waiting for a
+    /// descriptor.
+    fn close_connection(&self) {
+        let mut open = lock(&self.connections_active);
+        *open = open.saturating_sub(1);
+        self.connection_closed.notify_all();
+    }
+
+    /// Whether the accept loop survives `e`: at once after a connection
+    /// reset before it was taken or an interrupted call; when out of
+    /// descriptors, once a connection closes.
+    fn accept_again(&self, e: &io::Error) -> bool {
+        match e.kind() {
+            io::ErrorKind::ConnectionAborted | io::ErrorKind::Interrupted => true,
+            _ => matches!(e.raw_os_error(), Some(EMFILE | ENFILE)) && self.wait_for_a_close(),
+        }
+    }
+
+    /// Wait until a connection closes or shutdown begins; `false` at
+    /// once when no connection is open, since then nothing will free a
+    /// descriptor.
+    fn wait_for_a_close(&self) -> bool {
+        let mut open = lock(&self.connections_active);
+        if *open == 0 {
+            return false;
+        }
+        let before = *open;
+        while *open >= before && self.keep_going() {
+            open = self
+                .connection_closed
+                .wait(open)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        true
+    }
+
     /// Lock the pipeline slot, recovering from poison: the lock is only
     /// poisoned if a holder panicked, and everything under it (the
-    /// header and the worker handles) is valid at every instruction, so
-    /// one crashed connection handler must not cascade a panic into
-    /// every other handler that touches the pipeline afterwards.
+    /// header, the shards, the offer channel and the helper handles) is
+    /// valid at every instruction, so one crashed connection handler
+    /// must not cascade a panic into every other handler that touches
+    /// the pipeline afterwards.
     fn lock_pipeline(&self) -> MutexGuard<'_, Option<Pipeline>> {
         self.pipeline.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Establish the pipeline from the first stream's header (spawning
-    /// the worker pool), or verify a later stream matches it exactly.
+    /// Establish the pipeline from the first stream's header (building
+    /// the shards and spawning the helpers), or verify a later stream
+    /// matches it exactly.
     fn establish(self: &Arc<Self>, header: StreamHeader) -> Result<(), String> {
         self.establish_seeded(header, None)
     }
 
-    /// [`Shared::establish`], optionally seeding worker 0 with a
+    /// [`Shared::establish`], optionally seeding shard 0 with a
     /// recovered accumulator state (checkpoint recovery): merging in
-    /// worker order then makes the live state `recovered ⊕ new`, which
+    /// shard order then makes the live state `recovered ⊕ new`, which
     /// the partition-invariance law keeps byte-identical to a serial
     /// ingest of both report sets.
     fn establish_seeded(
@@ -313,32 +473,42 @@ impl Shared {
             ));
         }
         let mut seed = seed;
-        let workers = (0..self.shards)
+        let shards: Shards = (0..self.shards)
             .map(|_| {
                 let acc = match seed.take() {
                     Some(state) => PipelineAccumulator::from_state(&header, state)?,
                     None => PipelineAccumulator::empty(&header)?,
                 };
-                let (sender, rx) = mpsc::channel();
-                let shared = Arc::clone(self);
-                let handle = std::thread::spawn(move || worker_loop(acc, rx, shared));
-                Ok(Worker { sender, handle })
+                Ok(Mutex::new(acc))
             })
-            .collect::<Result<Vec<_>, String>>()?;
-        *guard = Some(Pipeline { header, workers });
+            .collect::<Result<_, String>>()?;
+        // As deep as there are shards: a rendezvous (depth 0) hands off
+        // too few frames to pay for the wakeup each costs, and anything
+        // deeper than the helpers can drain only holds frames longer.
+        let (offers, queue) = mpsc::sync_channel(self.shards);
+        let queue = Arc::new(Mutex::new(queue));
+        let helpers = (1..self.shards)
+            .map(|_| {
+                let (queue, shards, shared) =
+                    (Arc::clone(&queue), Arc::clone(&shards), Arc::clone(self));
+                std::thread::spawn(move || helper_loop(&queue, &shards, &shared))
+            })
+            .collect();
+        *guard = Some(Pipeline {
+            header,
+            shards,
+            offers,
+            helpers,
+        });
         Ok(())
     }
 
-    /// Clone out the established header and worker senders, so report
-    /// dispatch runs without touching the pipeline lock.
-    fn senders(&self) -> Option<(StreamHeader, Vec<mpsc::Sender<WorkerMsg>>)> {
-        let guard = self.lock_pipeline();
-        guard.as_ref().map(|p| {
-            (
-                p.header,
-                p.workers.iter().map(|w| w.sender.clone()).collect(),
-            )
-        })
+    /// Clone out the shards and the offer channel, so report ingest runs
+    /// without touching the pipeline lock.
+    fn route(&self) -> Option<(Shards, SyncSender<Offer>)> {
+        self.lock_pipeline()
+            .as_ref()
+            .map(|p| (Arc::clone(&p.shards), p.offers.clone()))
     }
 
     /// Lock the downstream replacement table, recovering from poison
@@ -382,31 +552,18 @@ impl Shared {
         Ok((header, merged))
     }
 
-    /// The locally-absorbed accumulator: every worker's state, merged
-    /// in worker order. Excludes downstream pushes — this is what a
-    /// checkpoint stores as `local_state`.
+    /// The locally-absorbed accumulator: every shard locked one at a
+    /// time and cloned, merged in shard order. Excludes downstream
+    /// pushes — this is what a checkpoint stores as `local_state`.
     fn collect_local(&self) -> Result<(StreamHeader, PipelineAccumulator), String> {
-        let guard = self.lock_pipeline();
-        let pipeline = guard
+        let (header, shards) = self
+            .lock_pipeline()
             .as_ref()
+            .map(|p| (p.header, Arc::clone(&p.shards)))
             .ok_or("no report stream has been ingested yet")?;
-        let receivers: Vec<mpsc::Receiver<Vec<u8>>> = pipeline
-            .workers
-            .iter()
-            .map(|w| {
-                let (tx, rx) = mpsc::channel();
-                w.sender
-                    .send(WorkerMsg::Collect(tx))
-                    .map(|()| rx)
-                    .map_err(|_| "a worker thread exited unexpectedly".to_string())
-            })
-            .collect::<Result<_, String>>()?;
         let mut merged: Option<PipelineAccumulator> = None;
-        for rx in receivers {
-            let state = rx
-                .recv()
-                .map_err(|_| "a worker thread exited unexpectedly".to_string())?;
-            let acc = PipelineAccumulator::from_state(&pipeline.header, &state)?;
+        for shard in shards.iter() {
+            let acc = lock(shard).clone();
             merged = Some(match merged {
                 None => acc,
                 Some(mut base) => {
@@ -415,8 +572,8 @@ impl Shared {
                 }
             });
         }
-        let merged = merged.ok_or("server has no workers")?;
-        Ok((pipeline.header, merged))
+        let merged = merged.ok_or("server has no shards")?;
+        Ok((header, merged))
     }
 
     fn stats(&self) -> ServerStats {
@@ -426,7 +583,7 @@ impl Shared {
             reports: self.reports.load(Ordering::Relaxed),
             workers: self.shards as u32,
             connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
-            connections_active: self.connections_active.load(Ordering::Relaxed) as u32,
+            connections_active: *lock(&self.connections_active) as u32,
             rejected_frames: self.rejected_frames.load(Ordering::Relaxed),
             uptime_ms: self.started.elapsed().as_millis() as u64,
         }
@@ -519,10 +676,10 @@ impl Shared {
 
     /// Write a checkpoint if at least `checkpoint_every` reports have
     /// been absorbed since the last one. Runs on the ingest-ack path
-    /// after the flush round, so every report the checkpoint counts is
-    /// already inside a worker accumulator — an acknowledged stream is
-    /// durable (at `--checkpoint-every 1`) before its client sees the
-    /// ack.
+    /// once the connection's pending count is zero, so every report the
+    /// checkpoint counts is already inside a shard — an acknowledged
+    /// stream is durable (at `--checkpoint-every 1`) before its client
+    /// sees the ack.
     fn maybe_checkpoint(&self) {
         let Some(path) = self.checkpoint.as_ref() else {
             return;
@@ -663,15 +820,15 @@ pub struct Server {
 
 impl Server {
     /// Bind to `listen` (e.g. `127.0.0.1:7878`; port `0` picks a free
-    /// port — read it back with [`Server::local_addr`]) with a worker
-    /// pool of `shards` accumulator threads.
+    /// port — read it back with [`Server::local_addr`]) with `shards`
+    /// accumulators.
     pub fn bind(listen: &str, shards: usize) -> Result<Server, String> {
         Server::bind_with(&ServeConfig::new(listen, shards))
     }
 
     /// [`Server::bind`] with federation and durability options. If the
     /// configured checkpoint file exists, it is recovered before
-    /// serving: the local state seeds the worker pool, and the
+    /// serving: the local state seeds shard 0, and the
     /// downstream table resumes replacement semantics, so children
     /// re-pushing after the restart replace rather than double-count.
     pub fn bind_with(config: &ServeConfig) -> Result<Server, String> {
@@ -703,10 +860,11 @@ impl Server {
             shutdown: AtomicBool::new(false),
             wake: wake_addr(bound),
             max_connections: config.max_connections,
-            next_worker: AtomicUsize::new(0),
+            next_shard: AtomicUsize::new(0),
             reports: AtomicU64::new(0),
             connections_accepted: AtomicU64::new(0),
-            connections_active: AtomicU64::new(0),
+            connections_active: Mutex::new(0),
+            connection_closed: Condvar::new(),
             rejected_frames: AtomicU64::new(0),
             started: Instant::now(),
             pipeline: Mutex::new(None),
@@ -764,35 +922,40 @@ impl Server {
     }
 
     /// Serve until a graceful-shutdown request arrives, then drain
-    /// connection handlers, take the final snapshot, and tear down the
-    /// worker pool.
+    /// connection handlers, take the final snapshot, and stop the
+    /// helpers.
     pub fn run(self) -> Result<ServerSummary, String> {
         let relay = self.shared.upstream.clone().map(|upstream| {
             let shared = Arc::clone(&self.shared);
             std::thread::spawn(move || relay_loop(&shared, &upstream))
         });
         let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-        loop {
-            let (stream, _peer) = self
-                .listener
-                .accept()
-                .map_err(|e| format!("accept failed: {e}"))?;
+        // The check at the top catches a shutdown that woke a loop out
+        // of descriptors, whose self-connect may have found none either.
+        while self.shared.keep_going() {
+            let accepted = self.listener.accept();
             // A shutdown request sets the flag before it connects here
-            // to wake this `accept`; whatever connection returned after
-            // that is dropped unserved.
+            // (or signals a loop out of descriptors); whatever
+            // connection returned after that is dropped unserved.
             if !self.shared.keep_going() {
                 break;
             }
+            let stream = match accepted {
+                Ok((stream, _peer)) => stream,
+                Err(e) if self.shared.accept_again(&e) => continue,
+                Err(e) => return Err(format!("accept failed: {e}")),
+            };
             // Only this thread raises `connections_active`, so a burst
             // of connects cannot race past the cap.
-            if self.shared.connections_active.load(Ordering::Relaxed) >= self.shared.max_connections
             {
-                refuse(stream, self.shared.max_connections);
-                continue;
+                let mut open = lock(&self.shared.connections_active);
+                if *open >= self.shared.max_connections {
+                    drop(open);
+                    refuse(&stream, self.shared.max_connections);
+                    continue;
+                }
+                *open += 1;
             }
-            self.shared
-                .connections_active
-                .fetch_add(1, Ordering::Relaxed);
             self.shared
                 .connections_accepted
                 .fetch_add(1, Ordering::Relaxed);
@@ -842,11 +1005,16 @@ impl Server {
                 }
             }
         }
+        // Every handler waited for its offers to settle before it
+        // returned, so the helpers are idle and the shards complete.
         let snapshot = self.shared.collect().ok();
         let pipeline = self.shared.lock_pipeline().take();
-        if let Some(pipeline) = pipeline {
-            for Worker { sender, handle } in pipeline.workers {
-                drop(sender); // closes the channel; the worker loop ends
+        if let Some(Pipeline {
+            offers, helpers, ..
+        }) = pipeline
+        {
+            drop(offers); // closes the channel; the helper loops end
+            for handle in helpers {
                 let _ = handle.join();
             }
         }
@@ -875,7 +1043,7 @@ fn wake_addr(bound: SocketAddr) -> SocketAddr {
 /// Answer a connection beyond the cap with one `Response::Error` frame
 /// naming it, then close. The frame fits the fresh socket's empty send
 /// buffer, so the write does not stall the accept loop.
-fn refuse(stream: TcpStream, cap: u64) {
+fn refuse(stream: &TcpStream, cap: u64) {
     let mut writer = FrameWriter::new(BufWriter::new(stream));
     let _ = reply(
         &mut writer,
@@ -891,32 +1059,32 @@ fn refuse(stream: TcpStream, cap: u64) {
 fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
     // Per-connection failures are answered on the wire (or the peer
     // vanished); either way the server itself keeps serving.
-    let _ = serve_connection(&shared, stream);
-    shared.connections_active.fetch_sub(1, Ordering::Relaxed);
+    let _ = serve_connection(&shared, &stream);
+    drop(stream);
+    shared.close_connection();
 }
 
-// `FrameReader` buffers socket reads itself (slicing many frames out
-// of one `read` call), so the read half needs no `BufReader`.
-type ConnReader = FrameReader<TcpStream>;
-type ConnWriter = FrameWriter<BufWriter<TcpStream>>;
+// Both halves borrow the one socket, so a connection holds one
+// descriptor. `FrameReader` buffers socket reads itself (slicing many
+// frames out of one `read` call), so the read half needs no
+// `BufReader`.
+type ConnReader<'a> = FrameReader<&'a TcpStream>;
+type ConnWriter<'a> = FrameWriter<BufWriter<&'a TcpStream>>;
 
-fn reply(writer: &mut ConnWriter, response: &Response) -> Result<(), String> {
+fn reply(writer: &mut ConnWriter<'_>, response: &Response) -> Result<(), String> {
     writer
         .write_frame(&response.to_bytes())
         .and_then(|()| writer.flush())
         .map_err(|e| format!("cannot write response: {e}"))
 }
 
-fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) -> Result<(), String> {
+fn serve_connection(shared: &Arc<Shared>, stream: &TcpStream) -> Result<(), String> {
     stream
         .set_nonblocking(false)
         .and_then(|()| stream.set_read_timeout(Some(READ_TIMEOUT)))
         .and_then(|()| stream.set_nodelay(true))
         .map_err(|e| format!("cannot configure the socket: {e}"))?;
-    let read_half = stream
-        .try_clone()
-        .map_err(|e| format!("cannot clone the socket: {e}"))?;
-    let mut reader = FrameReader::new(read_half);
+    let mut reader = FrameReader::new(stream);
     let mut writer = FrameWriter::new(BufWriter::new(stream));
 
     let first = match reader.next_frame_while(|| shared.keep_going()) {
@@ -941,13 +1109,13 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) -> Result<(), Strin
 }
 
 /// An ingest connection: header frame, then report frames until a clean
-/// end-of-stream, answered with one `Ingested` acknowledgement after
-/// every absorbed report is flushed through the workers.
+/// end-of-stream, answered with one `Ingested` acknowledgement once
+/// every report frame has been absorbed.
 fn handle_ingest(
     shared: &Arc<Shared>,
     header_frame: &[u8],
-    reader: &mut ConnReader,
-    writer: &mut ConnWriter,
+    reader: &mut ConnReader<'_>,
+    writer: &mut ConnWriter<'_>,
 ) -> Result<(), String> {
     let header = match StreamHeader::from_bytes(header_frame) {
         Ok(header) => header,
@@ -965,72 +1133,54 @@ fn handle_ingest(
     }
     // `establish` just succeeded, so the pipeline can only be absent if
     // shutdown tore it down concurrently — degrade, don't panic.
-    let Some((_, senders)) = shared.senders() else {
+    let Some((shards, offers)) = shared.route() else {
         return Ok(());
     };
 
-    // Outcome of report frames, settled by whichever workers absorb
-    // them; folded into the ack after the end-of-stream flush round.
     let progress = Arc::new(IngestProgress::default());
-    // The workers this connection sent frames to: the only ones its
-    // end-of-stream flush round has to wait for.
-    let mut fed = vec![false; senders.len()];
-    // One frame buffer per connection: each frame hands the buffer
-    // itself to a worker and the next read starts fresh.
+    // The frame buffer travels with an offer a helper takes; an offer
+    // no helper takes comes back, and its buffer is read into again.
     let mut frame = Vec::new();
-    loop {
+    let end = loop {
         match reader.next_frame_while_into(&mut frame, || shared.keep_going()) {
             Ok(true) => {
-                // Validation and absorption run on the worker; the
-                // handler only routes the raw payload, keeping the
-                // socket thread on pure frame I/O.
-                let payload = std::mem::take(&mut frame);
-                let slot = shared.next_worker.fetch_add(1, Ordering::Relaxed) % senders.len();
-                // The modulo keeps `slot` in range (shards ≥ 1); `get`
-                // keeps the dispatch index-panic-free regardless.
-                match (senders.get(slot), fed.get_mut(slot)) {
-                    (Some(sender), Some(slot_fed))
-                        if sender
-                            .send(WorkerMsg::Batch(payload, Arc::clone(&progress)))
-                            .is_ok() =>
-                    {
-                        *slot_fed = true;
-                    }
-                    _ => return Ok(()), // workers torn down: shutting down
+                let offer = Offer::new(std::mem::take(&mut frame), &progress);
+                if let Err(TrySendError::Full(mut offer) | TrySendError::Disconnected(mut offer)) =
+                    offers.try_send(offer)
+                {
+                    // Every helper is busy and the channel is full (or
+                    // there are no helpers): caller runs.
+                    absorb_into_shards(&shards, &offer.payload, &progress, shared);
+                    frame = std::mem::take(&mut offer.payload);
                 }
             }
-            Ok(false) => {
-                // Clean end-of-stream: flush every worker this
-                // connection fed so the ack means "absorbed", not
-                // "enqueued". Channel order settles every frame this
-                // connection enqueued before its worker answers the
-                // flush, so `progress` is complete below; a header-only
-                // stream fed no worker and acks at once.
-                for (sender, _) in senders.iter().zip(&fed).filter(|(_, &f)| f) {
-                    let (tx, rx) = mpsc::channel();
-                    if sender.send(WorkerMsg::Flush(tx)).is_ok() {
-                        let _ = rx.recv();
-                    }
-                }
-                if let Some(message) = progress.take_error() {
-                    reply(writer, &Response::Error(message.clone()))?;
-                    return Err(message);
-                }
-                let absorbed = progress.absorbed.load(Ordering::Relaxed);
-                // Durability before the ack: at `--checkpoint-every 1`
-                // a client that saw its ack knows the reports survive
-                // a crash (coarser cadences trade that for less I/O).
-                shared.maybe_checkpoint();
-                return reply(writer, &Response::Ingested(absorbed));
+            Ok(false) => break Ok(()),
+            Err(e) => break Err(e),
+        }
+    };
+    // On every way out — end of stream, error, disconnect, shutdown —
+    // the connection's offered frames settle first, so an ack means
+    // "absorbed" and a final snapshot holds every complete frame read.
+    progress.wait_settled();
+    match end {
+        Ok(()) => {
+            if let Some(message) = progress.take_error() {
+                reply(writer, &Response::Error(message.clone()))?;
+                return Err(message);
             }
-            Err(FrameError::Interrupted) => return Ok(()), // shutdown mid-stream
-            Err(e) => {
-                // Disconnect or corruption mid-stream: everything
-                // complete up to here stays absorbed; the partial frame
-                // is dropped.
-                let _ = reply(writer, &Response::Error(format!("report stream: {e}")));
-                return Err(format!("report stream: {e}"));
-            }
+            let absorbed = progress.absorbed.load(Ordering::Relaxed);
+            // Durability before the ack: at `--checkpoint-every 1` a
+            // client that saw its ack knows the reports survive a crash
+            // (coarser cadences trade that for less I/O).
+            shared.maybe_checkpoint();
+            reply(writer, &Response::Ingested(absorbed))
+        }
+        Err(FrameError::Interrupted) => Ok(()), // shutdown mid-stream
+        Err(e) => {
+            // Disconnect or corruption mid-stream: everything complete
+            // up to here stays absorbed; the partial frame is dropped.
+            let _ = reply(writer, &Response::Error(format!("report stream: {e}")));
+            Err(format!("report stream: {e}"))
         }
     }
 }
@@ -1040,8 +1190,8 @@ fn handle_ingest(
 fn handle_control(
     shared: &Arc<Shared>,
     first: Vec<u8>,
-    reader: &mut ConnReader,
-    writer: &mut ConnWriter,
+    reader: &mut ConnReader<'_>,
+    writer: &mut ConnWriter<'_>,
 ) -> Result<(), String> {
     let mut frame = first;
     loop {

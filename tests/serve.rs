@@ -23,17 +23,26 @@
 //! accept loop that is blocked with no connection pending (on IPv4,
 //! wildcard and IPv6 binds) and ends the server promptly even with idle
 //! connections open, `--max-connections` refuses one connection too
-//! many by name and keeps serving, and a header-only push acks at once
-//! without touching the state.
+//! many by name and keeps serving, a header-only push acks at once
+//! without touching the state, and a server out of file descriptors
+//! waits for a connection to close instead of exiting.
+//!
+//! Resource and latency bounds of the sharded ingest path: a pusher
+//! faster than absorb is held back by TCP (the server's peak RSS stays
+//! flat while it streams 128 MiB), and marginal queries answer within
+//! a fixed bound while four ingest streams saturate four shards.
 
-use ldp_core::frame::{FrameReader, FrameWriter, StreamHeader};
+use ldp_core::frame::{read_snapshot, FrameReader, FrameWriter, StreamHeader};
 use ldp_core::wire::Writer;
-use ldp_server::{Request, Response};
-use marginal_ldp::oracles::pipeline::Client;
+use ldp_core::MarginalEstimator;
+use ldp_server::{QueryRequest, QueryTarget, Request, Response};
+use marginal_ldp::bits::Mask;
+use marginal_ldp::oracles::pipeline::{Client, PipelineAccumulator, PipelineEstimate};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -106,14 +115,32 @@ impl ServerProc {
         ServerProc::start_on("127.0.0.1:0", extra_args)
     }
 
-    /// Spawn the server bound to `listen` and parse the bound address
-    /// off its first stderr line (`serving on HOST:PORT (W shards)`).
-    /// A wildcard bind is reached over the loopback of its family.
+    /// Spawn the server bound to `listen`.
     fn start_on(listen: &str, extra_args: &[&str]) -> ServerProc {
         let mut cmd = Command::new(cli_bin());
         cmd.args(["serve", "--listen", listen, "--shards", "4"])
-            .args(extra_args)
-            .stdin(Stdio::null())
+            .args(extra_args);
+        ServerProc::spawn(cmd)
+    }
+
+    /// Spawn the server on `127.0.0.1:0` under `ulimit -n nofile`: the
+    /// shell lowers its descriptor limit, then execs the server in its
+    /// place (so the child's pid is the server's).
+    fn start_with_nofile(nofile: u32, extra_args: &[&str]) -> ServerProc {
+        let mut cmd = Command::new("sh");
+        cmd.arg("-c")
+            .arg(format!("ulimit -n {nofile} && exec \"$0\" \"$@\""))
+            .arg(cli_bin())
+            .args(["serve", "--listen", "127.0.0.1:0", "--shards", "4"])
+            .args(extra_args);
+        ServerProc::spawn(cmd)
+    }
+
+    /// Run a `serve` command and parse the bound address off its first
+    /// stderr line (`serving on HOST:PORT (W shards)`). A wildcard bind
+    /// is reached over the loopback of its family.
+    fn spawn(mut cmd: Command) -> ServerProc {
+        cmd.stdin(Stdio::null())
             .stdout(Stdio::null())
             .stderr(Stdio::piped());
         let mut child = cmd.spawn().expect("failed to spawn ldp-cli serve");
@@ -165,6 +192,15 @@ impl ServerProc {
             }
             std::thread::sleep(Duration::from_millis(5));
         }
+    }
+}
+
+impl Drop for ServerProc {
+    /// A test that fails before its shutdown must not leave its server
+    /// running (after a shutdown this reaps an exited process).
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
     }
 }
 
@@ -221,16 +257,29 @@ fn population(d: u32, n: usize) -> Vec<u64> {
 /// Encode a framed report stream with the real binary and split it into
 /// the header frame plus the individual report frames.
 fn encoded_stream(dir: &Path, protocol: &str, extra: &[&str], n: usize) -> (Vec<u8>, Vec<Vec<u8>>) {
-    let rows = population(4, n);
+    encoded_stream_shaped(dir, protocol, 4, 2, extra, n)
+}
+
+/// [`encoded_stream`] over `d` attributes for marginals up to order `k`.
+fn encoded_stream_shaped(
+    dir: &Path,
+    protocol: &str,
+    d: u32,
+    k: u32,
+    extra: &[&str],
+    n: usize,
+) -> (Vec<u8>, Vec<Vec<u8>>) {
+    let rows = population(d, n);
     let csv: String = rows.iter().map(|r| format!("{r}\n")).collect();
+    let (d, k) = (d.to_string(), k.to_string());
     let mut args = vec![
         "encode",
         "--protocol",
         protocol,
         "--d",
-        "4",
+        &d,
         "--k",
-        "2",
+        &k,
         "--eps",
         "1.1",
         "--seed",
@@ -1186,6 +1235,250 @@ fn header_only_push_acks_zero_and_leaves_the_snapshot_unchanged() {
         Some(&std::fs::read(dir.join("stream.bin")).unwrap()),
     );
     assert_eq!(after, serial, "snapshot differs from serial ingest");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Frame payloads as the bytes of a framed stream (length prefixes
+/// included).
+fn framed<F: AsRef<[u8]>>(frames: &[F]) -> Vec<u8> {
+    let mut writer = FrameWriter::new(Vec::new());
+    for frame in frames {
+        writer.write_frame(frame.as_ref()).unwrap();
+    }
+    writer.into_inner()
+}
+
+/// A process's peak resident set (`VmHWM`), in KiB.
+#[cfg(target_os = "linux")]
+fn peak_rss_kib(pid: u32) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).unwrap();
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|rest| rest.trim().strip_suffix("kB"))
+        .and_then(|kib| kib.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no VmHWM line in /proc/{pid}/status"))
+}
+
+/// A serial single-process `ingest` of `header` then `body` repeated
+/// `reps` times, streamed through its stdin; returns the snapshot bytes.
+fn serial_ingest_repeated(header: &[u8], body: &[u8], reps: usize) -> Vec<u8> {
+    let mut child = Command::new(cli_bin())
+        .arg("ingest")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("failed to spawn ldp-cli ingest");
+    let mut stdin = child.stdin.take().unwrap();
+    stdin.write_all(&framed(&[header])).unwrap();
+    for _ in 0..reps {
+        stdin.write_all(body).unwrap();
+    }
+    drop(stdin);
+    let output = child.wait_with_output().unwrap();
+    assert!(
+        output.status.success(),
+        "ldp-cli ingest failed:\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    output.stdout
+}
+
+/// Running out of file descriptors does not end the server. Under
+/// `ulimit -n 64`, 100 idle connections exhaust the server's
+/// descriptors (the rest wait in the listen backlog); once they close,
+/// a push is acked, `stats` answers and `shutdown` exits 0.
+#[cfg(target_os = "linux")]
+#[test]
+fn descriptor_exhaustion_waits_for_a_connection_to_close() {
+    let dir = scratch("nofile");
+    let (header, frames) = encoded_stream(&dir, "MargPS", &[], 40);
+    let mut server = ServerProc::start_with_nofile(64, &[]);
+    let fds = format!("/proc/{}/fd", server.child.id());
+
+    let idle: Vec<TcpStream> = (0..100).map(|_| client_socket(&server.addr)).collect();
+    // Wait until the server holds every descriptor it may open, so its
+    // next `accept` fails for want of one.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        if let Some(status) = server.child.try_wait().unwrap() {
+            panic!("the server exited out of descriptors: {status}");
+        }
+        if std::fs::read_dir(&fds).unwrap().count() >= 64 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the server never ran out of descriptors"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    std::thread::sleep(Duration::from_millis(100));
+    assert!(
+        server.child.try_wait().unwrap().is_none(),
+        "the server exited out of descriptors"
+    );
+
+    drop(idle);
+    match push_stream(&server.addr, &header, &frames) {
+        Response::Ingested(40) => {}
+        other => panic!("a push after the idle connections closed got {other:?}"),
+    }
+    match request(&client_socket(&server.addr), &Request::Stats) {
+        Response::Stats(s) => assert_eq!(s.reports, 40),
+        other => panic!("stats got {other:?}"),
+    }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A pusher faster than absorb is held back by TCP flow control rather
+/// than buffered in the server. One raw socket streams 128 MiB of InpRR
+/// d=8 batch frames without waiting — 32-byte reports whose absorb adds
+/// one counter per bit, far slower than the server reads them. The
+/// server's peak RSS grows by less than 32 MiB, and its final snapshot
+/// is byte-identical to a serial ingest of the same stream.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_pusher_faster_than_absorb_is_held_back_by_tcp() {
+    const STREAM_BYTES: usize = 128 << 20;
+    const PEAK_GROWTH_KIB: u64 = 32 << 10;
+    let dir = scratch("backpressure");
+    let (header, frames) = encoded_stream_shaped(&dir, "InpRR", 8, 2, &[], 8 * 1024);
+    let block = framed(&frames);
+    let reps = STREAM_BYTES.div_ceil(block.len());
+    let final_path = dir.join("final.bin");
+    let server = ServerProc::start(&["--output", final_path.to_str().unwrap()]);
+    // Establish the pipeline first, so the baseline holds the shards.
+    match push_stream(&server.addr, &header, &[]) {
+        Response::Ingested(0) => {}
+        other => panic!("the header-only push got {other:?}"),
+    }
+    let before = peak_rss_kib(server.child.id());
+
+    let stream = client_socket(&server.addr);
+    let mut writer = &stream;
+    writer.write_all(&framed(&[&header])).unwrap();
+    for _ in 0..reps {
+        writer.write_all(&block).unwrap();
+    }
+    stream.shutdown(Shutdown::Write).unwrap();
+    match read_response(&stream) {
+        Response::Ingested(n) => assert_eq!(n as usize, reps * 8 * 1024),
+        other => panic!("the push got {other:?}"),
+    }
+    let growth = peak_rss_kib(server.child.id()).saturating_sub(before);
+    assert!(
+        growth < PEAK_GROWTH_KIB,
+        "peak RSS grew by {growth} KiB while absorbing {STREAM_BYTES} bytes of frames"
+    );
+
+    server.shutdown();
+    let serial = serial_ingest_repeated(&header, &block, reps);
+    assert!(
+        std::fs::read(&final_path).unwrap() == serial,
+        "final snapshot differs from serial ingest"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Queries are answered promptly while `shards` ingest streams
+/// saturate the server: on an InpHT d=16 k=3 server with four shards,
+/// four pushers stream copies of one 1024-report frame until 24
+/// marginal queries have been answered, each within a fixed bound.
+/// Every state the server passes through holds whole copies of that
+/// frame, and InpHT's estimate is a per-coefficient ratio that scaling
+/// every count leaves bit-identical — so every answer must equal a
+/// local finalize of the snapshot taken after the pushers stop.
+#[test]
+fn queries_answer_within_a_bound_while_ingest_saturates_every_shard() {
+    const QUERIES: usize = 24;
+    const BOUND: Duration = Duration::from_secs(1);
+    const COPIES_PER_WRITE: usize = 64;
+    let dir = scratch("query_latency");
+    let (header, frames) = encoded_stream_shaped(&dir, "InpHT", 16, 3, &[], 1024);
+    assert_eq!(frames.len(), 1, "one 1024-report frame");
+    let block = framed(&frames).repeat(COPIES_PER_WRITE);
+    let server = ServerProc::start(&[]);
+    // One copy first, so no query finds the state empty.
+    match push_stream(&server.addr, &header, &frames) {
+        Response::Ingested(1024) => {}
+        other => panic!("the first push got {other:?}"),
+    }
+
+    let masks: Vec<u64> = (0u64..1 << 16)
+        .filter(|m| m.count_ones() == 3)
+        .step_by(23)
+        .take(QUERIES)
+        .collect();
+    let stop = AtomicBool::new(false);
+    let (answers, pushed) = std::thread::scope(|scope| {
+        let pushers: Vec<_> = (0..4)
+            .map(|_| {
+                let (addr, header, block, stop) = (&server.addr, &header, &block, &stop);
+                scope.spawn(move || {
+                    let stream = client_socket(addr);
+                    let mut writer = &stream;
+                    writer.write_all(&framed(&[header])).unwrap();
+                    let mut writes = 0usize;
+                    while !stop.load(Ordering::Relaxed) {
+                        writer.write_all(block).unwrap();
+                        writes += 1;
+                    }
+                    stream.shutdown(Shutdown::Write).unwrap();
+                    let copies = writes * COPIES_PER_WRITE;
+                    match read_response(&stream) {
+                        Response::Ingested(n) => assert_eq!(n as usize, copies * 1024),
+                        other => panic!("a pusher got {other:?}"),
+                    }
+                    copies
+                })
+            })
+            .collect();
+        // Let the pushers fill every shard before the first query.
+        std::thread::sleep(Duration::from_millis(200));
+        let control = client_socket(&server.addr);
+        let answers: Vec<(u64, Vec<f64>, Duration)> = masks
+            .iter()
+            .map(|&mask| {
+                let asked = Instant::now();
+                let query = Request::Query(QueryRequest {
+                    target: QueryTarget::Marginal(mask),
+                    normalize: false,
+                });
+                let table = match request(&control, &query) {
+                    Response::Query(table) => table,
+                    other => panic!("query {mask:#x} got {other:?}"),
+                };
+                let took = asked.elapsed();
+                std::thread::sleep(Duration::from_millis(10));
+                (mask, table, took)
+            })
+            .collect();
+        stop.store(true, Ordering::Relaxed);
+        let pushed: usize = pushers.into_iter().map(|p| p.join().unwrap()).sum();
+        (answers, pushed)
+    });
+
+    let snapshot = live_snapshot(&server.addr, &dir.join("after.bin"));
+    let (snap_header, state) = read_snapshot(snapshot.as_slice()).unwrap();
+    let acc = PipelineAccumulator::from_state(&snap_header, &state).unwrap();
+    assert_eq!(acc.report_count() as usize, (pushed + 1) * 1024);
+    let PipelineEstimate::Mechanism(estimate) = acc.finalize() else {
+        panic!("InpHT finalizes to a mechanism estimate");
+    };
+    for (mask, table, took) in answers {
+        assert!(
+            took <= BOUND,
+            "query {mask:#x} took {took:?} beside saturating ingest (bound {BOUND:?})"
+        );
+        assert!(
+            table == estimate.marginal(Mask(mask)),
+            "query {mask:#x} differs from a local finalize of the final snapshot"
+        );
+    }
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
