@@ -6,9 +6,9 @@ use ldp_bench::DataSource;
 use ldp_bits::{masks_of_weight, Mask};
 use ldp_core::frame::{read_snapshot, write_snapshot, FrameReader, FrameWriter, StreamHeader};
 use ldp_core::wire::Writer;
-use ldp_core::{clamp_normalize, MarginalEstimator};
+use ldp_core::{clamp_normalize, MarginalEstimator, Protocol};
 use ldp_oracles::pipeline::{
-    header_for, Client, PipelineAccumulator, PipelineEstimate, Protocol, SketchShape,
+    header_for, Client, PipelineAccumulator, PipelineEstimate, SketchShape,
 };
 use ldp_server::{Control, QueryRequest, QueryTarget, Request, Response};
 use std::fs::File;

@@ -31,7 +31,8 @@ use crate::flags::Flags;
 use ldp_bench::histogram::{fmt_ns, LogHistogram};
 use ldp_bench::DataSource;
 use ldp_core::wire::Writer;
-use ldp_oracles::pipeline::{header_for, Client, Protocol, SketchShape};
+use ldp_core::Protocol;
+use ldp_oracles::pipeline::{header_for, Client, SketchShape};
 use ldp_server::{push_frame, push_with};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};

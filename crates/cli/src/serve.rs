@@ -5,7 +5,7 @@
 use crate::commands::open_output;
 use crate::flags::Flags;
 use ldp_core::frame::write_snapshot;
-use ldp_oracles::pipeline::Protocol;
+use ldp_core::Protocol;
 use ldp_server::{Control, Request, Response, ServeConfig, Server};
 use std::time::Duration;
 
@@ -95,7 +95,7 @@ pub fn stats(flags: &Flags) -> Result<(), String> {
                 "reports: {} absorbed, {} frames rejected",
                 s.reports, s.rejected_frames
             );
-            println!("workers: {}", s.workers);
+            println!("shards: {}", s.shards);
             println!(
                 "connections: {} accepted, {} active",
                 s.connections_accepted, s.connections_active

@@ -23,7 +23,7 @@
 //! processes and still be byte-identical to a single-process run.
 
 use crate::wire::{tag, Reader, WireError, Writer};
-use crate::MechanismKind;
+use crate::{MechanismKind, Protocol};
 use std::io::{self, Read, Write};
 
 /// Hard cap on a single frame's payload length (1 GiB). A length prefix
@@ -424,7 +424,7 @@ impl StreamHeader {
     #[must_use]
     pub fn mechanism(kind: MechanismKind, d: u32, k: u32, eps: f64) -> Self {
         StreamHeader {
-            protocol: kind.wire_tag(),
+            protocol: Protocol::from(kind).wire_tag(),
             d,
             k,
             eps,
@@ -434,32 +434,12 @@ impl StreamHeader {
         }
     }
 
-    /// Header for a frequency-oracle pipeline (`protocol` must be one of
-    /// the oracle accumulator tags).
-    #[must_use]
-    pub fn oracle(
-        protocol: u8,
-        d: u32,
-        eps: f64,
-        hashes: u32,
-        width: u32,
-        family_seed: u64,
-    ) -> Self {
-        StreamHeader {
-            protocol,
-            d,
-            k: 1,
-            eps,
-            hashes,
-            width,
-            family_seed,
-        }
-    }
-
     /// The mechanism kind this header names, if it names one.
     #[must_use]
     pub fn mechanism_kind(&self) -> Option<MechanismKind> {
-        MechanismKind::from_wire_tag(self.protocol)
+        MechanismKind::ALL
+            .into_iter()
+            .find(|&kind| Protocol::from(kind).wire_tag() == self.protocol)
     }
 
     /// Serialize into the wire form (tag [`tag::STREAM_HEADER`]).

@@ -36,7 +36,7 @@
 //! per-mechanism types directly (each `encode` plus its aggregator's
 //! [`Accumulator`]), or the one protocol table, `ldp_oracles::pipeline`,
 //! which serves all seven mechanisms and the three frequency oracles
-//! behind the framed wire format.
+//! behind the framed wire format. [`Protocol`] names those ten.
 
 mod accumulator;
 mod categorical;
@@ -51,6 +51,7 @@ mod marg_ht;
 mod marg_ps;
 mod marg_rr;
 mod personalized;
+mod protocol;
 mod runner;
 pub mod wire;
 
@@ -68,6 +69,7 @@ pub use marg_ht::{MargHt, MargHtAggregator, MargHtReport};
 pub use marg_ps::{MargPs, MargPsAggregator, MargPsReport};
 pub use marg_rr::{MargRr, MargRrAggregator, MargRrReport};
 pub use personalized::{PersonalizedAggregator, PersonalizedInpHt, PersonalizedReport};
+pub use protocol::Protocol;
 pub use runner::{ingest_sharded, run_population_sharded, user_rng};
 
 use ldp_mechanisms::theory::MethodBound;
@@ -117,18 +119,10 @@ impl MechanismKind {
         MechanismKind::InpEm,
     ];
 
-    /// Display name matching the paper.
+    /// Display name matching the paper (see [`Protocol::name`]).
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            MechanismKind::InpRr => "InpRR",
-            MechanismKind::InpPs => "InpPS",
-            MechanismKind::InpHt => "InpHT",
-            MechanismKind::MargRr => "MargRR",
-            MechanismKind::MargPs => "MargPS",
-            MechanismKind::MargHt => "MargHT",
-            MechanismKind::InpEm => "InpEM",
-        }
+        Protocol::from(self).name()
     }
 
     /// Build the mechanism for a `d`-attribute domain targeting the full
@@ -143,36 +137,6 @@ impl MechanismKind {
             MechanismKind::MargPs => Mechanism::MargPs(MargPs::new(d, k, eps)),
             MechanismKind::MargHt => Mechanism::MargHt(MargHt::new(d, k, eps)),
             MechanismKind::InpEm => Mechanism::InpEm(InpEm::new(d, eps)),
-        }
-    }
-
-    /// The accumulator type tag (see [`wire::tag`]) naming this
-    /// mechanism in stream headers and serialized state.
-    #[must_use]
-    pub fn wire_tag(self) -> u8 {
-        match self {
-            MechanismKind::InpRr => wire::tag::INP_RR,
-            MechanismKind::InpPs => wire::tag::INP_PS,
-            MechanismKind::InpHt => wire::tag::INP_HT,
-            MechanismKind::MargRr => wire::tag::MARG_RR,
-            MechanismKind::MargPs => wire::tag::MARG_PS,
-            MechanismKind::MargHt => wire::tag::MARG_HT,
-            MechanismKind::InpEm => wire::tag::INP_EM,
-        }
-    }
-
-    /// Inverse of [`MechanismKind::wire_tag`].
-    #[must_use]
-    pub fn from_wire_tag(tag: u8) -> Option<Self> {
-        match tag {
-            wire::tag::INP_RR => Some(MechanismKind::InpRr),
-            wire::tag::INP_PS => Some(MechanismKind::InpPs),
-            wire::tag::INP_HT => Some(MechanismKind::InpHt),
-            wire::tag::MARG_RR => Some(MechanismKind::MargRr),
-            wire::tag::MARG_PS => Some(MechanismKind::MargPs),
-            wire::tag::MARG_HT => Some(MechanismKind::MargHt),
-            wire::tag::INP_EM => Some(MechanismKind::InpEm),
-            _ => None,
         }
     }
 
@@ -223,21 +187,6 @@ impl Mechanism {
             Mechanism::MargPs(_) => MechanismKind::MargPs,
             Mechanism::MargHt(_) => MechanismKind::MargHt,
             Mechanism::InpEm(_) => MechanismKind::InpEm,
-        }
-    }
-
-    /// Communication cost in bits per user report (Table 2; for `InpEm`,
-    /// the `d` budget-split bits).
-    #[must_use]
-    pub fn communication_bits(&self) -> u64 {
-        match self {
-            Mechanism::InpRr(m) => 1u64 << m.d(),
-            Mechanism::InpPs(m) => u64::from(m.d()),
-            Mechanism::InpHt(m) => u64::from(m.d()) + 1,
-            Mechanism::MargRr(m) => u64::from(m.d()) + (1u64 << m.k()),
-            Mechanism::MargPs(m) => u64::from(m.d()) + u64::from(m.k()),
-            Mechanism::MargHt(m) => u64::from(m.d()) + u64::from(m.k()) + 1,
-            Mechanism::InpEm(m) => u64::from(m.d()),
         }
     }
 

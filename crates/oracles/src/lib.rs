@@ -39,4 +39,4 @@ pub mod pipeline;
 pub use cms::{Cms, CmsAggregator, CmsOracle, CmsReport};
 pub use hcms::{HadamardCms, HadamardCmsAggregator, HadamardCmsOracle, HcmsReport};
 pub use olh::{Olh, OlhAggregator, OlhDecode, OlhOracle, OlhReport};
-pub use oracle::{oracle_full_distribution, oracle_marginal, FrequencyOracle, OracleKind};
+pub use oracle::{oracle_full_distribution, oracle_marginal, FrequencyOracle};

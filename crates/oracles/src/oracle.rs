@@ -1,58 +1,6 @@
-//! The frequency-oracle abstraction, the oracle→marginal adaptor, and
-//! the names the protocol table ([`crate::pipeline`]) gives the three
-//! oracles.
+//! The frequency-oracle abstraction and the oracle→marginal adaptor.
 
 use ldp_bits::{compress, Mask};
-use ldp_core::wire::tag;
-
-/// Identifier for one of the three frequency-oracle baselines.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum OracleKind {
-    /// Optimized Local Hashing (Wang et al.) — see [`crate::Olh`].
-    Olh,
-    /// Count-mean sketch with unary-encoded rows — see [`crate::Cms`].
-    Cms,
-    /// Hadamard count-mean sketch (`InpHTCMS`) — see
-    /// [`crate::HadamardCms`].
-    Hcms,
-}
-
-impl OracleKind {
-    /// All three oracles, in the Appendix B.2 presentation order.
-    pub const ALL: [OracleKind; 3] = [OracleKind::Olh, OracleKind::Cms, OracleKind::Hcms];
-
-    /// Display name matching the paper.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            OracleKind::Olh => "OLH",
-            OracleKind::Cms => "CMS",
-            OracleKind::Hcms => "HCMS",
-        }
-    }
-
-    /// The accumulator type tag (see [`tag`]) naming this oracle in
-    /// stream headers and serialized state.
-    #[must_use]
-    pub fn wire_tag(self) -> u8 {
-        match self {
-            OracleKind::Olh => tag::OLH,
-            OracleKind::Cms => tag::CMS,
-            OracleKind::Hcms => tag::HCMS,
-        }
-    }
-
-    /// Inverse of [`OracleKind::wire_tag`].
-    #[must_use]
-    pub fn from_wire_tag(t: u8) -> Option<Self> {
-        match t {
-            tag::OLH => Some(OracleKind::Olh),
-            tag::CMS => Some(OracleKind::Cms),
-            tag::HCMS => Some(OracleKind::Hcms),
-            _ => None,
-        }
-    }
-}
 
 /// An LDP frequency oracle over the domain `{0,1}^d`.
 ///

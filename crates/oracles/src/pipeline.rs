@@ -5,8 +5,11 @@
 //! [`StreamHeader`] that travels as frame 0 of every stream and
 //! snapshot.
 //!
-//! Three flat enums carry one variant per protocol: [`Client`] writes
-//! report batches, [`PipelineReport`] is what a batch decodes into, and
+//! The ten protocols are named by one flat enum, [`Protocol`], which
+//! `ldp_core` defines beside the wire tags and which owns each
+//! protocol's display name and tag. Three flat enums here carry one
+//! variant per protocol: [`Client`] writes report batches,
+//! [`PipelineReport`] is what a batch decodes into, and
 //! [`PipelineAccumulator`] absorbs, merges, serializes and finalizes
 //! them. Every operation is a single `match` over the ten protocols.
 //!
@@ -31,7 +34,7 @@
 
 use crate::{
     Cms, CmsAggregator, CmsReport, FrequencyOracle, HadamardCms, HadamardCmsAggregator, HcmsReport,
-    Olh, OlhAggregator, OlhReport, OracleKind,
+    Olh, OlhAggregator, OlhReport,
 };
 use ldp_bits::binomial;
 use ldp_core::frame::StreamHeader;
@@ -39,82 +42,11 @@ use ldp_core::wire::{tag, WireError, Writer, MIN_BATCH_VERSION, VERSION};
 use ldp_core::{
     user_rng, Accumulator, Estimate, InpEm, InpEmAggregator, InpHt, InpHtAggregator, InpHtReport,
     InpPs, InpPsAggregator, InpRr, InpRrAggregator, MargHt, MargHtAggregator, MargHtReport, MargPs,
-    MargPsAggregator, MargPsReport, MargRr, MargRrAggregator, MargRrReport, MechanismKind,
+    MargPsAggregator, MargPsReport, MargRr, MargRrAggregator, MargRrReport, Protocol,
 };
 use ldp_mechanisms::theory::coefficient_count;
 use rand::rngs::SmallRng;
 use std::fmt;
-
-/// A protocol named on the command line.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Protocol {
-    /// One of the seven marginal mechanisms.
-    Mechanism(MechanismKind),
-    /// One of the three frequency oracles.
-    Oracle(OracleKind),
-}
-
-impl Protocol {
-    /// Parse a command-line protocol name (case-insensitive).
-    pub fn parse(name: &str) -> Result<Protocol, String> {
-        let lower = name.to_ascii_lowercase();
-        for kind in MechanismKind::ALL {
-            if kind.name().to_ascii_lowercase() == lower {
-                return Ok(Protocol::Mechanism(kind));
-            }
-        }
-        for kind in OracleKind::ALL {
-            if kind.name().to_ascii_lowercase() == lower {
-                return Ok(Protocol::Oracle(kind));
-            }
-        }
-        Err(format!(
-            "unknown protocol {name:?}; expected one of {}",
-            Protocol::names().join(", ")
-        ))
-    }
-
-    /// Every accepted protocol name, in display form.
-    pub fn names() -> Vec<&'static str> {
-        MechanismKind::ALL
-            .iter()
-            .map(|k| k.name())
-            .chain(OracleKind::ALL.iter().map(|k| k.name()))
-            .collect()
-    }
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Protocol::Mechanism(k) => k.name(),
-            Protocol::Oracle(k) => k.name(),
-        }
-    }
-
-    /// The accumulator type tag naming this protocol in stream headers,
-    /// batch envelopes and serialized state (`StreamHeader::protocol`).
-    #[must_use]
-    pub fn wire_tag(self) -> u8 {
-        match self {
-            Protocol::Mechanism(k) => k.wire_tag(),
-            Protocol::Oracle(k) => k.wire_tag(),
-        }
-    }
-
-    /// The protocol an accumulator type tag names, if it is known.
-    #[must_use]
-    pub fn from_wire_tag(t: u8) -> Option<Protocol> {
-        MechanismKind::from_wire_tag(t)
-            .map(Protocol::Mechanism)
-            .or_else(|| OracleKind::from_wire_tag(t).map(Protocol::Oracle))
-    }
-
-    /// The protocol a header names, if its tag is known.
-    #[must_use]
-    pub fn from_header(header: &StreamHeader) -> Option<Protocol> {
-        Protocol::from_wire_tag(header.protocol)
-    }
-}
 
 /// The sketch shape flags (`--hashes`, `--width`, `--family-seed`) an
 /// oracle pipeline carries in its header; ignored by mechanisms.
@@ -136,16 +68,24 @@ pub fn header_for(
     eps: f64,
     sketch: SketchShape,
 ) -> StreamHeader {
+    let header = StreamHeader {
+        protocol: protocol.wire_tag(),
+        d,
+        k,
+        eps,
+        hashes: 0,
+        width: 0,
+        family_seed: 0,
+    };
     match protocol {
-        Protocol::Mechanism(kind) => StreamHeader::mechanism(kind, d, k, eps),
-        Protocol::Oracle(kind) => StreamHeader::oracle(
-            kind.wire_tag(),
-            d,
-            eps,
-            sketch.hashes,
-            sketch.width,
-            sketch.family_seed,
-        ),
+        Protocol::Olh | Protocol::Cms | Protocol::Hcms => StreamHeader {
+            k: 1,
+            hashes: sketch.hashes,
+            width: sketch.width,
+            family_seed: sketch.family_seed,
+            ..header
+        },
+        _ => header,
     }
 }
 
@@ -160,26 +100,27 @@ const MAX_INDEXED: u64 = 1 << 32;
 /// error instead of crashing the collector process. `k` is checked only
 /// where the protocol uses it, `hashes` and `width` only for sketches.
 fn check_shape(protocol: Protocol, d: u32, k: u32, hashes: u32, width: u32) -> Result<(), String> {
-    use MechanismKind::{InpEm, InpHt, InpPs, InpRr, MargHt, MargPs, MargRr};
     if !(1..=63).contains(&d) {
         return Err(format!("need 1 ≤ d ≤ 63, got {d}"));
     }
     match protocol {
-        Protocol::Mechanism(InpRr) if d > 24 => Err(format!(
+        Protocol::InpRr if d > 24 => Err(format!(
             "InpRR materializes 2^d cells; need d ≤ 24, got {d}"
         )),
-        Protocol::Mechanism(kind @ (InpPs | InpEm)) if d > 26 => Err(format!(
+        kind @ (Protocol::InpPs | Protocol::InpEm) if d > 26 => Err(format!(
             "{} materializes 2^d cells; need d ≤ 26, got {d}",
             kind.name()
         )),
-        Protocol::Mechanism(kind @ (InpHt | MargRr | MargPs | MargHt)) if !(1..=d).contains(&k) => {
+        kind @ (Protocol::InpHt | Protocol::MargRr | Protocol::MargPs | Protocol::MargHt)
+            if !(1..=d).contains(&k) =>
+        {
             Err(format!("{} needs 1 ≤ k ≤ d = {d}, got {k}", kind.name()))
         }
-        Protocol::Mechanism(kind @ (MargRr | MargPs | MargHt)) if k > 16 => Err(format!(
+        kind @ (Protocol::MargRr | Protocol::MargPs | Protocol::MargHt) if k > 16 => Err(format!(
             "{} materializes 2^k marginal tables; need k ≤ 16, got {k}",
             kind.name()
         )),
-        Protocol::Mechanism(kind @ (MargRr | MargPs | MargHt))
+        kind @ (Protocol::MargRr | Protocol::MargPs | Protocol::MargHt)
             if binomial(u64::from(d), u64::from(k)) > MAX_INDEXED =>
         {
             Err(format!(
@@ -187,17 +128,17 @@ fn check_shape(protocol: Protocol, d: u32, k: u32, hashes: u32, width: u32) -> R
                 kind.name()
             ))
         }
-        Protocol::Mechanism(InpHt) if coefficient_count(d, k) > MAX_INDEXED => Err(format!(
+        Protocol::InpHt if coefficient_count(d, k) > MAX_INDEXED => Err(format!(
             "InpHT indexes at most 2^32 coefficients; d={d} k={k} has more"
         )),
-        Protocol::Oracle(OracleKind::Olh) if d > 40 => Err(format!("OLH needs d ≤ 40, got {d}")),
-        Protocol::Oracle(OracleKind::Cms | OracleKind::Hcms) if !(1..=255).contains(&hashes) => {
+        Protocol::Olh if d > 40 => Err(format!("OLH needs d ≤ 40, got {d}")),
+        Protocol::Cms | Protocol::Hcms if !(1..=255).contains(&hashes) => {
             Err(format!("sketch needs 1 ≤ hashes ≤ 255, got {hashes}"))
         }
-        Protocol::Oracle(OracleKind::Cms | OracleKind::Hcms) if !(2..=1 << 16).contains(&width) => {
+        Protocol::Cms | Protocol::Hcms if !(2..=1 << 16).contains(&width) => {
             Err(format!("sketch needs 2 ≤ width ≤ 65536, got {width}"))
         }
-        Protocol::Oracle(OracleKind::Hcms) if !width.is_power_of_two() => {
+        Protocol::Hcms if !width.is_power_of_two() => {
             Err(format!("HCMS width must be a power of two, got {width}"))
         }
         _ => Ok(()),
@@ -213,7 +154,7 @@ fn validate_header(header: &StreamHeader) -> Result<Protocol, String> {
         .ok_or_else(|| format!("header names unknown protocol tag {:#04x}", header.protocol))?;
     check_shape(protocol, header.d, header.k, header.hashes, header.width)?;
     // g = ⌈e^ε⌉ + 1 must fit the 8-bit bucket field.
-    if protocol == Protocol::Oracle(OracleKind::Olh) && header.eps > 255f64.ln() {
+    if protocol == Protocol::Olh && header.eps > 255f64.ln() {
         return Err(format!(
             "OLH buckets are reported as one byte; need eps ≤ ln(255) ≈ 5.54, got {}",
             header.eps
@@ -315,7 +256,6 @@ impl Layout {
 /// meaningless.
 #[must_use]
 pub fn layout(protocol: Protocol, d: u32, k: u32, hashes: u32, width: u32) -> Layout {
-    use MechanismKind::{InpEm, InpHt, InpPs, InpRr, MargHt, MargPs, MargRr};
     let at = |index, value, sign, set| Layout {
         index,
         value,
@@ -325,17 +265,17 @@ pub fn layout(protocol: Protocol, d: u32, k: u32, hashes: u32, width: u32) -> La
     let marginals = || index_bits(binomial(u64::from(d), u64::from(k)));
     let cells = |n: u32| 1u32.checked_shl(n).unwrap_or(0);
     match protocol {
-        Protocol::Mechanism(InpRr) => at(0, 0, 0, cells(d)),
-        Protocol::Mechanism(InpPs | InpEm) => at(d, 0, 0, 0),
-        Protocol::Mechanism(InpHt) => at(index_bits(coefficient_count(d, k)), 0, 1, 0),
-        Protocol::Mechanism(MargRr) => at(marginals(), 0, 0, cells(k)),
-        Protocol::Mechanism(MargPs) => at(marginals(), k, 0, 0),
-        Protocol::Mechanism(MargHt) => at(marginals(), k, 1, 0),
+        Protocol::InpRr => at(0, 0, 0, cells(d)),
+        Protocol::InpPs | Protocol::InpEm => at(d, 0, 0, 0),
+        Protocol::InpHt => at(index_bits(coefficient_count(d, k)), 0, 1, 0),
+        Protocol::MargRr => at(marginals(), 0, 0, cells(k)),
+        Protocol::MargPs => at(marginals(), k, 0, 0),
+        Protocol::MargHt => at(marginals(), k, 1, 0),
         // The bucket keeps a whole byte: its bound g depends on ε,
         // which the envelope does not carry.
-        Protocol::Oracle(OracleKind::Olh) => at(64, 8, 0, 0),
-        Protocol::Oracle(OracleKind::Cms) => at(index_bits(u64::from(hashes)), 0, 0, width),
-        Protocol::Oracle(OracleKind::Hcms) => at(
+        Protocol::Olh => at(64, 8, 0, 0),
+        Protocol::Cms => at(index_bits(u64::from(hashes)), 0, 0, width),
+        Protocol::Hcms => at(
             index_bits(u64::from(hashes)),
             index_bits(u64::from(width)),
             1,
@@ -380,18 +320,16 @@ impl Client {
             header.family_seed,
         );
         Ok(match validate_header(header)? {
-            Protocol::Mechanism(MechanismKind::InpRr) => Self::InpRr(InpRr::new(d, eps)),
-            Protocol::Mechanism(MechanismKind::InpPs) => Self::InpPs(InpPs::new(d, eps)),
-            Protocol::Mechanism(MechanismKind::InpHt) => Self::InpHt(InpHt::new(d, k, eps)),
-            Protocol::Mechanism(MechanismKind::MargRr) => Self::MargRr(MargRr::new(d, k, eps)),
-            Protocol::Mechanism(MechanismKind::MargPs) => Self::MargPs(MargPs::new(d, k, eps)),
-            Protocol::Mechanism(MechanismKind::MargHt) => Self::MargHt(MargHt::new(d, k, eps)),
-            Protocol::Mechanism(MechanismKind::InpEm) => Self::InpEm(InpEm::new(d, eps)),
-            Protocol::Oracle(OracleKind::Olh) => Self::Olh(Olh::new(d, eps)),
-            Protocol::Oracle(OracleKind::Cms) => Self::Cms(Cms::new(d, eps, hashes, width, family)),
-            Protocol::Oracle(OracleKind::Hcms) => {
-                Self::Hcms(HadamardCms::new(d, eps, hashes, width, family))
-            }
+            Protocol::InpRr => Self::InpRr(InpRr::new(d, eps)),
+            Protocol::InpPs => Self::InpPs(InpPs::new(d, eps)),
+            Protocol::InpHt => Self::InpHt(InpHt::new(d, k, eps)),
+            Protocol::MargRr => Self::MargRr(MargRr::new(d, k, eps)),
+            Protocol::MargPs => Self::MargPs(MargPs::new(d, k, eps)),
+            Protocol::MargHt => Self::MargHt(MargHt::new(d, k, eps)),
+            Protocol::InpEm => Self::InpEm(InpEm::new(d, eps)),
+            Protocol::Olh => Self::Olh(Olh::new(d, eps)),
+            Protocol::Cms => Self::Cms(Cms::new(d, eps, hashes, width, family)),
+            Protocol::Hcms => Self::Hcms(HadamardCms::new(d, eps, hashes, width, family)),
         })
     }
 
@@ -399,16 +337,16 @@ impl Client {
     #[must_use]
     pub fn protocol(&self) -> Protocol {
         match self {
-            Self::InpRr(_) => Protocol::Mechanism(MechanismKind::InpRr),
-            Self::InpPs(_) => Protocol::Mechanism(MechanismKind::InpPs),
-            Self::InpHt(_) => Protocol::Mechanism(MechanismKind::InpHt),
-            Self::MargRr(_) => Protocol::Mechanism(MechanismKind::MargRr),
-            Self::MargPs(_) => Protocol::Mechanism(MechanismKind::MargPs),
-            Self::MargHt(_) => Protocol::Mechanism(MechanismKind::MargHt),
-            Self::InpEm(_) => Protocol::Mechanism(MechanismKind::InpEm),
-            Self::Olh(_) => Protocol::Oracle(OracleKind::Olh),
-            Self::Cms(_) => Protocol::Oracle(OracleKind::Cms),
-            Self::Hcms(_) => Protocol::Oracle(OracleKind::Hcms),
+            Self::InpRr(_) => Protocol::InpRr,
+            Self::InpPs(_) => Protocol::InpPs,
+            Self::InpHt(_) => Protocol::InpHt,
+            Self::MargRr(_) => Protocol::MargRr,
+            Self::MargPs(_) => Protocol::MargPs,
+            Self::MargHt(_) => Protocol::MargHt,
+            Self::InpEm(_) => Protocol::InpEm,
+            Self::Olh(_) => Protocol::Olh,
+            Self::Cms(_) => Protocol::Cms,
+            Self::Hcms(_) => Protocol::Hcms,
         }
     }
 
@@ -602,16 +540,16 @@ impl PipelineReport {
     #[must_use]
     pub fn protocol(&self) -> Protocol {
         match self {
-            Self::InpRr(_) => Protocol::Mechanism(MechanismKind::InpRr),
-            Self::InpPs(_) => Protocol::Mechanism(MechanismKind::InpPs),
-            Self::InpHt(_) => Protocol::Mechanism(MechanismKind::InpHt),
-            Self::MargRr(_) => Protocol::Mechanism(MechanismKind::MargRr),
-            Self::MargPs(_) => Protocol::Mechanism(MechanismKind::MargPs),
-            Self::MargHt(_) => Protocol::Mechanism(MechanismKind::MargHt),
-            Self::InpEm(_) => Protocol::Mechanism(MechanismKind::InpEm),
-            Self::Olh(_) => Protocol::Oracle(OracleKind::Olh),
-            Self::Cms(_) => Protocol::Oracle(OracleKind::Cms),
-            Self::Hcms(_) => Protocol::Oracle(OracleKind::Hcms),
+            Self::InpRr(_) => Protocol::InpRr,
+            Self::InpPs(_) => Protocol::InpPs,
+            Self::InpHt(_) => Protocol::InpHt,
+            Self::MargRr(_) => Protocol::MargRr,
+            Self::MargPs(_) => Protocol::MargPs,
+            Self::MargHt(_) => Protocol::MargHt,
+            Self::InpEm(_) => Protocol::InpEm,
+            Self::Olh(_) => Protocol::Olh,
+            Self::Cms(_) => Protocol::Cms,
+            Self::Hcms(_) => Protocol::Hcms,
         }
     }
 }
@@ -713,15 +651,11 @@ impl Shape {
     /// The shape of `protocol` at these header fields, keeping only the
     /// ones the protocol depends on.
     fn new(protocol: Protocol, d: u32, k: u32, hashes: u32, width: u32) -> Shape {
-        use MechanismKind::{InpHt, MargHt, MargPs, MargRr};
         let uses_k = matches!(
             protocol,
-            Protocol::Mechanism(InpHt | MargRr | MargPs | MargHt)
+            Protocol::InpHt | Protocol::MargRr | Protocol::MargPs | Protocol::MargHt
         );
-        let sketch = matches!(
-            protocol,
-            Protocol::Oracle(OracleKind::Cms | OracleKind::Hcms)
-        );
+        let sketch = matches!(protocol, Protocol::Cms | Protocol::Hcms);
         Shape {
             protocol,
             d,
@@ -996,32 +930,31 @@ pub fn decode_report_batch_into(
     payload: &[u8],
     scratch: &mut Vec<PipelineReport>,
 ) -> Result<usize, String> {
-    use MechanismKind::{InpEm, InpHt, InpPs, InpRr, MargHt, MargPs, MargRr};
     let b = open_batch(payload)?;
     let (l, body) = (b.layout, b.body);
     match b.shape.protocol {
-        Protocol::Mechanism(InpPs) => fill(scratch, &b, PipelineReport::InpPs),
-        Protocol::Mechanism(InpEm) => fill(scratch, &b, PipelineReport::InpEm),
-        Protocol::Mechanism(InpHt) => {
+        Protocol::InpPs => fill(scratch, &b, PipelineReport::InpPs),
+        Protocol::InpEm => fill(scratch, &b, PipelineReport::InpEm),
+        Protocol::InpHt => {
             fill(scratch, &b, |f| PipelineReport::InpHt(inp_ht_report(l, f)));
         }
-        Protocol::Mechanism(MargPs) => fill(scratch, &b, |f| {
+        Protocol::MargPs => fill(scratch, &b, |f| {
             PipelineReport::MargPs(marg_ps_report(l, f))
         }),
-        Protocol::Mechanism(MargHt) => fill(scratch, &b, |f| {
+        Protocol::MargHt => fill(scratch, &b, |f| {
             PipelineReport::MargHt(marg_ht_report(l, f))
         }),
-        Protocol::Oracle(OracleKind::Hcms) => {
+        Protocol::Hcms => {
             fill(scratch, &b, |f| PipelineReport::Hcms(hcms_report(l, f)));
         }
-        Protocol::Oracle(OracleKind::Olh) => {
+        Protocol::Olh => {
             for (i, r) in body.as_chunks::<9>().0.iter().enumerate() {
                 if let Some(s) = slot(scratch, i) {
                     *s = PipelineReport::Olh(olh_report(r));
                 }
             }
         }
-        Protocol::Mechanism(InpRr) => for_each_set_report(&b, |i, _, set| {
+        Protocol::InpRr => for_each_set_report(&b, |i, _, set| {
             if let Some(s) = slot(scratch, i) {
                 let mut ones = match std::mem::replace(s, EMPTY_SLOT) {
                     PipelineReport::InpRr(ones) => ones,
@@ -1032,7 +965,7 @@ pub fn decode_report_batch_into(
                 *s = PipelineReport::InpRr(ones);
             }
         }),
-        Protocol::Mechanism(MargRr) => for_each_set_report(&b, |i, marginal, set| {
+        Protocol::MargRr => for_each_set_report(&b, |i, marginal, set| {
             if let Some(s) = slot(scratch, i) {
                 let mut ones = match std::mem::replace(s, EMPTY_SLOT) {
                     PipelineReport::MargRr(report) => report.ones,
@@ -1046,7 +979,7 @@ pub fn decode_report_batch_into(
                 });
             }
         }),
-        Protocol::Oracle(OracleKind::Cms) => for_each_set_report(&b, |i, row, set| {
+        Protocol::Cms => for_each_set_report(&b, |i, row, set| {
             if let Some(s) = slot(scratch, i) {
                 let mut report = match std::mem::replace(s, EMPTY_SLOT) {
                     PipelineReport::Cms(report) => report,
@@ -1203,18 +1136,19 @@ impl PipelineAccumulator {
                 header.protocol
             ));
         }
-        let acc = match header.protocol {
-            tag::INP_RR => InpRrAggregator::from_bytes(state).map(Self::InpRr),
-            tag::INP_PS => InpPsAggregator::from_bytes(state).map(Self::InpPs),
-            tag::INP_HT => InpHtAggregator::from_bytes(state).map(Self::InpHt),
-            tag::MARG_RR => MargRrAggregator::from_bytes(state).map(Self::MargRr),
-            tag::MARG_PS => MargPsAggregator::from_bytes(state).map(Self::MargPs),
-            tag::MARG_HT => MargHtAggregator::from_bytes(state).map(Self::MargHt),
-            tag::INP_EM => InpEmAggregator::from_bytes(state).map(Self::InpEm),
-            tag::OLH => OlhAggregator::from_bytes(state).map(Self::Olh),
-            tag::CMS => CmsAggregator::from_bytes(state).map(Self::Cms),
-            tag::HCMS => HadamardCmsAggregator::from_bytes(state).map(Self::Hcms),
-            t => return Err(format!("header names unknown protocol tag {t:#04x}")),
+        let protocol = Protocol::from_header(header)
+            .ok_or_else(|| format!("header names unknown protocol tag {:#04x}", header.protocol))?;
+        let acc = match protocol {
+            Protocol::InpRr => InpRrAggregator::from_bytes(state).map(Self::InpRr),
+            Protocol::InpPs => InpPsAggregator::from_bytes(state).map(Self::InpPs),
+            Protocol::InpHt => InpHtAggregator::from_bytes(state).map(Self::InpHt),
+            Protocol::MargRr => MargRrAggregator::from_bytes(state).map(Self::MargRr),
+            Protocol::MargPs => MargPsAggregator::from_bytes(state).map(Self::MargPs),
+            Protocol::MargHt => MargHtAggregator::from_bytes(state).map(Self::MargHt),
+            Protocol::InpEm => InpEmAggregator::from_bytes(state).map(Self::InpEm),
+            Protocol::Olh => OlhAggregator::from_bytes(state).map(Self::Olh),
+            Protocol::Cms => CmsAggregator::from_bytes(state).map(Self::Cms),
+            Protocol::Hcms => HadamardCmsAggregator::from_bytes(state).map(Self::Hcms),
         }
         .map_err(|e| format!("bad snapshot state: {e}"))?;
         // The same fields read off the header, whose protocol the tag
@@ -1239,16 +1173,16 @@ impl PipelineAccumulator {
     #[must_use]
     pub fn protocol(&self) -> Protocol {
         match self {
-            Self::InpRr(_) => Protocol::Mechanism(MechanismKind::InpRr),
-            Self::InpPs(_) => Protocol::Mechanism(MechanismKind::InpPs),
-            Self::InpHt(_) => Protocol::Mechanism(MechanismKind::InpHt),
-            Self::MargRr(_) => Protocol::Mechanism(MechanismKind::MargRr),
-            Self::MargPs(_) => Protocol::Mechanism(MechanismKind::MargPs),
-            Self::MargHt(_) => Protocol::Mechanism(MechanismKind::MargHt),
-            Self::InpEm(_) => Protocol::Mechanism(MechanismKind::InpEm),
-            Self::Olh(_) => Protocol::Oracle(OracleKind::Olh),
-            Self::Cms(_) => Protocol::Oracle(OracleKind::Cms),
-            Self::Hcms(_) => Protocol::Oracle(OracleKind::Hcms),
+            Self::InpRr(_) => Protocol::InpRr,
+            Self::InpPs(_) => Protocol::InpPs,
+            Self::InpHt(_) => Protocol::InpHt,
+            Self::MargRr(_) => Protocol::MargRr,
+            Self::MargPs(_) => Protocol::MargPs,
+            Self::MargHt(_) => Protocol::MargHt,
+            Self::InpEm(_) => Protocol::InpEm,
+            Self::Olh(_) => Protocol::Olh,
+            Self::Cms(_) => Protocol::Cms,
+            Self::Hcms(_) => Protocol::Hcms,
         }
     }
 
@@ -1545,18 +1479,19 @@ pub enum PipelineEstimate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldp_core::MechanismKind;
 
     fn mech(kind: MechanismKind, d: u32, k: u32) -> StreamHeader {
         StreamHeader::mechanism(kind, d, k, 1.1)
     }
 
-    fn oracle_header(kind: OracleKind, d: u32, hashes: u32, width: u32) -> StreamHeader {
+    fn oracle_header(protocol: Protocol, d: u32, hashes: u32, width: u32) -> StreamHeader {
         let sketch = SketchShape {
             hashes,
             width,
             family_seed: 9,
         };
-        header_for(Protocol::Oracle(kind), d, 1, 1.1, sketch)
+        header_for(protocol, d, 1, 1.1, sketch)
     }
 
     fn batch(client: &Client, rows: &[u64], seed: u64) -> Vec<u8> {
@@ -1600,21 +1535,19 @@ mod tests {
     #[test]
     fn layout_widths_follow_the_spec_table() {
         let at = |p, d, k, h, w| layout(p, d, k, h, w).bits();
-        let m = Protocol::Mechanism;
-        assert_eq!(at(m(MechanismKind::MargPs), 8, 2, 0, 0), 7); // ⌈lg 28⌉ + 2
-        assert_eq!(at(m(MechanismKind::InpHt), 16, 3, 0, 0), 11); // ⌈lg 696⌉ + 1
-        assert_eq!(at(m(MechanismKind::InpRr), 8, 0, 0, 0), 256);
-        assert_eq!(at(m(MechanismKind::MargRr), 8, 2, 0, 0), 5 + 4);
-        assert_eq!(at(m(MechanismKind::MargHt), 8, 2, 0, 0), 5 + 2 + 1);
-        assert_eq!(at(m(MechanismKind::InpPs), 8, 0, 0, 0), 8);
-        assert_eq!(at(m(MechanismKind::InpEm), 8, 0, 0, 0), 8);
+        assert_eq!(at(Protocol::MargPs, 8, 2, 0, 0), 7); // ⌈lg 28⌉ + 2
+        assert_eq!(at(Protocol::InpHt, 16, 3, 0, 0), 11); // ⌈lg 696⌉ + 1
+        assert_eq!(at(Protocol::InpRr, 8, 0, 0, 0), 256);
+        assert_eq!(at(Protocol::MargRr, 8, 2, 0, 0), 5 + 4);
+        assert_eq!(at(Protocol::MargHt, 8, 2, 0, 0), 5 + 2 + 1);
+        assert_eq!(at(Protocol::InpPs, 8, 0, 0, 0), 8);
+        assert_eq!(at(Protocol::InpEm, 8, 0, 0, 0), 8);
         // C(d, k) = 1 and T = 1 need no index bits at all.
-        assert_eq!(at(m(MechanismKind::MargPs), 4, 4, 0, 0), 4);
-        assert_eq!(at(m(MechanismKind::InpHt), 1, 1, 0, 0), 1);
-        let o = Protocol::Oracle;
-        assert_eq!(at(o(OracleKind::Olh), 8, 0, 0, 0), 72);
-        assert_eq!(at(o(OracleKind::Cms), 8, 0, 5, 256), 3 + 256);
-        assert_eq!(at(o(OracleKind::Hcms), 8, 0, 1, 256), 8 + 1);
+        assert_eq!(at(Protocol::MargPs, 4, 4, 0, 0), 4);
+        assert_eq!(at(Protocol::InpHt, 1, 1, 0, 0), 1);
+        assert_eq!(at(Protocol::Olh, 8, 0, 0, 0), 72);
+        assert_eq!(at(Protocol::Cms, 8, 0, 5, 256), 3 + 256);
+        assert_eq!(at(Protocol::Hcms, 8, 0, 1, 256), 8 + 1);
     }
 
     #[test]
@@ -1625,8 +1558,8 @@ mod tests {
             mech(MechanismKind::InpRr, 2, 2),
             mech(MechanismKind::MargRr, 8, 7),
             mech(MechanismKind::MargHt, 6, 2),
-            oracle_header(OracleKind::Cms, 6, 3, 100),
-            oracle_header(OracleKind::Olh, 6, 3, 16),
+            oracle_header(Protocol::Cms, 6, 3, 100),
+            oracle_header(Protocol::Olh, 6, 3, 16),
         ] {
             let client = Client::from_header(&header).unwrap();
             let rows: Vec<u64> = (0..17u64).map(|u| (u * 5) % (1 << header.d)).collect();
@@ -1745,7 +1678,7 @@ mod tests {
     #[test]
     fn absorb_rejects_mixed_batches_whole() {
         let margps = mech(MechanismKind::MargPs, 6, 2);
-        let olh = oracle_header(OracleKind::Olh, 6, 3, 16);
+        let olh = oracle_header(Protocol::Olh, 6, 3, 16);
         let mut reports = Vec::new();
         for header in [&margps, &olh] {
             let payload = batch(&Client::from_header(header).unwrap(), &[1], 3);
@@ -1812,17 +1745,17 @@ mod tests {
                 "InpHT coefficient 30",
             ),
             (
-                oracle_header(OracleKind::Olh, 6, 3, 16),
+                oracle_header(Protocol::Olh, 6, 3, 16),
                 (7, 200, false),
                 "OLH bucket 200",
             ),
             (
-                oracle_header(OracleKind::Cms, 6, 3, 16),
+                oracle_header(Protocol::Cms, 6, 3, 16),
                 (3, 0, false),
                 "CMS row 3 is out of range (must be below 3)",
             ),
             (
-                oracle_header(OracleKind::Hcms, 6, 3, 16),
+                oracle_header(Protocol::Hcms, 6, 3, 16),
                 (3, 0, true),
                 "HCMS row 3",
             ),
@@ -1861,7 +1794,7 @@ mod tests {
                 "InpEM row 64 is out of range (must be below 64)",
             ),
             (
-                oracle_header(OracleKind::Cms, 6, 3, 16),
+                oracle_header(Protocol::Cms, 6, 3, 16),
                 PipelineReport::Cms(Box::new(CmsReport {
                     row: 0,
                     ones: vec![1],
@@ -1873,7 +1806,7 @@ mod tests {
                 "CMS bucket 16 is out of range (must be below 16)",
             ),
             (
-                oracle_header(OracleKind::Hcms, 6, 3, 16),
+                oracle_header(Protocol::Hcms, 6, 3, 16),
                 PipelineReport::Hcms(HcmsReport {
                     row: 0,
                     coefficient: 1,
@@ -1935,8 +1868,8 @@ mod tests {
         let err = PipelineAccumulator::from_state(&k3, &state(&k2, 30)).unwrap_err();
         assert!(err.contains("k=2") && err.contains("k=3"), "{err}");
 
-        let narrow = oracle_header(OracleKind::Hcms, 6, 3, 16);
-        let wide = oracle_header(OracleKind::Hcms, 6, 3, 32);
+        let narrow = oracle_header(Protocol::Hcms, 6, 3, 16);
+        let wide = oracle_header(Protocol::Hcms, 6, 3, 32);
         let err = PipelineAccumulator::from_state(&wide, &state(&narrow, 30)).unwrap_err();
         assert!(err.contains("3×16") && err.contains("3×32"), "{err}");
 

@@ -156,7 +156,7 @@ pub struct ServerStats {
     /// Reports absorbed across all shards.
     pub reports: u64,
     /// Shard count (`--shards`).
-    pub workers: u32,
+    pub shards: u32,
     /// Connections accepted since startup.
     pub connections_accepted: u64,
     /// Connections currently open.
@@ -226,7 +226,7 @@ impl Response {
                     None => w.put_bytes(&[]),
                 }
                 w.put_u64(s.reports);
-                w.put_u32(s.workers);
+                w.put_u32(s.shards);
                 w.put_u64(s.connections_accepted);
                 w.put_u32(s.connections_active);
                 w.put_u64(s.rejected_frames);
@@ -288,7 +288,7 @@ impl Response {
                 let stats = ServerStats {
                     header,
                     reports: r.get_u64()?,
-                    workers: r.get_u32()?,
+                    shards: r.get_u32()?,
                     connections_accepted: r.get_u64()?,
                     connections_active: r.get_u32()?,
                     rejected_frames: r.get_u64()?,
@@ -391,7 +391,7 @@ mod tests {
             Response::Stats(ServerStats {
                 header: Some(header),
                 reports: 1000,
-                workers: 4,
+                shards: 4,
                 connections_accepted: 9,
                 connections_active: 2,
                 rejected_frames: 1,
@@ -400,7 +400,7 @@ mod tests {
             Response::Stats(ServerStats {
                 header: None,
                 reports: 0,
-                workers: 4,
+                shards: 4,
                 connections_accepted: 0,
                 connections_active: 1,
                 rejected_frames: 0,

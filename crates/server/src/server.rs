@@ -44,8 +44,8 @@ use crate::relay::{read_checkpoint, write_checkpoint, Checkpoint, DownstreamEntr
 use ldp_bits::Mask;
 use ldp_core::frame::{FrameError, FrameReader, FrameWriter, StreamHeader};
 use ldp_core::wire::tag;
-use ldp_core::{clamp_normalize, MarginalEstimator};
-use ldp_oracles::pipeline::{PipelineAccumulator, PipelineEstimate, Protocol};
+use ldp_core::{clamp_normalize, MarginalEstimator, Protocol};
+use ldp_oracles::pipeline::{PipelineAccumulator, PipelineEstimate};
 use std::collections::BTreeMap;
 use std::io::{self, BufWriter};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -118,8 +118,10 @@ struct Pending {
 
 /// Lock `mutex`, recovering from poison. Every value locked this way
 /// (a counter, an error slot, a channel end, an accumulator that
-/// `absorb_frame` changes only after validating a whole frame) is valid
-/// at every instruction, so one panicked thread must not cascade.
+/// `absorb_frame` changes only after validating a whole frame, the
+/// pipeline slot, the downstream table of whole `(epoch, state)`
+/// entries, the checkpoint mark, the push lock) is valid at every
+/// instruction, so one panicked thread must not cascade.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -433,34 +435,19 @@ impl Shared {
         true
     }
 
-    /// Lock the pipeline slot, recovering from poison: the lock is only
-    /// poisoned if a holder panicked, and everything under it (the
-    /// header, the shards, the offer channel and the helper handles) is
-    /// valid at every instruction, so one crashed connection handler
-    /// must not cascade a panic into every other handler that touches
-    /// the pipeline afterwards.
-    fn lock_pipeline(&self) -> MutexGuard<'_, Option<Pipeline>> {
-        self.pipeline.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Establish the pipeline from the first stream's header (building
     /// the shards and spawning the helpers), or verify a later stream
-    /// matches it exactly.
-    fn establish(self: &Arc<Self>, header: StreamHeader) -> Result<(), String> {
-        self.establish_seeded(header, None)
-    }
-
-    /// [`Shared::establish`], optionally seeding shard 0 with a
-    /// recovered accumulator state (checkpoint recovery): merging in
-    /// shard order then makes the live state `recovered ⊕ new`, which
-    /// the partition-invariance law keeps byte-identical to a serial
-    /// ingest of both report sets.
-    fn establish_seeded(
+    /// matches it exactly. `seed` is a recovered accumulator state
+    /// (checkpoint recovery) for shard 0: merging in shard order then
+    /// makes the live state `recovered ⊕ new`, which the
+    /// partition-invariance law keeps byte-identical to a serial ingest
+    /// of both report sets.
+    fn establish(
         self: &Arc<Self>,
         header: StreamHeader,
         seed: Option<&[u8]>,
     ) -> Result<(), String> {
-        let mut guard = self.lock_pipeline();
+        let mut guard = lock(&self.pipeline);
         if let Some(pipeline) = guard.as_ref() {
             if pipeline.header == header {
                 return Ok(());
@@ -506,26 +493,9 @@ impl Shared {
     /// Clone out the shards and the offer channel, so report ingest runs
     /// without touching the pipeline lock.
     fn route(&self) -> Option<(Shards, SyncSender<Offer>)> {
-        self.lock_pipeline()
+        lock(&self.pipeline)
             .as_ref()
             .map(|p| (Arc::clone(&p.shards), p.offers.clone()))
-    }
-
-    /// Lock the downstream replacement table, recovering from poison
-    /// (entries are whole `(epoch, state)` pairs, valid at every
-    /// instruction).
-    fn lock_downstream(&self) -> MutexGuard<'_, BTreeMap<String, (u64, Vec<u8>)>> {
-        self.downstream
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Lock the checkpoint mark. Held across the checkpoint file write
-    /// so concurrent ingest acks serialize their writes.
-    fn lock_checkpoint_mark(&self) -> MutexGuard<'_, u64> {
-        self.checkpoint_mark
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The live merged snapshot as serialized state (what snapshot
@@ -543,7 +513,7 @@ impl Shared {
     /// in the subtree.
     fn collect_merged(&self) -> Result<(StreamHeader, PipelineAccumulator), String> {
         let (header, mut merged) = self.collect_local()?;
-        let downstream = self.lock_downstream();
+        let downstream = lock(&self.downstream);
         for (collector, (_, state)) in downstream.iter() {
             let acc = PipelineAccumulator::from_state(&header, state)
                 .map_err(|e| format!("downstream snapshot from {collector}: {e}"))?;
@@ -556,8 +526,7 @@ impl Shared {
     /// time and cloned, merged in shard order. Excludes downstream
     /// pushes — this is what a checkpoint stores as `local_state`.
     fn collect_local(&self) -> Result<(StreamHeader, PipelineAccumulator), String> {
-        let (header, shards) = self
-            .lock_pipeline()
+        let (header, shards) = lock(&self.pipeline)
             .as_ref()
             .map(|p| (p.header, Arc::clone(&p.shards)))
             .ok_or("no report stream has been ingested yet")?;
@@ -577,11 +546,11 @@ impl Shared {
     }
 
     fn stats(&self) -> ServerStats {
-        let header = self.lock_pipeline().as_ref().map(|p| p.header);
+        let header = lock(&self.pipeline).as_ref().map(|p| p.header);
         ServerStats {
             header,
             reports: self.reports.load(Ordering::Relaxed),
-            workers: self.shards as u32,
+            shards: self.shards as u32,
             connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
             connections_active: *lock(&self.connections_active) as u32,
             rejected_frames: self.rejected_frames.load(Ordering::Relaxed),
@@ -646,7 +615,7 @@ impl Shared {
     /// unless its epoch is stale, in which case the push is refused by
     /// name so a restarted child can fast-forward its counter.
     fn apply_push(self: &Arc<Self>, push: PushRequest) -> Response {
-        if let Err(message) = self.establish_seeded(push.header, None) {
+        if let Err(message) = self.establish(push.header, None) {
             self.rejected_frames.fetch_add(1, Ordering::Relaxed);
             return Response::Error(format!("snapshot push from {}: {message}", push.collector));
         }
@@ -657,7 +626,7 @@ impl Shared {
                 push.collector
             ));
         }
-        let mut downstream = self.lock_downstream();
+        let mut downstream = lock(&self.downstream);
         match downstream.get(&push.collector) {
             Some(&(held, _)) if push.epoch < held => Response::Push {
                 applied: false,
@@ -684,7 +653,7 @@ impl Shared {
         let Some(path) = self.checkpoint.as_ref() else {
             return;
         };
-        let mut mark = self.lock_checkpoint_mark();
+        let mut mark = lock(&self.checkpoint_mark);
         let absorbed = self.reports.load(Ordering::Relaxed);
         if absorbed.saturating_sub(*mark) < self.checkpoint_every {
             return;
@@ -702,8 +671,7 @@ impl Shared {
     fn write_checkpoint_to(&self, path: &std::path::Path) -> Result<u64, String> {
         let (header, local) = self.collect_local()?;
         let reports = local.report_count();
-        let downstream = self
-            .lock_downstream()
+        let downstream = lock(&self.downstream)
             .iter()
             .map(|(collector, &(epoch, ref state))| DownstreamEntry {
                 collector: collector.clone(),
@@ -732,10 +700,7 @@ impl Shared {
     /// carries the *cumulative* view, re-pushing a later snapshot
     /// under a later epoch is exactly the at-least-once contract.
     fn push_upstream(&self, upstream: &str) -> Result<bool, String> {
-        let _serialize = self
-            .push_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _serialize = lock(&self.push_lock);
         let Ok((header, state)) = self.collect() else {
             // No stream has been ingested yet: nothing to push.
             return Ok(false);
@@ -882,12 +847,12 @@ impl Server {
             None => None,
             Some(cp) => {
                 shared
-                    .establish_seeded(cp.header, Some(&cp.local_state))
+                    .establish(cp.header, Some(&cp.local_state))
                     .map_err(|e| format!("checkpoint recovery: {e}"))?;
                 shared.reports.store(cp.reports, Ordering::SeqCst);
                 shared.epoch.store(cp.epoch, Ordering::SeqCst);
-                *shared.lock_checkpoint_mark() = cp.reports;
-                let mut downstream = shared.lock_downstream();
+                *lock(&shared.checkpoint_mark) = cp.reports;
+                let mut downstream = lock(&shared.downstream);
                 for entry in cp.downstream {
                     downstream.insert(entry.collector, (entry.epoch, entry.state));
                 }
@@ -996,9 +961,9 @@ impl Server {
         }
         // Final checkpoint, recording the post-push epoch, so a
         // restart resumes from the graceful shutdown point.
-        if self.shared.checkpoint.is_some() && self.shared.lock_pipeline().is_some() {
+        if self.shared.checkpoint.is_some() && lock(&self.shared.pipeline).is_some() {
             if let Some(path) = self.shared.checkpoint.as_ref() {
-                let mut mark = self.shared.lock_checkpoint_mark();
+                let mut mark = lock(&self.shared.checkpoint_mark);
                 match self.shared.write_checkpoint_to(path) {
                     Ok(reports) => *mark = reports,
                     Err(e) => eprintln!("final checkpoint: {e}"),
@@ -1008,7 +973,7 @@ impl Server {
         // Every handler waited for its offers to settle before it
         // returned, so the helpers are idle and the shards complete.
         let snapshot = self.shared.collect().ok();
-        let pipeline = self.shared.lock_pipeline().take();
+        let pipeline = lock(&self.shared.pipeline).take();
         if let Some(Pipeline {
             offers, helpers, ..
         }) = pipeline
@@ -1126,7 +1091,7 @@ fn handle_ingest(
             return Err(message);
         }
     };
-    if let Err(message) = shared.establish(header) {
+    if let Err(message) = shared.establish(header, None) {
         shared.rejected_frames.fetch_add(1, Ordering::Relaxed);
         reply(writer, &Response::Error(message.clone()))?;
         return Err(message);

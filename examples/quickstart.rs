@@ -17,11 +17,13 @@ fn main() {
     //    (d + 1 = 9 bits for InpHT); the aggregator can then answer any
     //    marginal of order ≤ k = 2.
     let (k, eps) = (2, 1.1);
-    let mech = MechanismKind::InpHt.build(data.d(), k, eps);
+    let kind = MechanismKind::InpHt;
+    let mech = kind.build(data.d(), k, eps);
+    let bound = kind.bound().expect("InpHT has a Table 2 bound");
     println!(
         "mechanism: {} ({} bits/user, eps = {eps})",
-        mech.kind().name(),
-        mech.communication_bits()
+        kind.name(),
+        bound.communication_bits(data.d(), k)
     );
     let estimate = mech.run(data.rows(), 42);
 

@@ -13,7 +13,7 @@
 
 use ldp_core::frame::{read_snapshot, FrameReader, FrameWriter, StreamHeader};
 use ldp_core::wire::Writer;
-use ldp_core::{MarginalEstimator, MechanismKind};
+use ldp_core::{MarginalEstimator, MechanismKind, Protocol};
 use ldp_oracles::pipeline::{
     decode_report_batch_into, Client, PipelineAccumulator, PipelineEstimate,
 };
@@ -299,9 +299,7 @@ fn multiprocess_pipeline_matches_single_process_for_every_mechanism() {
 /// order invisible).
 #[test]
 fn multiprocess_pipeline_matches_reference_for_oracles() {
-    use ldp_oracles::OracleKind;
-
-    for (kind, name) in [(OracleKind::Hcms, "hcms"), (OracleKind::Olh, "olh")] {
+    for (protocol, name) in [(Protocol::Hcms, "hcms"), (Protocol::Olh, "olh")] {
         let dir = scratch(&format!("oracle_{name}"));
         let rows = population(D, N);
         let rows_csv = dir.join("rows.csv");
@@ -366,7 +364,7 @@ fn multiprocess_pipeline_matches_reference_for_oracles() {
             read_snapshot(std::fs::read(&merged_path).unwrap().as_slice()).unwrap();
         assert_eq!(header.mechanism_kind(), None, "{name} is not a mechanism");
 
-        assert_eq!(header.protocol, kind.wire_tag(), "{name}");
+        assert_eq!(header.protocol, protocol.wire_tag(), "{name}");
         assert_eq!(
             merged_state,
             reference_state(&header, &rows),

@@ -18,11 +18,10 @@
 use ldp_server::{read_checkpoint, Checkpoint, DownstreamEntry, PushRequest, Request, Response};
 use marginal_ldp::core::frame::{FrameWriter, StreamHeader};
 use marginal_ldp::core::wire::Writer;
+use marginal_ldp::core::Protocol;
 use marginal_ldp::oracles::pipeline::{
-    decode_report_batch_into, header_for, layout, Client, Layout, PipelineAccumulator, Protocol,
-    SketchShape,
+    decode_report_batch_into, header_for, layout, Client, Layout, PipelineAccumulator, SketchShape,
 };
-use marginal_ldp::oracles::OracleKind;
 use marginal_ldp::prelude::MechanismKind;
 use proptest::prelude::*;
 
@@ -35,10 +34,8 @@ fn pipelines() -> Vec<(StreamHeader, Client)> {
         width: 8,
         family_seed: 3,
     };
-    MechanismKind::ALL
+    Protocol::ALL
         .into_iter()
-        .map(Protocol::Mechanism)
-        .chain(OracleKind::ALL.into_iter().map(Protocol::Oracle))
         .map(|protocol| {
             let header = header_for(protocol, D, 2, 1.1, sketch);
             (header, Client::from_header(&header).unwrap())
@@ -389,7 +386,7 @@ fn claimed_lengths_the_input_lacks_allocate_nothing() {
 #[test]
 fn merging_states_near_u64_max_saturates() {
     for (header, client) in pipelines() {
-        if client.protocol() == Protocol::Oracle(OracleKind::Olh) {
+        if client.protocol() == Protocol::Olh {
             continue;
         }
         let name = client.protocol().name();

@@ -10,11 +10,10 @@
 
 use marginal_ldp::core::user_rng;
 use marginal_ldp::core::wire::Writer;
+use marginal_ldp::core::Protocol;
 use marginal_ldp::oracles::pipeline::{
-    decode_report_batch_into, header_for, Client, PipelineReport, Protocol, SketchShape,
+    decode_report_batch_into, header_for, Client, PipelineReport, SketchShape,
 };
-use marginal_ldp::oracles::OracleKind;
-use marginal_ldp::prelude::*;
 use proptest::prelude::*;
 
 const D: u32 = 6;
@@ -25,14 +24,6 @@ const SKETCH: SketchShape = SketchShape {
     width: 16,
     family_seed: 9,
 };
-
-/// Every protocol the pipeline speaks: 7 mechanisms + 3 oracles.
-fn protocols() -> impl Iterator<Item = Protocol> {
-    MechanismKind::ALL
-        .into_iter()
-        .map(Protocol::Mechanism)
-        .chain(OracleKind::ALL.into_iter().map(Protocol::Oracle))
-}
 
 fn client_for(protocol: Protocol) -> Client {
     let header = header_for(protocol, D, K, EPS, SKETCH);
@@ -88,7 +79,7 @@ proptest! {
         first_user in 0u64..10_000,
     ) {
         let mut w = Writer::default();
-        for protocol in protocols() {
+        for protocol in Protocol::ALL {
             let client = client_for(protocol);
             client.encode_batch(&rows, seed, first_user, &mut w);
             let serial = serial_reports(&client, &rows, seed, first_user);
@@ -111,7 +102,7 @@ proptest! {
         bounds.push(rows.len());
         bounds.sort_unstable();
         let mut w = Writer::default();
-        for protocol in protocols() {
+        for protocol in Protocol::ALL {
             let client = client_for(protocol);
             for pair in bounds.windows(2) {
                 let (lo, hi) = (pair[0], pair[1]);

@@ -166,7 +166,7 @@ fn communication_costs_match_table_2() {
     ];
     for (kind, bits) in expected {
         assert_eq!(
-            kind.build(d, k, 1.0).communication_bits(),
+            kind.bound().unwrap().communication_bits(d, k),
             bits,
             "{}",
             kind.name()

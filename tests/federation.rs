@@ -22,9 +22,10 @@
 
 use ldp_core::frame::{read_snapshot, FrameReader, FrameWriter, StreamHeader};
 use ldp_core::wire::Writer;
+use ldp_core::Protocol;
 use ldp_server::{push_with, Control, PushRequest, Request, Response, ServeConfig, Server};
 use marginal_ldp::oracles::pipeline::{
-    decode_report_batch_into, header_for, Client, PipelineAccumulator, Protocol, SketchShape,
+    decode_report_batch_into, header_for, Client, PipelineAccumulator, SketchShape,
 };
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};

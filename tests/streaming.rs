@@ -12,11 +12,11 @@
 
 use marginal_ldp::core::frame::StreamHeader;
 use marginal_ldp::core::wire::Writer;
+use marginal_ldp::core::Protocol;
 use marginal_ldp::oracles::pipeline::{
     decode_report_batch_into, header_for, Client, PipelineAccumulator, PipelineEstimate,
-    PipelineReport, Protocol, SketchShape,
+    PipelineReport, SketchShape,
 };
-use marginal_ldp::oracles::OracleKind;
 use marginal_ldp::prelude::*;
 use proptest::prelude::*;
 
@@ -30,10 +30,8 @@ fn pipelines() -> Vec<(StreamHeader, Client)> {
         width: 16,
         family_seed: 9,
     };
-    MechanismKind::ALL
+    Protocol::ALL
         .into_iter()
-        .map(Protocol::Mechanism)
-        .chain(OracleKind::ALL.into_iter().map(Protocol::Oracle))
         .map(|protocol| {
             let header = header_for(protocol, D, 2, 1.1, sketch);
             (header, Client::from_header(&header).unwrap())

@@ -9,10 +9,10 @@
 
 use marginal_ldp::core::frame::StreamHeader;
 use marginal_ldp::core::wire::Writer;
+use marginal_ldp::core::Protocol;
 use marginal_ldp::oracles::pipeline::{
-    decode_report_batch_into, header_for, layout, Client, Protocol, SketchShape, ENVELOPE_BYTES,
+    decode_report_batch_into, header_for, layout, Client, SketchShape, ENVELOPE_BYTES,
 };
-use marginal_ldp::oracles::OracleKind;
 use marginal_ldp::prelude::*;
 
 /// Every shape the gate covers: each protocol at `d ∈ {1, 2, 3, 5, 8,
@@ -21,11 +21,7 @@ use marginal_ldp::prelude::*;
 fn shapes() -> Vec<StreamHeader> {
     let sketches = [(1, 2), (2, 16), (5, 256), (255, 1024)];
     let mut headers = Vec::new();
-    for protocol in MechanismKind::ALL
-        .into_iter()
-        .map(Protocol::Mechanism)
-        .chain(OracleKind::ALL.into_iter().map(Protocol::Oracle))
-    {
+    for protocol in Protocol::ALL {
         for d in [1u32, 2, 3, 5, 8, 12] {
             let mut ks = vec![1u32, 2, 3, d];
             ks.retain(|&k| k <= d);
