@@ -129,9 +129,19 @@ impl InpHtAggregator {
     /// (absorbing one outside the set panics).
     #[inline]
     pub fn absorb(&mut self, report: InpHtReport) {
+        self.absorb_n(report, 1);
+    }
+
+    /// Absorb `n` copies of one report, as [`Self::absorb`] does one.
+    #[inline]
+    pub fn absorb_n(&mut self, report: InpHtReport, n: u64) {
         let i = report.coefficient as usize;
-        self.sums[i] += if report.sign_positive { 1 } else { -1 };
-        self.counts[i] += 1;
+        self.sums[i] += if report.sign_positive {
+            n as i64
+        } else {
+            -(n as i64)
+        };
+        self.counts[i] += n;
     }
 
     /// Number of reports absorbed.

@@ -134,10 +134,20 @@ impl MargHtAggregator {
     /// a marginal outside `C(d,k)`, and absorbing one directly panics.
     #[inline]
     pub fn absorb(&mut self, report: MargHtReport) {
+        self.absorb_n(report, 1);
+    }
+
+    /// Absorb `n` copies of one report, as [`Self::absorb`] does one.
+    #[inline]
+    pub fn absorb_n(&mut self, report: MargHtReport, n: u64) {
         let cells = 1usize << self.k;
         let idx = report.marginal as usize * cells + (report.coefficient as usize & (cells - 1));
-        self.sums[idx] += if report.sign_positive { 1 } else { -1 };
-        self.counts[idx] += 1;
+        self.sums[idx] += if report.sign_positive {
+            n as i64
+        } else {
+            -(n as i64)
+        };
+        self.counts[idx] += n;
     }
 
     /// Number of reports absorbed.

@@ -123,9 +123,15 @@ impl MargPsAggregator {
     /// marginal outside `C(d,k)`, and absorbing one directly panics.
     #[inline]
     pub fn absorb(&mut self, report: MargPsReport) {
+        self.absorb_n(report, 1);
+    }
+
+    /// Absorb `n` copies of one report, as [`Self::absorb`] does one.
+    #[inline]
+    pub fn absorb_n(&mut self, report: MargPsReport, n: u64) {
         let cells = 1usize << self.k;
         let idx = report.marginal as usize * cells + (report.cell as usize & (cells - 1));
-        self.counts[idx] += 1;
+        self.counts[idx] += n;
     }
 
     /// Number of reports absorbed.

@@ -135,9 +135,19 @@ impl HadamardCmsAggregator {
     /// outside the sketch panics).
     #[inline]
     pub fn absorb(&mut self, report: HcmsReport) {
+        self.absorb_n(report, 1);
+    }
+
+    /// Absorb `n` copies of one report, as [`Self::absorb`] does one.
+    #[inline]
+    pub fn absorb_n(&mut self, report: HcmsReport, n: u64) {
         let (l, m) = (report.row as usize, report.coefficient as usize);
-        self.sums[l][m] += if report.sign_positive { 1 } else { -1 };
-        self.counts[l][m] += 1;
+        self.sums[l][m] += if report.sign_positive {
+            n as i64
+        } else {
+            -(n as i64)
+        };
+        self.counts[l][m] += n;
     }
 
     /// Number of reports absorbed.

@@ -1028,21 +1028,34 @@ fn out_of_range(i: usize, e: &WireError) -> String {
     format!("bad report frame: report {i} of the batch: {e}")
 }
 
-/// Both passes of a fixed-field frame kernel. Every range check bounds
-/// each field from above, so pass 1 reduces the batch to its per-field
-/// maxima and checks the report they make: the batch passes exactly
-/// when that report does. A batch that fails is read again to name its
-/// first bad report. Pass 2 reads every report (`parse` of its fixed
-/// bits) into `absorb`.
+/// The fixed-field frame kernel (InpHT, MargPS, MargHT, HCMS), which
+/// absorbs a batch whole or not at all by one of two paths, chosen by
+/// the batch itself:
+///
+/// - **Counting** ([`absorb_counted`]), when a report has at most 10
+///   fixed bits and the batch holds at least two reports per possible
+///   value (`count ≥ 2·2^fixed`).
+/// - **Per report**, otherwise: every range check bounds each field
+///   from above, so pass 1 reduces the batch to its per-field maxima
+///   and checks the report they make, and the batch passes exactly when
+///   that report does. Pass 2 hands every report to `absorb_n` with a
+///   count of 1.
+///
+/// A batch that fails is read again to name its first bad report, so
+/// both paths refuse with the same message. `parse` makes a report
+/// from its fixed bits.
 #[inline]
 fn absorb_fields<A, R>(
     acc: &mut A,
     b: &Batch<'_>,
     parse: impl Fn(u64) -> R,
     check: impl Fn(&A, R) -> Result<(), WireError>,
-    mut absorb: impl FnMut(&mut A, R),
+    mut absorb_n: impl FnMut(&mut A, R, u64),
 ) -> Result<(), (usize, WireError)> {
     let (l, bits) = (b.layout, b.layout.fixed());
+    if bits <= COUNTED_BITS && b.count >= 2 << bits {
+        return absorb_counted(acc, b, parse, check, absorb_n);
+    }
     let (mut index, mut value) = (0, 0);
     for_each_field(b.body, b.count, bits, |_, f| {
         let (i, v, _) = l.split(f);
@@ -1050,12 +1063,59 @@ fn absorb_fields<A, R>(
         value = value.max(v);
     });
     if b.count > 0 && check(acc, parse(l.join(index, value, false))).is_err() {
-        return Err(first_refusal(b.count, |i| {
-            check(acc, parse(field(b.body, i, bits)))
-        }));
+        return Err(first_bad_field(acc, b, parse, check));
     }
-    for_each_field(b.body, b.count, bits, |_, f| absorb(acc, parse(f)));
+    for_each_field(b.body, b.count, bits, |_, f| absorb_n(acc, parse(f), 1));
     Ok(())
+}
+
+/// The widest fixed field [`absorb_counted`] takes: its histogram is
+/// `2^10` `u32` bins, 4 KiB on the stack.
+const COUNTED_BITS: u32 = 10;
+
+/// The counting path of [`absorb_fields`]: one pass counts the reports
+/// by value into a stack histogram, then `check` runs once per value
+/// seen and, when every value passes, `absorb_n` once per value with
+/// its count.
+fn absorb_counted<A, R>(
+    acc: &mut A,
+    b: &Batch<'_>,
+    parse: impl Fn(u64) -> R,
+    check: impl Fn(&A, R) -> Result<(), WireError>,
+    mut absorb_n: impl FnMut(&mut A, R, u64),
+) -> Result<(), (usize, WireError)> {
+    let bits = b.layout.fixed();
+    let mut all = [0u32; 1 << COUNTED_BITS];
+    // A field has `bits ≤ 10` bits, so `& wrap` changes no value; it lets
+    // the compiler drop the bounds check.
+    let wrap = all.len() - 1;
+    for_each_field(b.body, b.count, bits, |_, f| {
+        if let Some(n) = all.get_mut(usize::try_from(f).unwrap_or(0) & wrap) {
+            *n += 1;
+        }
+    });
+    let bins = all.get(..1 << bits).unwrap_or_default();
+    let seen = || (0u64..).zip(bins).filter(|&(_, &n)| n > 0);
+    if seen().any(|(f, _)| check(acc, parse(f)).is_err()) {
+        return Err(first_bad_field(acc, b, parse, check));
+    }
+    for (f, &n) in seen() {
+        absorb_n(acc, parse(f), u64::from(n));
+    }
+    Ok(())
+}
+
+/// The first report of a fixed-field batch that fails `check`, with its
+/// error: the error path of a refused batch.
+#[cold]
+fn first_bad_field<A, R>(
+    acc: &A,
+    b: &Batch<'_>,
+    parse: impl Fn(u64) -> R,
+    check: impl Fn(&A, R) -> Result<(), WireError>,
+) -> (usize, WireError) {
+    let bits = b.layout.fixed();
+    first_refusal(b.count, |i| check(acc, parse(field(b.body, i, bits))))
 }
 
 /// Both passes of a set-carrying frame kernel (InpRR, MargRR, CMS):
@@ -1292,7 +1352,10 @@ impl PipelineAccumulator {
     /// aggregator `check` [`Self::absorb_batch`] applies); pass 2 absorbs
     /// straight from the bits, with no [`PipelineReport`] in between:
     /// fixed-width reports eight to a load, sets by a `trailing_zeros`
-    /// walk.
+    /// walk. A MargPS, MargHT, InpHT or HCMS batch of at least
+    /// `2·2^fixed` reports of `fixed ≤ 10` bits makes one pass instead,
+    /// counting its reports by value, then checks and absorbs each value
+    /// seen once, with its count.
     ///
     /// Accepts exactly the payloads of this accumulator's shape that
     /// [`decode_report_batch_into`] followed by [`Self::absorb_batch`]
@@ -1326,13 +1389,16 @@ impl PipelineAccumulator {
                     a.absorb_ones(set_bits(body, set, l.set));
                 },
             ),
-            Self::InpPs(a) => absorb_fields(a, b, |row| row, |_, _| Ok(()), |a, row| a.absorb(row)),
+            Self::InpPs(a) => {
+                for_each_field(body, b.count, l.fixed(), |_, row| a.absorb(row));
+                Ok(())
+            }
             Self::InpHt(a) => absorb_fields(
                 a,
                 b,
                 |f| inp_ht_report(l, f),
                 |a, r| a.check(r),
-                |a, r| a.absorb(r),
+                |a, r, n| a.absorb_n(r, n),
             ),
             Self::MargRr(a) => absorb_sets(
                 a,
@@ -1350,14 +1416,14 @@ impl PipelineAccumulator {
                 b,
                 |f| marg_ps_report(l, f),
                 |a, r| a.check(r),
-                |a, r| a.absorb(r),
+                |a, r, n| a.absorb_n(r, n),
             ),
             Self::MargHt(a) => absorb_fields(
                 a,
                 b,
                 |f| marg_ht_report(l, f),
                 |a, r| a.check(r),
-                |a, r| a.absorb(r),
+                |a, r, n| a.absorb_n(r, n),
             ),
             Self::InpEm(a) => {
                 a.absorb_batch_iter((0..b.count).map(|i| field(body, i, l.fixed())));
@@ -1389,7 +1455,7 @@ impl PipelineAccumulator {
                 b,
                 |f| hcms_report(l, f),
                 |a, r| a.check(r),
-                |a, r| a.absorb(r),
+                |a, r, n| a.absorb_n(r, n),
             ),
         }
     }

@@ -175,10 +175,12 @@ proptest! {
     /// so decoding gets past the prelude. Batches also get the
     /// pipeline's own envelope over a random body, with the count the
     /// body holds and its pad bits cleared, so the range checks see
-    /// arbitrary field values.
+    /// arbitrary field values. Bodies reach 400 bytes, so every
+    /// fixed-field protocol's batches cross the `2·2^fixed` reports at
+    /// which its frame kernel counts reports by value.
     #[test]
     fn random_bytes_never_panic_a_decoder(
-        body in proptest::collection::vec(any::<u8>(), 0..80),
+        body in proptest::collection::vec(any::<u8>(), 0..400),
         seed in 0u64..1_000,
     ) {
         use marginal_ldp::core::wire::{tag, VERSION};
@@ -233,14 +235,15 @@ proptest! {
     }
 
     /// The structural faults of a wire-v4 batch, for every protocol at
-    /// any batch size: set pad bits, a count the body disagrees with,
+    /// batch sizes on both sides of the counting threshold of the
+    /// fixed-field kernels: set pad bits, a count the body disagrees with,
     /// and a valid batch of another shape. Each is refused by both
     /// paths (the reference decodes the other shape, which the frame
     /// kernels refuse by name) and leaves the state untouched.
     #[test]
     fn v4_batch_faults_are_refused_whole(
         seed in 0u64..1_000,
-        n in 0u64..40,
+        n in 0u64..300,
         delta in 1u32..9,
     ) {
         let all = pipelines();

@@ -7,12 +7,19 @@
 //! generator pure transport optimizations: a collector absorbing the
 //! batched frames ends up with exactly the reports the serial path
 //! would have produced.
+//!
+//! The fixed-field frame kernels are held to the same reference on the
+//! other side: `absorb_frame` over `encode_batch` frames leaves state
+//! byte-identical to typed serial `encode` then the typed aggregator's
+//! `absorb`, on both sides of the batch size where a kernel switches
+//! from absorbing report by report to counting reports by value, and a
+//! frame holding one out-of-range report is refused whole, naming it.
 
-use marginal_ldp::core::user_rng;
 use marginal_ldp::core::wire::Writer;
-use marginal_ldp::core::Protocol;
+use marginal_ldp::core::{user_rng, Accumulator as _, Protocol};
 use marginal_ldp::oracles::pipeline::{
-    decode_report_batch_into, header_for, Client, PipelineReport, SketchShape,
+    decode_report_batch_into, header_for, layout, Client, PipelineReport, SketchShape,
+    ENVELOPE_BYTES,
 };
 use proptest::prelude::*;
 
@@ -26,7 +33,11 @@ const SKETCH: SketchShape = SketchShape {
 };
 
 fn client_for(protocol: Protocol) -> Client {
-    let header = header_for(protocol, D, K, EPS, SKETCH);
+    client_at(protocol, D, K)
+}
+
+fn client_at(protocol: Protocol, d: u32, k: u32) -> Client {
+    let header = header_for(protocol, d, k, EPS, SKETCH);
     Client::from_header(&header).expect("test header is valid")
 }
 
@@ -115,5 +126,170 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// The fixed-field kernels with a range check, each at a shape whose
+/// reports have at most 10 fixed bits (so large batches are counted by
+/// value), plus InpHT at d=16, k=3, whose 11-bit reports are always
+/// absorbed one by one.
+const FIXED_FIELD_SHAPES: [(Protocol, u32, u32); 6] = [
+    (Protocol::MargPs, 8, 2),
+    (Protocol::MargPs, 5, 2),
+    (Protocol::MargHt, 8, 2),
+    (Protocol::Hcms, 8, 2),
+    (Protocol::InpHt, 5, 2),
+    (Protocol::InpHt, 16, 3),
+];
+
+/// Bits before the set in a report of this shape.
+fn fixed_bits(protocol: Protocol, d: u32, k: u32) -> u32 {
+    layout(protocol, d, k, SKETCH.hashes, SKETCH.width).fixed()
+}
+
+/// A fixed, skewed population over `d` attributes.
+fn population(d: u32, n: usize) -> Vec<u64> {
+    (0..n as u64)
+        .map(|u| {
+            let h = u.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            (h ^ (h >> 29)) & (h >> 17) & ((1u64 << d) - 1)
+        })
+        .collect()
+}
+
+/// Typed serial `encode`, then the typed aggregator's `absorb`, one
+/// report at a time: the state the frame kernels must reproduce.
+fn typed_state(client: &Client, rows: &[u64], seed: u64) -> Vec<u8> {
+    macro_rules! serial {
+        ($m:ident) => {{
+            let mut acc = $m.aggregator();
+            for (u, &row) in (0u64..).zip(rows) {
+                acc.absorb($m.encode(row, &mut user_rng(seed, u)));
+            }
+            acc.to_bytes()
+        }};
+    }
+    match client {
+        Client::InpHt(m) => serial!(m),
+        Client::MargPs(m) => serial!(m),
+        Client::MargHt(m) => serial!(m),
+        Client::Hcms(o) => serial!(o),
+        other => panic!("{} has no fixed-field range check", other.protocol().name()),
+    }
+}
+
+/// One `encode_batch` frame of `rows`, the first of them user
+/// `first_user`.
+fn frame(client: &Client, rows: &[u64], seed: u64, first_user: u64) -> Vec<u8> {
+    let mut w = Writer::default();
+    client.encode_batch(rows, seed, first_user, &mut w);
+    w.into_bytes()
+}
+
+/// `absorb_frame` leaves the typed reference's state at batch sizes just
+/// below and at the counting threshold `2·2^fixed`, and at 1024 and
+/// 4096 reports. Each population goes in as two frames, so the second
+/// is absorbed onto a state that already holds counts.
+#[test]
+fn frame_kernels_match_typed_encode_then_absorb() {
+    const SEED: u64 = 17;
+    for (protocol, d, k) in FIXED_FIELD_SHAPES {
+        let client = client_at(protocol, d, k);
+        let threshold = 2usize << fixed_bits(protocol, d, k);
+        for count in [threshold - 1, threshold, 1024, 4096] {
+            let rows = population(d, 2 * count);
+            let (first, second) = rows.split_at(count);
+            let mut acc = client.accumulator();
+            for (part, first_user) in [(first, 0), (second, count as u64)] {
+                let absorbed = acc.absorb_frame(&frame(&client, part, SEED, first_user));
+                assert_eq!(absorbed, Ok(count), "{} d={d} k={k}", protocol.name());
+            }
+            assert!(
+                acc.to_bytes() == typed_state(&client, &rows, SEED),
+                "{} d={d} k={k}: {count}-report frames diverged from the typed reference",
+                protocol.name()
+            );
+        }
+    }
+}
+
+/// Overwrite the `bits`-bit field at bit `at` of a frame's body.
+fn put_bits(frame: &mut [u8], at: usize, bits: u32, value: u64) {
+    for b in 0..bits as usize {
+        let bit = ENVELOPE_BYTES * 8 + at + b;
+        let mask = 1u8 << (bit % 8);
+        if value >> b & 1 == 1 {
+            frame[bit / 8] |= mask;
+        } else {
+            frame[bit / 8] &= !mask;
+        }
+    }
+}
+
+/// A counted 1024-report frame holding one report whose leading field
+/// is out of range — first, in the middle or last — is refused whole:
+/// the error names that report and its field, and the state (already
+/// holding one valid frame) is unchanged.
+#[test]
+fn counted_frames_with_one_bad_report_are_refused_whole() {
+    const COUNT: usize = 1024;
+    // Each case: a shape, and a leading-field value its width allows
+    // but the shape does not (32 marginals fit 5 bits, C(8,2) = 28;
+    // 16 InpHT coefficients fit 4 bits, T = 15; 4 HCMS rows fit 2 bits,
+    // 3 are sketched).
+    let cases = [
+        (
+            Protocol::MargPs,
+            8,
+            2,
+            31,
+            "MargPS marginal 31 is out of range",
+        ),
+        (
+            Protocol::MargHt,
+            8,
+            2,
+            30,
+            "MargHT marginal 30 is out of range",
+        ),
+        (
+            Protocol::InpHt,
+            5,
+            2,
+            15,
+            "InpHT coefficient 15 is out of range",
+        ),
+        (Protocol::Hcms, 8, 2, 3, "HCMS row 3 is out of range"),
+    ];
+    for (protocol, d, k, bad, why) in cases {
+        let client = client_at(protocol, d, k);
+        let l = layout(protocol, d, k, SKETCH.hashes, SKETCH.width);
+        assert!(
+            COUNT >= 2 << l.fixed(),
+            "{} is not counted",
+            protocol.name()
+        );
+        let rows = population(d, 2 * COUNT);
+        let mut acc = client.accumulator();
+        acc.absorb_frame(&frame(&client, &rows[..COUNT], 5, 0))
+            .expect("a valid frame is absorbed");
+        let before = acc.to_bytes();
+        let good = frame(&client, &rows[COUNT..], 5, COUNT as u64);
+        for at in [0, COUNT / 2, COUNT - 1] {
+            let mut forged = good.clone();
+            put_bits(&mut forged, at * l.fixed() as usize, l.index, bad);
+            let err = acc.absorb_frame(&forged).unwrap_err();
+            assert!(
+                err.contains(&format!("report {at} of the batch")) && err.contains(why),
+                "{}: {err}",
+                protocol.name()
+            );
+            assert!(
+                acc.to_bytes() == before,
+                "{}: a refused frame changed state",
+                protocol.name()
+            );
+        }
+        assert_eq!(acc.absorb_frame(&good), Ok(COUNT), "{}", protocol.name());
     }
 }
