@@ -64,7 +64,7 @@ use crate::wire::WireError;
 /// let wire = Accumulator::to_bytes(&west);
 /// let west_rebuilt = <ldp_core::InpHtAggregator as Accumulator>::from_bytes(&wire).unwrap();
 /// Accumulator::merge(&mut east, west_rebuilt);
-/// assert_eq!(east.n(), 10_000);
+/// assert_eq!(east.report_count(), 10_000);
 /// let estimate = Accumulator::finalize(east);
 /// let table = ldp_core::MarginalEstimator::marginal(
 ///     &estimate,

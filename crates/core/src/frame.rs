@@ -136,6 +136,38 @@ impl<W: Write> FrameWriter<W> {
 /// the syscall amortization behind the batched serve wire path.
 const READ_BUF_LEN: usize = 64 * 1024;
 
+/// One `read` from `source` into `dst`, returning its byte count
+/// (`0` at end of stream) and retrying an `Interrupted` read. A read
+/// timeout (`WouldBlock` / `TimedOut`) is retried while `keep_going`
+/// holds and abandoned with [`FrameError::Interrupted`] once it does
+/// not; with no `keep_going` (the blocking-source path) it is an I/O
+/// error.
+fn read_retrying<R: Read>(
+    source: &mut R,
+    dst: &mut [u8],
+    keep_going: Option<&dyn Fn() -> bool>,
+) -> Result<usize, FrameError> {
+    loop {
+        match source.read(dst) {
+            Ok(n) => return Ok(n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                match keep_going {
+                    Some(keep) if keep() => {}
+                    Some(_) => return Err(FrameError::Interrupted),
+                    None => return Err(e.into()),
+                }
+            }
+            Err(e) => return Err(e.into()),
+        }
+    }
+}
+
 /// Read length-prefixed frames from any [`Read`] source, buffering
 /// reads: the reader pulls up to `READ_BUF_LEN` (64 KiB) per `read` call
 /// and serves length prefixes and payloads out of the buffer, so small
@@ -188,54 +220,32 @@ impl<R: Read> FrameReader<R> {
 
     /// One `read` from the source into the buffer tail (compacting
     /// leftover bytes to the front first); returns the byte count, with
-    /// `0` meaning end of stream. `keep_going: None` propagates read
-    /// timeouts (`WouldBlock` / `TimedOut`) as I/O errors — the
-    /// blocking-source path; `Some` retries through them while the
-    /// condition holds and abandons the read with
-    /// [`FrameError::Interrupted`] once it does not. Bytes already
-    /// buffered are kept across retries, so a frame split over many
-    /// timeout windows still assembles correctly.
+    /// `0` meaning end of stream. Timeouts are handled as
+    /// [`read_retrying`] does. Bytes already buffered are kept across
+    /// retries, so a frame split over many timeout windows still
+    /// assembles correctly.
     fn refill(&mut self, keep_going: Option<&dyn Fn() -> bool>) -> Result<usize, FrameError> {
         if self.start > 0 {
             self.buf.copy_within(self.start..self.end, 0);
             self.end -= self.start;
             self.start = 0;
         }
-        loop {
-            let Some(tail) = self.buf.get_mut(self.end..).filter(|t| !t.is_empty()) else {
-                // A full buffer cannot happen: callers refill only while
-                // they need bytes for a prefix (4 bytes) or a payload
-                // shorter than the buffer; longer payloads drain the
-                // buffer first and then stream directly.
-                return Ok(0);
-            };
-            match self.inner.read(tail) {
-                Ok(n) => {
-                    self.end += n;
-                    return Ok(n);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    match keep_going {
-                        Some(keep) if keep() => continue,
-                        Some(_) => return Err(FrameError::Interrupted),
-                        None => return Err(e.into()),
-                    }
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
+        let Some(tail) = self.buf.get_mut(self.end..).filter(|t| !t.is_empty()) else {
+            // A full buffer cannot happen: callers refill only while
+            // they need bytes for a prefix (4 bytes) or a payload
+            // shorter than the buffer; longer payloads drain the
+            // buffer first and then stream directly.
+            return Ok(0);
+        };
+        let n = read_retrying(&mut self.inner, tail, keep_going)?;
+        self.end += n;
+        Ok(n)
     }
 
     /// Read from the source directly into the unfilled tail of `dst`
     /// (bypassing the buffer) until `dst` is full or the stream ends;
-    /// returns the total filled, starting from `already`. Timeout
-    /// handling matches [`FrameReader::refill`].
+    /// returns the total filled, starting from `already`. Timeouts are
+    /// handled as [`read_retrying`] does.
     fn read_direct(
         &mut self,
         dst: &mut [u8],
@@ -244,23 +254,9 @@ impl<R: Read> FrameReader<R> {
     ) -> Result<usize, FrameError> {
         let mut got = already;
         while let Some(rest) = dst.get_mut(got..).filter(|rest| !rest.is_empty()) {
-            match self.inner.read(rest) {
-                Ok(0) => break,
-                Ok(n) => got += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    match keep_going {
-                        Some(keep) if keep() => continue,
-                        Some(_) => return Err(FrameError::Interrupted),
-                        None => return Err(e.into()),
-                    }
-                }
-                Err(e) => return Err(e.into()),
+            match read_retrying(&mut self.inner, rest, keep_going)? {
+                0 => break,
+                n => got += n,
             }
         }
         Ok(got)

@@ -196,12 +196,6 @@ impl InpEmAggregator {
         );
     }
 
-    /// Number of reports absorbed.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n as usize
-    }
-
     /// The mechanism configuration this aggregator decodes under.
     #[must_use]
     pub fn config(&self) -> &InpEm {
@@ -543,7 +537,7 @@ mod tests {
         let mut batched = mech.aggregator();
         batched.absorb_batch(&reports);
         assert_eq!(serial.to_bytes(), batched.to_bytes());
-        assert_eq!(batched.n(), reports.len());
+        assert_eq!(batched.report_count(), reports.len() as u64);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! `±1/(2p−1)` reports over the users who sampled it; reconstruct any
 //! k-way marginal from the 2^k relevant coefficients via Lemma 3.7.
 
-use crate::wire::{in_range, tag, Reader, WireError, Writer};
-use crate::{Accumulator, HadamardEstimate};
+use crate::wire::{tag, Reader, WireError, Writer};
+use crate::{layout, Accumulator, HadamardEstimate, Protocol, Tally};
 use ldp_bits::{pm_one, WeightRank};
 use ldp_mechanisms::theory::coefficient_count;
 use ldp_mechanisms::BinaryRandomizedResponse;
@@ -95,20 +95,25 @@ impl InpHt {
     pub fn aggregator(&self) -> InpHtAggregator {
         InpHtAggregator {
             rr: self.rr,
+            tally: inp_ht_tally(self.d(), self.k()),
             indexer: self.indexer.clone(),
-            sums: vec![0i64; self.indexer.len()],
-            counts: vec![0u64; self.indexer.len()],
         }
     }
 }
 
-/// Aggregator for [`InpHt`] (Algorithm 2): per-coefficient sign sums.
+/// The tally of InpHT reports: a coefficient below `|T|`, then a sign.
+fn inp_ht_tally(d: u32, k: u32) -> Tally {
+    let l = layout(Protocol::InpHt, d, k, 0, 0);
+    Tally::new(l, "InpHT coefficient", coefficient_count(d, k))
+}
+
+/// Aggregator for [`InpHt`] (Algorithm 2): per-coefficient sign sums,
+/// kept as the [`Tally`] of the (coefficient, sign) report field.
 #[derive(Clone, Debug)]
 pub struct InpHtAggregator {
     rr: BinaryRandomizedResponse,
     indexer: WeightRank,
-    sums: Vec<i64>,
-    counts: Vec<u64>,
+    tally: Tally,
 }
 
 impl InpHtAggregator {
@@ -117,37 +122,22 @@ impl InpHtAggregator {
     /// before absorbing any of it.
     #[inline]
     pub fn check(&self, report: InpHtReport) -> Result<(), WireError> {
-        let coefficients = self.counts.len() as u64;
-        in_range(
-            "InpHT coefficient",
-            u64::from(report.coefficient),
-            coefficients,
-        )
+        self.tally.check(u64::from(report.coefficient))
     }
 
     /// Absorb one report whose coefficient passes [`Self::check`]
     /// (absorbing one outside the set panics).
     #[inline]
     pub fn absorb(&mut self, report: InpHtReport) {
-        self.absorb_n(report, 1);
+        let (coefficient, sign) = (u64::from(report.coefficient), report.sign_positive);
+        if let Err(e) = self.tally.absorb(coefficient, 0, sign) {
+            panic!("{e}");
+        }
     }
 
-    /// Absorb `n` copies of one report, as [`Self::absorb`] does one.
-    #[inline]
-    pub fn absorb_n(&mut self, report: InpHtReport, n: u64) {
-        let i = report.coefficient as usize;
-        self.sums[i] += if report.sign_positive {
-            n as i64
-        } else {
-            -(n as i64)
-        };
-        self.counts[i] += n;
-    }
-
-    /// Number of reports absorbed.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.counts.iter().map(|&c| c as usize).sum()
+    /// The tally the frame kernel counts reports into.
+    pub fn tally_mut(&mut self) -> &mut Tally {
+        &mut self.tally
     }
 
     /// Domain dimensionality.
@@ -167,10 +157,10 @@ impl InpHtAggregator {
     /// an uninformative coefficient.
     #[must_use]
     pub fn finish(self) -> HadamardEstimate {
-        let coeffs = self
-            .sums
+        let (sums, counts) = self.tally.signed();
+        let coeffs = sums
             .iter()
-            .zip(&self.counts)
+            .zip(&counts)
             .map(|(&s, &c)| {
                 if c == 0 {
                     0.0
@@ -193,18 +183,11 @@ impl Accumulator for InpHtAggregator {
     }
 
     fn merge(&mut self, other: Self) {
-        for (a, b) in self.sums.iter_mut().zip(other.sums) {
-            *a = a.saturating_add(b);
-        }
-        for (a, b) in self.counts.iter_mut().zip(other.counts) {
-            *a = a.saturating_add(b);
-        }
+        self.tally.merge(&other.tally);
     }
 
     fn report_count(&self) -> u64 {
-        // Saturating: a decoded hostile state may hold counts whose
-        // total no real population reaches.
-        self.counts.iter().fold(0, |n: u64, &c| n.saturating_add(c))
+        self.tally.report_count()
     }
 
     fn finalize(self) -> HadamardEstimate {
@@ -212,12 +195,13 @@ impl Accumulator for InpHtAggregator {
     }
 
     fn to_bytes(&self) -> Vec<u8> {
+        let (sums, counts) = self.tally.signed();
         let mut w = Writer::with_tag(tag::INP_HT);
         w.put_u32(self.indexer.d());
         w.put_u32(self.indexer.k());
         w.put_f64(self.rr.keep_probability());
-        w.put_i64_slice(&self.sums);
-        w.put_u64_slice(&self.counts);
+        w.put_i64_slice(&sums);
+        w.put_u64_slice(&counts);
         w.into_bytes()
     }
 
@@ -235,17 +219,18 @@ impl Accumulator for InpHtAggregator {
         if !(p > 0.5 && p < 1.0) {
             return Err(WireError::Invalid("InpHT keep probability"));
         }
-        // Check |T| arithmetically before building the indexer, so its
-        // mask table is never sized by a header the tables do not back.
+        // Check |T| arithmetically before building the indexer or the
+        // tally, so neither is sized by a header the tables do not back.
         let coefficients = coefficient_count(d, k);
         if sums.len() as u64 != coefficients || counts.len() as u64 != coefficients {
             return Err(WireError::Invalid("InpHT coefficient-table length"));
         }
+        let mut tally = inp_ht_tally(d, k);
+        tally.fill_signed(&sums, &counts)?;
         Ok(InpHtAggregator {
             rr: BinaryRandomizedResponse::with_keep_probability(p),
             indexer: WeightRank::new(d, k),
-            sums,
-            counts,
+            tally,
         })
     }
 }

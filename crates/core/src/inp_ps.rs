@@ -9,7 +9,7 @@
 //! rapidly with dimensionality, which Figure 4 confirms.
 
 use crate::wire::{tag, Reader, WireError, Writer};
-use crate::{Accumulator, FullDistributionEstimate};
+use crate::{layout, Accumulator, FullDistributionEstimate, Protocol, Tally};
 use ldp_mechanisms::GeneralizedRandomizedResponse;
 use rand::Rng;
 
@@ -57,18 +57,24 @@ impl InpPs {
     pub fn aggregator(&self) -> InpPsAggregator {
         InpPsAggregator {
             grr: self.grr,
-            counts: vec![0u64; 1usize << self.d],
             d: self.d,
+            tally: inp_ps_tally(self.d),
         }
     }
 }
 
-/// Aggregator for [`InpPs`]: a histogram of reported indices.
+/// The tally of `d`-bit InpPS rows: every row names a cell.
+fn inp_ps_tally(d: u32) -> Tally {
+    Tally::new(layout(Protocol::InpPs, d, 0, 0, 0), "InpPS row", 1 << d)
+}
+
+/// Aggregator for [`InpPs`]: a histogram of reported indices, kept as
+/// the [`Tally`] of the `d`-bit report field.
 #[derive(Clone, Debug)]
 pub struct InpPsAggregator {
     grr: GeneralizedRandomizedResponse,
-    counts: Vec<u64>,
     d: u32,
+    tally: Tally,
 }
 
 impl InpPsAggregator {
@@ -78,14 +84,13 @@ impl InpPsAggregator {
     /// the encoder never produces an out-of-range index.
     #[inline]
     pub fn absorb(&mut self, report: u64) {
-        let mask = self.counts.len() as u64 - 1; // cell count is 2^d
-        self.counts[(report & mask) as usize] += 1;
+        // An InpPS report's packed field is its row.
+        self.tally.add(report % (1 << self.d));
     }
 
-    /// Number of reports absorbed.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.counts.iter().map(|&c| c as usize).sum()
+    /// The tally the frame kernel counts reports into.
+    pub fn tally_mut(&mut self) -> &mut Tally {
+        &mut self.tally
     }
 
     /// Domain dimensionality.
@@ -97,9 +102,14 @@ impl InpPsAggregator {
     /// Unbias the histogram into the reconstructed full distribution.
     #[must_use]
     pub fn finish(self) -> FullDistributionEstimate {
-        let n = self.n();
+        let n = self.tally.report_count();
         assert!(n > 0, "no reports absorbed");
-        let observed: Vec<f64> = self.counts.iter().map(|&c| c as f64 / n as f64).collect();
+        let observed: Vec<f64> = self
+            .tally
+            .counts()
+            .iter()
+            .map(|&c| c as f64 / n as f64)
+            .collect();
         FullDistributionEstimate::new(self.d, self.grr.unbias_histogram(&observed))
     }
 }
@@ -114,15 +124,11 @@ impl Accumulator for InpPsAggregator {
     }
 
     fn merge(&mut self, other: Self) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts) {
-            *a = a.saturating_add(b);
-        }
+        self.tally.merge(&other.tally);
     }
 
     fn report_count(&self) -> u64 {
-        // Saturating: a decoded hostile state may hold counts whose
-        // total no real population reaches.
-        self.counts.iter().fold(0, |n: u64, &c| n.saturating_add(c))
+        self.tally.report_count()
     }
 
     fn finalize(self) -> FullDistributionEstimate {
@@ -133,7 +139,7 @@ impl Accumulator for InpPsAggregator {
         let mut w = Writer::with_tag(tag::INP_PS);
         w.put_u32(self.d);
         w.put_f64(self.grr.truth_probability());
-        w.put_u64_slice(&self.counts);
+        w.put_u64_slice(&self.tally.counts());
         w.into_bytes()
     }
 
@@ -153,10 +159,12 @@ impl Accumulator for InpPsAggregator {
         if counts.len() != 1usize << d {
             return Err(WireError::Invalid("InpPS histogram length"));
         }
+        let mut tally = inp_ps_tally(d);
+        tally.fill_counts(&counts);
         Ok(InpPsAggregator {
             grr: GeneralizedRandomizedResponse::with_truth_probability(m, ps),
-            counts,
             d,
+            tally,
         })
     }
 }
@@ -248,7 +256,7 @@ mod tests {
             }
         }
         a.merge(b);
-        assert_eq!(a.n(), all.n());
+        assert_eq!(a.report_count(), all.report_count());
         assert_eq!(a.finish().distribution(), all.finish().distribution());
     }
 }

@@ -158,12 +158,6 @@ impl InpRrAggregator {
         self.n += 1;
     }
 
-    /// Number of reports absorbed.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Domain dimensionality.
     #[must_use]
     pub fn d(&self) -> u32 {

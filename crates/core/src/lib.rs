@@ -53,6 +53,7 @@ mod marg_rr;
 mod personalized;
 mod protocol;
 mod runner;
+mod tally;
 pub mod wire;
 
 pub use accumulator::Accumulator;
@@ -69,8 +70,9 @@ pub use marg_ht::{MargHt, MargHtAggregator, MargHtReport};
 pub use marg_ps::{MargPs, MargPsAggregator, MargPsReport};
 pub use marg_rr::{MargRr, MargRrAggregator, MargRrReport};
 pub use personalized::{PersonalizedAggregator, PersonalizedInpHt, PersonalizedReport};
-pub use protocol::Protocol;
+pub use protocol::{layout, Layout, Protocol};
 pub use runner::{ingest_sharded, run_population_sharded, user_rng};
+pub use tally::Tally;
 
 use ldp_mechanisms::theory::MethodBound;
 

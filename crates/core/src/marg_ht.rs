@@ -16,8 +16,8 @@
 //! reason the input variant wins (§4.3 "does not obtain as strong a
 //! result as InpHT").
 
-use crate::wire::{in_range, tag, Reader, WireError, Writer};
-use crate::{Accumulator, MarginalSetEstimate};
+use crate::wire::{tag, Reader, WireError, Writer};
+use crate::{layout, Accumulator, MarginalSetEstimate, Protocol, Tally};
 use ldp_bits::{compress, masks_of_weight, pm_one, Mask};
 use ldp_mechanisms::BinaryRandomizedResponse;
 use ldp_transform::fwht;
@@ -99,22 +99,27 @@ impl MargHt {
             rr: self.rr,
             d: self.d,
             k: self.k,
-            sums: vec![0i64; (1usize << self.k) * self.marginals.len()],
-            counts: vec![0u64; (1usize << self.k) * self.marginals.len()],
+            tally: marg_ht_tally(self.d, self.k, self.marginals.len() as u64),
         }
     }
 }
 
+/// The tally of MargHT reports: one of `marginals`, a `k`-bit
+/// coefficient, then a sign.
+fn marg_ht_tally(d: u32, k: u32, marginals: u64) -> Tally {
+    let l = layout(Protocol::MargHt, d, k, 0, 0);
+    Tally::new(l, "MargHT marginal", marginals)
+}
+
 /// Aggregator for [`MargHt`]: per-(marginal, coefficient) sign sums,
-/// stored flat (marginal-major) so the per-report hot loop touches one
-/// contiguous table per lane instead of chasing nested `Vec`s.
+/// kept as the [`Tally`] of the (marginal, coefficient, sign) report
+/// field.
 #[derive(Clone, Debug)]
 pub struct MargHtAggregator {
     rr: BinaryRandomizedResponse,
     d: u32,
     k: u32,
-    sums: Vec<i64>,
-    counts: Vec<u64>,
+    tally: Tally,
 }
 
 impl MargHtAggregator {
@@ -123,8 +128,7 @@ impl MargHtAggregator {
     /// absorbing any of it.
     #[inline]
     pub fn check(&self, report: MargHtReport) -> Result<(), WireError> {
-        let marginals = (self.counts.len() >> self.k) as u64;
-        in_range("MargHT marginal", u64::from(report.marginal), marginals)
+        self.tally.check(u64::from(report.marginal))
     }
 
     /// Absorb one report. Coefficient indices are folded into the
@@ -134,26 +138,18 @@ impl MargHtAggregator {
     /// a marginal outside `C(d,k)`, and absorbing one directly panics.
     #[inline]
     pub fn absorb(&mut self, report: MargHtReport) {
-        self.absorb_n(report, 1);
+        let (marginal, coefficient) = (u64::from(report.marginal), u64::from(report.coefficient));
+        if let Err(e) = self
+            .tally
+            .absorb(marginal, coefficient, report.sign_positive)
+        {
+            panic!("{e}");
+        }
     }
 
-    /// Absorb `n` copies of one report, as [`Self::absorb`] does one.
-    #[inline]
-    pub fn absorb_n(&mut self, report: MargHtReport, n: u64) {
-        let cells = 1usize << self.k;
-        let idx = report.marginal as usize * cells + (report.coefficient as usize & (cells - 1));
-        self.sums[idx] += if report.sign_positive {
-            n as i64
-        } else {
-            -(n as i64)
-        };
-        self.counts[idx] += n;
-    }
-
-    /// Number of reports absorbed.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.counts.iter().map(|&c| c as usize).sum()
+    /// The tally the frame kernel counts reports into.
+    pub fn tally_mut(&mut self) -> &mut Tally {
+        &mut self.tally
     }
 
     /// Domain dimensionality.
@@ -174,10 +170,10 @@ impl MargHtAggregator {
     pub fn finish(self) -> MarginalSetEstimate {
         let cells = 1usize << self.k;
         let scale = 1.0 / cells as f64;
-        let tables = self
-            .sums
+        let (sums, counts) = self.tally.signed();
+        let tables = sums
             .chunks_exact(cells)
-            .zip(self.counts.chunks_exact(cells))
+            .zip(counts.chunks_exact(cells))
             .map(|(sums, counts)| {
                 let mut local = vec![0.0f64; cells];
                 local[0] = 1.0; // constant coefficient, known exactly
@@ -207,18 +203,11 @@ impl Accumulator for MargHtAggregator {
     }
 
     fn merge(&mut self, other: Self) {
-        for (a, b) in self.sums.iter_mut().zip(other.sums) {
-            *a = a.saturating_add(b);
-        }
-        for (a, b) in self.counts.iter_mut().zip(other.counts) {
-            *a = a.saturating_add(b);
-        }
+        self.tally.merge(&other.tally);
     }
 
     fn report_count(&self) -> u64 {
-        // Saturating: a decoded hostile state may hold counts whose
-        // total no real population reaches.
-        self.counts.iter().fold(0, |n: u64, &c| n.saturating_add(c))
+        self.tally.report_count()
     }
 
     fn finalize(self) -> MarginalSetEstimate {
@@ -226,12 +215,13 @@ impl Accumulator for MargHtAggregator {
     }
 
     fn to_bytes(&self) -> Vec<u8> {
+        let (sums, counts) = self.tally.signed();
         let mut w = Writer::with_tag(tag::MARG_HT);
         w.put_u32(self.d);
         w.put_u32(self.k);
         w.put_f64(self.rr.keep_probability());
-        w.put_i64_slice(&self.sums);
-        w.put_u64_slice(&self.counts);
+        w.put_i64_slice(&sums);
+        w.put_u64_slice(&counts);
         w.into_bytes()
     }
 
@@ -259,12 +249,13 @@ impl Accumulator for MargHtAggregator {
         if flat_sums.len() as u64 != expected || flat_counts.len() as u64 != expected {
             return Err(WireError::Invalid("MargHT table shape"));
         }
+        let mut tally = marg_ht_tally(d, k, marginals);
+        tally.fill_signed(&flat_sums, &flat_counts)?;
         Ok(MargHtAggregator {
             rr: BinaryRandomizedResponse::with_keep_probability(p),
             d,
             k,
-            sums: flat_sums,
-            counts: flat_counts,
+            tally,
         })
     }
 }

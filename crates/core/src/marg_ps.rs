@@ -10,8 +10,8 @@
 //! asymptotically by `2^{k/2}` but empirically strong for small `k`, a
 //! point the paper's Figure 4 discussion makes.
 
-use crate::wire::{in_range, tag, Reader, WireError, Writer};
-use crate::{Accumulator, MarginalSetEstimate};
+use crate::wire::{tag, Reader, WireError, Writer};
+use crate::{layout, Accumulator, MarginalSetEstimate, Protocol, Tally};
 use ldp_bits::{compress, masks_of_weight, Mask};
 use ldp_mechanisms::GeneralizedRandomizedResponse;
 use rand::Rng;
@@ -90,20 +90,25 @@ impl MargPs {
             grr: self.grr,
             d: self.d,
             k: self.k,
-            counts: vec![0u64; (1usize << self.k) * self.marginals.len()],
+            tally: marg_ps_tally(self.d, self.k, self.marginals.len() as u64),
         }
     }
 }
 
+/// The tally of MargPS reports: one of `marginals`, then a `k`-bit cell.
+fn marg_ps_tally(d: u32, k: u32, marginals: u64) -> Tally {
+    let l = layout(Protocol::MargPs, d, k, 0, 0);
+    Tally::new(l, "MargPS marginal", marginals)
+}
+
 /// Aggregator for [`MargPs`]: per-marginal reported-cell histograms,
-/// stored flat (marginal-major) so the per-report hot loop touches one
-/// contiguous table instead of chasing a nested `Vec`.
+/// kept as the [`Tally`] of the (marginal, cell) report field.
 #[derive(Clone, Debug)]
 pub struct MargPsAggregator {
     grr: GeneralizedRandomizedResponse,
     d: u32,
     k: u32,
-    counts: Vec<u64>,
+    tally: Tally,
 }
 
 impl MargPsAggregator {
@@ -112,8 +117,7 @@ impl MargPsAggregator {
     /// absorbing any of it.
     #[inline]
     pub fn check(&self, report: MargPsReport) -> Result<(), WireError> {
-        let marginals = (self.counts.len() >> self.k) as u64;
-        in_range("MargPS marginal", u64::from(report.marginal), marginals)
+        self.tally.check(u64::from(report.marginal))
     }
 
     /// Absorb one report. Cell indices are folded into the sampled
@@ -123,21 +127,15 @@ impl MargPsAggregator {
     /// marginal outside `C(d,k)`, and absorbing one directly panics.
     #[inline]
     pub fn absorb(&mut self, report: MargPsReport) {
-        self.absorb_n(report, 1);
+        let (marginal, cell) = (u64::from(report.marginal), u64::from(report.cell));
+        if let Err(e) = self.tally.absorb(marginal, cell, false) {
+            panic!("{e}");
+        }
     }
 
-    /// Absorb `n` copies of one report, as [`Self::absorb`] does one.
-    #[inline]
-    pub fn absorb_n(&mut self, report: MargPsReport, n: u64) {
-        let cells = 1usize << self.k;
-        let idx = report.marginal as usize * cells + (report.cell as usize & (cells - 1));
-        self.counts[idx] += n;
-    }
-
-    /// Number of reports absorbed.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.counts.iter().map(|&c| c as usize).sum()
+    /// The tally the frame kernel counts reports into.
+    pub fn tally_mut(&mut self) -> &mut Tally {
+        &mut self.tally
     }
 
     /// Domain dimensionality.
@@ -159,10 +157,13 @@ impl MargPsAggregator {
         let cells = 1usize << self.k;
         let uniform = 1.0 / cells as f64;
         let tables = self
-            .counts
+            .tally
+            .counts()
             .chunks_exact(cells)
             .map(|hist| {
-                let users: u64 = hist.iter().sum();
+                // Saturating: a decoded hostile state may hold counts
+                // whose total no real population reaches.
+                let users = hist.iter().fold(0, |n: u64, &c| n.saturating_add(c));
                 if users == 0 {
                     vec![uniform; cells]
                 } else {
@@ -186,15 +187,11 @@ impl Accumulator for MargPsAggregator {
     }
 
     fn merge(&mut self, other: Self) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts) {
-            *a = a.saturating_add(b);
-        }
+        self.tally.merge(&other.tally);
     }
 
     fn report_count(&self) -> u64 {
-        // Saturating: a decoded hostile state may hold counts whose
-        // total no real population reaches.
-        self.counts.iter().fold(0, |n: u64, &c| n.saturating_add(c))
+        self.tally.report_count()
     }
 
     fn finalize(self) -> MarginalSetEstimate {
@@ -206,7 +203,7 @@ impl Accumulator for MargPsAggregator {
         w.put_u32(self.d);
         w.put_u32(self.k);
         w.put_f64(self.grr.truth_probability());
-        w.put_u64_slice(&self.counts);
+        w.put_u64_slice(&self.tally.counts());
         w.into_bytes()
     }
 
@@ -233,11 +230,13 @@ impl Accumulator for MargPsAggregator {
         if flat.len() as u64 != expected {
             return Err(WireError::Invalid("MargPS table shape"));
         }
+        let mut tally = marg_ps_tally(d, k, marginals);
+        tally.fill_counts(&flat);
         Ok(MargPsAggregator {
             grr: GeneralizedRandomizedResponse::with_truth_probability(cells, ps),
             d,
             k,
-            counts: flat,
+            tally,
         })
     }
 }

@@ -184,12 +184,6 @@ impl MargRrAggregator {
         &mut self.ones[m * cells..(m + 1) * cells]
     }
 
-    /// Number of reports absorbed.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.users.iter().map(|&c| c as usize).sum()
-    }
-
     /// Domain dimensionality.
     #[must_use]
     pub fn d(&self) -> u32 {

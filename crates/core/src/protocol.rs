@@ -1,10 +1,13 @@
 //! [`Protocol`]: the one name for each of the ten protocols the
 //! collector serves, and the one place its display name and wire tag
-//! are written down.
+//! are written down; and [`layout`], the one place a report's wire-v4
+//! bit fields are sized and packed.
 
 use crate::frame::StreamHeader;
 use crate::wire::tag;
 use crate::MechanismKind;
+use ldp_bits::binomial;
+use ldp_mechanisms::theory::coefficient_count;
 
 /// One of the ten protocols the framed pipeline serves: the seven
 /// marginal mechanisms of §4 (see [`MechanismKind`]) and the three
@@ -118,6 +121,127 @@ impl From<MechanismKind> for Protocol {
             MechanismKind::MargHt => Protocol::MargHt,
             MechanismKind::InpEm => Protocol::InpEm,
         }
+    }
+}
+
+/// `⌈lg n⌉`: the bits an index below `n` needs (0 when `n ≤ 1`).
+#[inline]
+fn index_bits(n: u64) -> u32 {
+    match n {
+        0 | 1 => 0,
+        n => u64::BITS - (n - 1).leading_zeros(),
+    }
+}
+
+/// The bit widths of one report in a wire-v4 `REPORT_BATCH` body
+/// (`docs/WIRE_FORMAT.md` §5.1). A report is its fields in this order,
+/// packed LSB-first with no padding between reports: `index`, `value`,
+/// `sign`, then the `set` bitset. The fixed fields `(index, value,
+/// sign)` read as one integer are a report's *packed field*, which
+/// InpPS, InpHT, MargPS, MargHT and HCMS count by value
+/// ([`crate::Tally`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Layout {
+    /// The leading field: the reported row (InpPS, InpEM), coefficient
+    /// (InpHT), marginal (MargRR, MargPS, MargHT), sketch row (CMS,
+    /// HCMS) or hash seed (OLH).
+    pub index: u32,
+    /// The second field: the cell (MargPS), coefficient (MargHT, HCMS)
+    /// or bucket (OLH); 0 bits otherwise.
+    pub value: u32,
+    /// One sign bit (InpHT, MargHT, HCMS); 0 bits otherwise.
+    pub sign: u32,
+    /// The trailing bitset: `2^d` cells (InpRR), `2^k` cells (MargRR),
+    /// `width` buckets (CMS); 0 bits otherwise.
+    pub set: u32,
+}
+
+impl Layout {
+    /// Bits before the set.
+    #[must_use]
+    pub fn fixed(self) -> u32 {
+        self.index + self.value + self.sign
+    }
+
+    /// Bits per report.
+    #[must_use]
+    pub fn bits(self) -> u64 {
+        u64::from(self.fixed()) + u64::from(self.set)
+    }
+
+    /// The exact body length of a batch of `count` reports: their bits,
+    /// rounded up to a byte.
+    #[must_use]
+    pub fn body_bytes(self, count: u32) -> u64 {
+        (u64::from(count) * self.bits()).div_ceil(8)
+    }
+
+    /// A report's fixed bits split into `(index, value, sign)`, without
+    /// branches: every layout that is split or joined has fewer than 64
+    /// fixed bits (OLH, the one with more, is read and written as whole
+    /// bytes).
+    #[inline]
+    #[must_use]
+    pub fn split(self, fixed: u64) -> (u64, u64, bool) {
+        (
+            fixed & mask(self.index),
+            fixed.wrapping_shr(self.index) & mask(self.value),
+            fixed.wrapping_shr(self.index + self.value) & 1 != 0,
+        )
+    }
+
+    /// `(index, value, sign)` packed into a report's fixed bits. The
+    /// index must fit its field; a cell or coefficient wider than its
+    /// field folds into it, and a layout without a sign drops it.
+    #[inline]
+    #[must_use]
+    pub fn join(self, index: u64, value: u64, sign: bool) -> u64 {
+        let sign_bit = u64::from(self.sign) << (self.index + self.value);
+        index | (value & mask(self.value)) << self.index | if sign { sign_bit } else { 0 }
+    }
+}
+
+/// The low `bits < 64` bits set.
+#[inline]
+fn mask(bits: u32) -> u64 {
+    1u64.wrapping_shl(bits).wrapping_sub(1)
+}
+
+/// The one field-width function of wire v4: how many bits each field of
+/// a `protocol` report takes at shape `d`, `k`, `hashes × width`, with
+/// `⌈lg n⌉` bits for an index below `n`. The encoder, both decoders,
+/// the tallies and the size tests all read their widths here. Every
+/// width is at most the paper's Table 2 cost
+/// (`MethodBound::communication_bits`; `d` for InpEM, `w + 8` for CMS).
+/// Fields a protocol does not use are ignored; the shape must pass the
+/// header limits, or the widths are meaningless.
+#[must_use]
+pub fn layout(protocol: Protocol, d: u32, k: u32, hashes: u32, width: u32) -> Layout {
+    let at = |index, value, sign, set| Layout {
+        index,
+        value,
+        sign,
+        set,
+    };
+    let marginals = || index_bits(binomial(u64::from(d), u64::from(k)));
+    let cells = |n: u32| 1u32.checked_shl(n).unwrap_or(0);
+    match protocol {
+        Protocol::InpRr => at(0, 0, 0, cells(d)),
+        Protocol::InpPs | Protocol::InpEm => at(d, 0, 0, 0),
+        Protocol::InpHt => at(index_bits(coefficient_count(d, k)), 0, 1, 0),
+        Protocol::MargRr => at(marginals(), 0, 0, cells(k)),
+        Protocol::MargPs => at(marginals(), k, 0, 0),
+        Protocol::MargHt => at(marginals(), k, 1, 0),
+        // The bucket keeps a whole byte: its bound g depends on ε,
+        // which the envelope does not carry.
+        Protocol::Olh => at(64, 8, 0, 0),
+        Protocol::Cms => at(index_bits(u64::from(hashes)), 0, 0, width),
+        Protocol::Hcms => at(
+            index_bits(u64::from(hashes)),
+            index_bits(u64::from(width)),
+            1,
+            0,
+        ),
     }
 }
 

@@ -71,7 +71,7 @@ pub mod tag {
 
     /// A report batch, the only report frame (wire v4): an envelope
     /// naming the protocol, its shape and the report count, then every
-    /// report bit-packed at the widths of `ldp_oracles::pipeline::layout`
+    /// report bit-packed at the widths of [`crate::layout`]
     /// (`docs/WIRE_FORMAT.md` §5). Wire v2 and v3 carried a different
     /// body under this tag, which v4 readers refuse by version.
     pub const REPORT_BATCH: u8 = 0x41;

@@ -160,12 +160,6 @@ impl CmsAggregator {
         }
     }
 
-    /// Number of reports absorbed.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.users.iter().map(|&u| u as usize).sum()
-    }
-
     /// The oracle configuration this aggregator decodes under.
     #[must_use]
     pub fn config(&self) -> &Cms {

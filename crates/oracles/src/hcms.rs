@@ -17,7 +17,7 @@
 use crate::FrequencyOracle;
 use ldp_bits::pm_one;
 use ldp_core::wire::{in_range, tag, Reader, WireError, Writer};
-use ldp_core::Accumulator;
+use ldp_core::{layout, Accumulator, Protocol, Tally};
 use ldp_mechanisms::{check_epsilon, BinaryRandomizedResponse};
 use ldp_sampling::hash::{splitmix64, PolyHash};
 use ldp_transform::fwht;
@@ -102,19 +102,26 @@ impl HadamardCms {
     #[must_use]
     pub fn aggregator(&self) -> HadamardCmsAggregator {
         HadamardCmsAggregator {
+            tally: hcms_tally(self.d, self.g, self.w),
             config: self.clone(),
-            sums: vec![vec![0i64; self.w]; self.g],
-            counts: vec![vec![0u64; self.w]; self.g],
         }
     }
 }
 
-/// Aggregator for [`HadamardCms`]: per-(row, coefficient) sign sums.
+/// The tally of HCMS reports on a `g × w` sketch: a row below `g`, a
+/// coefficient below `w`, then a sign.
+fn hcms_tally(d: u32, g: usize, w: usize) -> Tally {
+    let shape = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
+    let l = layout(Protocol::Hcms, d, 0, shape(g), shape(w));
+    Tally::new(l, "HCMS row", g as u64)
+}
+
+/// Aggregator for [`HadamardCms`]: per-(row, coefficient) sign sums,
+/// kept as the [`Tally`] of the (row, coefficient, sign) report field.
 #[derive(Clone, Debug)]
 pub struct HadamardCmsAggregator {
     config: HadamardCms,
-    sums: Vec<Vec<i64>>,
-    counts: Vec<Vec<u64>>,
+    tally: Tally,
 }
 
 impl HadamardCmsAggregator {
@@ -123,7 +130,7 @@ impl HadamardCmsAggregator {
     /// it to a whole batch before absorbing any of it.
     #[inline]
     pub fn check(&self, report: HcmsReport) -> Result<(), WireError> {
-        in_range("HCMS row", u64::from(report.row), self.counts.len() as u64)?;
+        self.tally.check(u64::from(report.row))?;
         in_range(
             "HCMS coefficient",
             u64::from(report.coefficient),
@@ -135,28 +142,18 @@ impl HadamardCmsAggregator {
     /// outside the sketch panics).
     #[inline]
     pub fn absorb(&mut self, report: HcmsReport) {
-        self.absorb_n(report, 1);
+        let (row, coefficient) = (u64::from(report.row), u64::from(report.coefficient));
+        let absorbed = self
+            .check(report)
+            .and_then(|()| self.tally.absorb(row, coefficient, report.sign_positive));
+        if let Err(e) = absorbed {
+            panic!("{e}");
+        }
     }
 
-    /// Absorb `n` copies of one report, as [`Self::absorb`] does one.
-    #[inline]
-    pub fn absorb_n(&mut self, report: HcmsReport, n: u64) {
-        let (l, m) = (report.row as usize, report.coefficient as usize);
-        self.sums[l][m] += if report.sign_positive {
-            n as i64
-        } else {
-            -(n as i64)
-        };
-        self.counts[l][m] += n;
-    }
-
-    /// Number of reports absorbed.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.counts
-            .iter()
-            .map(|r| r.iter().map(|&c| c as usize).sum::<usize>())
-            .sum()
+    /// The tally the frame kernel counts reports into.
+    pub fn tally_mut(&mut self) -> &mut Tally {
+        &mut self.tally
     }
 
     /// The oracle configuration this aggregator decodes under.
@@ -169,10 +166,10 @@ impl HadamardCmsAggregator {
     #[must_use]
     pub fn finish(self) -> HadamardCmsOracle {
         let w = self.config.w;
-        let rows: Vec<Vec<f64>> = self
-            .sums
-            .iter()
-            .zip(&self.counts)
+        let (sums, counts) = self.tally.signed();
+        let rows: Vec<Vec<f64>> = sums
+            .chunks_exact(w)
+            .zip(counts.chunks_exact(w))
             .map(|(sums, counts)| {
                 let mut coeffs = vec![0.0f64; w];
                 coeffs[0] = 1.0; // constant coefficient known exactly
@@ -206,25 +203,11 @@ impl Accumulator for HadamardCmsAggregator {
     }
 
     fn merge(&mut self, other: Self) {
-        for (ra, rb) in self.sums.iter_mut().zip(other.sums) {
-            for (a, b) in ra.iter_mut().zip(rb) {
-                *a = a.saturating_add(b);
-            }
-        }
-        for (ra, rb) in self.counts.iter_mut().zip(other.counts) {
-            for (a, b) in ra.iter_mut().zip(rb) {
-                *a = a.saturating_add(b);
-            }
-        }
+        self.tally.merge(&other.tally);
     }
 
     fn report_count(&self) -> u64 {
-        // Saturating: a decoded hostile state may hold counts whose
-        // total no real population reaches.
-        self.counts
-            .iter()
-            .flatten()
-            .fold(0, |n: u64, &c| n.saturating_add(c))
+        self.tally.report_count()
     }
 
     fn finalize(self) -> HadamardCmsOracle {
@@ -232,6 +215,7 @@ impl Accumulator for HadamardCmsAggregator {
     }
 
     fn to_bytes(&self) -> Vec<u8> {
+        let (sums, counts) = self.tally.signed();
         let mut w = Writer::with_tag(tag::HCMS);
         w.put_u32(self.config.d);
         w.put_u64(self.config.g as u64);
@@ -240,10 +224,10 @@ impl Accumulator for HadamardCmsAggregator {
         for hash in &self.config.hashes {
             w.put_u64_slice(hash.coefficients());
         }
-        for row in &self.sums {
+        for row in sums.chunks_exact(self.config.w) {
             w.put_i64_slice(row);
         }
-        for row in &self.counts {
+        for row in counts.chunks_exact(self.config.w) {
             w.put_u64_slice(row);
         }
         w.into_bytes()
@@ -281,6 +265,8 @@ impl Accumulator for HadamardCmsAggregator {
         if sums.iter().any(|row| row.len() != w) || counts.iter().any(|row| row.len() != w) {
             return Err(WireError::Invalid("HCMS row length"));
         }
+        let mut tally = hcms_tally(d, g, w);
+        tally.fill_signed(&sums.concat(), &counts.concat())?;
         Ok(HadamardCmsAggregator {
             config: HadamardCms {
                 d,
@@ -289,8 +275,7 @@ impl Accumulator for HadamardCmsAggregator {
                 rr: BinaryRandomizedResponse::with_keep_probability(p),
                 hashes,
             },
-            sums,
-            counts,
+            tally,
         })
     }
 }

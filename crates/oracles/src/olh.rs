@@ -130,12 +130,6 @@ impl OlhAggregator {
         self.reports.push(report);
     }
 
-    /// Number of reports absorbed.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.reports.len()
-    }
-
     /// The oracle configuration this aggregator decodes under.
     #[must_use]
     pub fn config(&self) -> &Olh {

@@ -16,12 +16,16 @@
 //! Reports travel only in wire-v4 `REPORT_BATCH` frames
 //! (`docs/WIRE_FORMAT.md` §5): a 14-byte envelope naming the protocol,
 //! its shape and the report count, then every report as a fixed-width
-//! bit field whose widths come from one function, [`layout`] — the
-//! paper's Table 2 size or less. Each protocol has one encode kernel
-//! (its arm of [`Client::encode_batch`]), one range check (its
-//! aggregator's `check`) and one absorb kernel (its arm of
-//! [`PipelineAccumulator::absorb_frame`], which validates a whole batch
-//! and then absorbs straight from its bits). [`decode_report_batch_into`]
+//! bit field whose widths come from one function, [`layout`] (beside
+//! [`Protocol`] in `ldp_core`) — the paper's Table 2 size or less. Each
+//! protocol has one encode kernel (its arm of [`Client::encode_batch`]),
+//! one range check (its aggregator's `check`) and one absorb kernel (its
+//! arm of [`PipelineAccumulator::absorb_frame`], which validates a whole
+//! batch and then absorbs straight from its bits). The five protocols
+//! whose report is one packed field — InpPS, InpHT, MargPS, MargHT and
+//! HCMS — share that kernel: their state is a [`Tally`], one `u64` per
+//! field value, and absorbing a report is `tally[field] += 1` at every
+//! batch size. [`decode_report_batch_into`]
 //! followed by [`PipelineAccumulator::absorb_batch`] decodes into
 //! [`PipelineReport`]s first; it is the reference the frame kernels are
 //! tested against.
@@ -40,9 +44,10 @@ use ldp_bits::binomial;
 use ldp_core::frame::StreamHeader;
 use ldp_core::wire::{tag, WireError, Writer, MIN_BATCH_VERSION, VERSION};
 use ldp_core::{
-    user_rng, Accumulator, Estimate, InpEm, InpEmAggregator, InpHt, InpHtAggregator, InpHtReport,
-    InpPs, InpPsAggregator, InpRr, InpRrAggregator, MargHt, MargHtAggregator, MargHtReport, MargPs,
-    MargPsAggregator, MargPsReport, MargRr, MargRrAggregator, MargRrReport, Protocol,
+    layout, user_rng, Accumulator, Estimate, InpEm, InpEmAggregator, InpHt, InpHtAggregator,
+    InpHtReport, InpPs, InpPsAggregator, InpRr, InpRrAggregator, Layout, MargHt, MargHtAggregator,
+    MargHtReport, MargPs, MargPsAggregator, MargPsReport, MargRr, MargRrAggregator, MargRrReport,
+    Protocol, Tally,
 };
 use ldp_mechanisms::theory::coefficient_count;
 use rand::rngs::SmallRng;
@@ -163,15 +168,6 @@ fn validate_header(header: &StreamHeader) -> Result<Protocol, String> {
     Ok(protocol)
 }
 
-/// `⌈lg n⌉`: the bits an index below `n` needs (0 when `n ≤ 1`).
-#[inline]
-fn index_bits(n: u64) -> u32 {
-    match n {
-        0 | 1 => 0,
-        n => u64::BITS - (n - 1).leading_zeros(),
-    }
-}
-
 /// The low `bits` bits set (all 64 for `bits ≥ 64`).
 #[inline]
 fn low_mask(bits: u32) -> u64 {
@@ -179,108 +175,6 @@ fn low_mask(bits: u32) -> u64 {
         0 => 0,
         1..=63 => (1u64 << bits) - 1,
         _ => u64::MAX,
-    }
-}
-
-/// The bit widths of one report in a wire-v4 `REPORT_BATCH` body
-/// (`docs/WIRE_FORMAT.md` §5.1). A report is its fields in this order,
-/// packed LSB-first with no padding between reports: `index`, `value`,
-/// `sign`, then the `set` bitset.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Layout {
-    /// The leading field: the reported row (InpPS, InpEM), coefficient
-    /// (InpHT), marginal (MargRR, MargPS, MargHT), sketch row (CMS,
-    /// HCMS) or hash seed (OLH).
-    pub index: u32,
-    /// The second field: the cell (MargPS), coefficient (MargHT, HCMS)
-    /// or bucket (OLH); 0 bits otherwise.
-    pub value: u32,
-    /// One sign bit (InpHT, MargHT, HCMS); 0 bits otherwise.
-    pub sign: u32,
-    /// The trailing bitset: `2^d` cells (InpRR), `2^k` cells (MargRR),
-    /// `width` buckets (CMS); 0 bits otherwise.
-    pub set: u32,
-}
-
-impl Layout {
-    /// Bits before the set.
-    #[must_use]
-    pub fn fixed(self) -> u32 {
-        self.index + self.value + self.sign
-    }
-
-    /// Bits per report.
-    #[must_use]
-    pub fn bits(self) -> u64 {
-        u64::from(self.fixed()) + u64::from(self.set)
-    }
-
-    /// The exact body length of a batch of `count` reports: their bits,
-    /// rounded up to a byte.
-    #[must_use]
-    pub fn body_bytes(self, count: u32) -> u64 {
-        (u64::from(count) * self.bits()).div_ceil(8)
-    }
-
-    /// A report's fixed bits split into `(index, value, sign)`, without
-    /// branches: every layout that is split has fewer than 64 fixed
-    /// bits (OLH, the one with more, is read as whole bytes).
-    #[inline]
-    fn split(self, fixed: u64) -> (u64, u64, bool) {
-        let mask = |bits: u32| 1u64.wrapping_shl(bits).wrapping_sub(1);
-        (
-            fixed & mask(self.index),
-            fixed.wrapping_shr(self.index) & mask(self.value),
-            fixed.wrapping_shr(self.index + self.value) & 1 != 0,
-        )
-    }
-
-    /// `(index, value, sign)` packed into a report's fixed bits.
-    #[inline]
-    fn join(self, index: u64, value: u64, sign: bool) -> u64 {
-        index
-            | value.checked_shl(self.index).unwrap_or(0)
-            | u64::from(sign)
-                .checked_shl(self.index + self.value)
-                .unwrap_or(0)
-    }
-}
-
-/// The one field-width function of wire v4: how many bits each field of
-/// a `protocol` report takes at shape `d`, `k`, `hashes × width`, with
-/// `⌈lg n⌉` bits for an index below `n`. The encoder, both decoders and
-/// the size tests all read their widths here. Every width is at most
-/// the paper's Table 2 cost (`MethodBound::communication_bits`; `d` for
-/// InpEM, `w + 8` for CMS). Fields a protocol does not use are ignored;
-/// the shape must pass the header limits, or the widths are
-/// meaningless.
-#[must_use]
-pub fn layout(protocol: Protocol, d: u32, k: u32, hashes: u32, width: u32) -> Layout {
-    let at = |index, value, sign, set| Layout {
-        index,
-        value,
-        sign,
-        set,
-    };
-    let marginals = || index_bits(binomial(u64::from(d), u64::from(k)));
-    let cells = |n: u32| 1u32.checked_shl(n).unwrap_or(0);
-    match protocol {
-        Protocol::InpRr => at(0, 0, 0, cells(d)),
-        Protocol::InpPs | Protocol::InpEm => at(d, 0, 0, 0),
-        Protocol::InpHt => at(index_bits(coefficient_count(d, k)), 0, 1, 0),
-        Protocol::MargRr => at(marginals(), 0, 0, cells(k)),
-        Protocol::MargPs => at(marginals(), k, 0, 0),
-        Protocol::MargHt => at(marginals(), k, 1, 0),
-        // The bucket keeps a whole byte: its bound g depends on ε,
-        // which the envelope does not carry.
-        Protocol::Olh => at(64, 8, 0, 0),
-        Protocol::Cms => at(index_bits(u64::from(hashes)), 0, 0, width),
-        Protocol::Hcms => at(
-            index_bits(u64::from(hashes)),
-            index_bits(u64::from(width)),
-            1,
-            0,
-        ),
     }
 }
 
@@ -1028,94 +922,76 @@ fn out_of_range(i: usize, e: &WireError) -> String {
     format!("bad report frame: report {i} of the batch: {e}")
 }
 
-/// The fixed-field frame kernel (InpHT, MargPS, MargHT, HCMS), which
-/// absorbs a batch whole or not at all by one of two paths, chosen by
-/// the batch itself:
-///
-/// - **Counting** ([`absorb_counted`]), when a report has at most 10
-///   fixed bits and the batch holds at least two reports per possible
-///   value (`count ≥ 2·2^fixed`).
-/// - **Per report**, otherwise: every range check bounds each field
-///   from above, so pass 1 reduces the batch to its per-field maxima
-///   and checks the report they make, and the batch passes exactly when
-///   that report does. Pass 2 hands every report to `absorb_n` with a
-///   count of 1.
-///
-/// A batch that fails is read again to name its first bad report, so
-/// both paths refuse with the same message. `parse` makes a report
-/// from its fixed bits.
+/// The fixed-field frame kernel (InpPS, InpHT, MargPS, MargHT, HCMS),
+/// which absorbs a batch whole or not at all. Pass 1 range-checks every
+/// report's index field against the tally's bound
+/// ([`indices_below`]); a batch that fails is read again to name its
+/// first bad report. Pass 2 counts each report's packed field into the
+/// tally, `tally[field] += 1`. A tally whose index field has no room
+/// for a bad value (InpPS) skips pass 1.
 #[inline]
-fn absorb_fields<A, R>(
-    acc: &mut A,
-    b: &Batch<'_>,
-    parse: impl Fn(u64) -> R,
-    check: impl Fn(&A, R) -> Result<(), WireError>,
-    mut absorb_n: impl FnMut(&mut A, R, u64),
-) -> Result<(), (usize, WireError)> {
-    let (l, bits) = (b.layout, b.layout.fixed());
-    if bits <= COUNTED_BITS && b.count >= 2 << bits {
-        return absorb_counted(acc, b, parse, check, absorb_n);
-    }
-    let (mut index, mut value) = (0, 0);
-    for_each_field(b.body, b.count, bits, |_, f| {
-        let (i, v, _) = l.split(f);
-        index = index.max(i);
-        value = value.max(v);
-    });
-    if b.count > 0 && check(acc, parse(l.join(index, value, false))).is_err() {
-        return Err(first_bad_field(acc, b, parse, check));
-    }
-    for_each_field(b.body, b.count, bits, |_, f| absorb_n(acc, parse(f), 1));
-    Ok(())
-}
-
-/// The widest fixed field [`absorb_counted`] takes: its histogram is
-/// `2^10` `u32` bins, 4 KiB on the stack.
-const COUNTED_BITS: u32 = 10;
-
-/// The counting path of [`absorb_fields`]: one pass counts the reports
-/// by value into a stack histogram, then `check` runs once per value
-/// seen and, when every value passes, `absorb_n` once per value with
-/// its count.
-fn absorb_counted<A, R>(
-    acc: &mut A,
-    b: &Batch<'_>,
-    parse: impl Fn(u64) -> R,
-    check: impl Fn(&A, R) -> Result<(), WireError>,
-    mut absorb_n: impl FnMut(&mut A, R, u64),
-) -> Result<(), (usize, WireError)> {
-    let bits = b.layout.fixed();
-    let mut all = [0u32; 1 << COUNTED_BITS];
-    // A field has `bits ≤ 10` bits, so `& wrap` changes no value; it lets
-    // the compiler drop the bounds check.
-    let wrap = all.len() - 1;
-    for_each_field(b.body, b.count, bits, |_, f| {
-        if let Some(n) = all.get_mut(usize::try_from(f).unwrap_or(0) & wrap) {
-            *n += 1;
+fn absorb_fields(tally: &mut Tally, b: &Batch<'_>) -> Result<(), (usize, WireError)> {
+    if let Some(bound) = tally.bound() {
+        if !indices_below(b, bound) {
+            return Err(first_bad_field(tally, b));
         }
-    });
-    let bins = all.get(..1 << bits).unwrap_or_default();
-    let seen = || (0u64..).zip(bins).filter(|&(_, &n)| n > 0);
-    if seen().any(|(f, _)| check(acc, parse(f)).is_err()) {
-        return Err(first_bad_field(acc, b, parse, check));
     }
-    for (f, &n) in seen() {
-        absorb_n(acc, parse(f), u64::from(n));
-    }
+    for_each_field(b.body, b.count, b.layout.fixed(), |_, f| tally.add(f));
     Ok(())
 }
 
-/// The first report of a fixed-field batch that fails `check`, with its
-/// error: the error path of a refused batch.
+/// Whether the index field of every report of a fixed-field batch is
+/// below `bound`, which the field has room to exceed. An index `i` of
+/// `n` bits is below `bound` exactly when `i + 2^n − bound` does not
+/// carry into bit `n`, so the reports' sums are OR-ed together and
+/// their carry bits tested once. Every layout checked has a field after
+/// the index, so the carry lands inside the report; with at most 16
+/// fixed bits, eight reports are one load, masked and summed as one (as
+/// in [`for_each_field`]).
+#[inline]
+fn indices_below(b: &Batch<'_>, bound: u64) -> bool {
+    let (index, bits) = (b.layout.index, b.layout.fixed());
+    let room = 1u64.checked_shl(index).unwrap_or(0);
+    let (mask, lift) = (low_mask(index), room.wrapping_sub(bound));
+    let eight = |x: u64| {
+        (0..8).fold(0u128, |all, j| {
+            all | u128::from(x).checked_shl(j * bits).unwrap_or(0)
+        })
+    };
+    let grouped = if bits <= 16 && index < bits {
+        b.count / 8
+    } else {
+        0
+    };
+    let group_bytes = usize::try_from(bits).unwrap_or(usize::MAX);
+    let (mask8, lift8) = (eight(mask), eight(lift));
+    let mut carries = 0u128;
+    if bits <= 8 {
+        // Eight reports fit a `u64`, whose sums are cheaper.
+        let (mask8, lift8) = (mask8 as u64, lift8 as u64);
+        let mut narrow = 0u64;
+        for g in 0..grouped {
+            narrow |= (window(b.body, g * group_bytes) as u64 & mask8) + lift8;
+        }
+        carries = u128::from(narrow);
+    } else {
+        for g in 0..grouped {
+            carries |= (window(b.body, g * group_bytes) & mask8) + lift8;
+        }
+    }
+    let mut carry = 0u64;
+    for i in grouped * 8..b.count {
+        carry |= (field(b.body, i, bits) & mask) + lift;
+    }
+    carries & eight(room) == 0 && carry & room == 0
+}
+
+/// The first report of a fixed-field batch whose index `tally` refuses,
+/// with its error: the error path of a refused batch.
 #[cold]
-fn first_bad_field<A, R>(
-    acc: &A,
-    b: &Batch<'_>,
-    parse: impl Fn(u64) -> R,
-    check: impl Fn(&A, R) -> Result<(), WireError>,
-) -> (usize, WireError) {
-    let bits = b.layout.fixed();
-    first_refusal(b.count, |i| check(acc, parse(field(b.body, i, bits))))
+fn first_bad_field(tally: &Tally, b: &Batch<'_>) -> (usize, WireError) {
+    let (l, bits) = (b.layout, b.layout.fixed());
+    first_refusal(b.count, |i| tally.check(l.split(field(b.body, i, bits)).0))
 }
 
 /// Both passes of a set-carrying frame kernel (InpRR, MargRR, CMS):
@@ -1352,10 +1228,10 @@ impl PipelineAccumulator {
     /// aggregator `check` [`Self::absorb_batch`] applies); pass 2 absorbs
     /// straight from the bits, with no [`PipelineReport`] in between:
     /// fixed-width reports eight to a load, sets by a `trailing_zeros`
-    /// walk. A MargPS, MargHT, InpHT or HCMS batch of at least
-    /// `2·2^fixed` reports of `fixed ≤ 10` bits makes one pass instead,
-    /// counting its reports by value, then checks and absorbs each value
-    /// seen once, with its count.
+    /// walk. InpPS, InpHT, MargPS, MargHT and HCMS share one kernel:
+    /// pass 1 checks every report's index field against the tally's
+    /// bound, and pass 2 counts each report's packed field into the
+    /// aggregator's [`Tally`].
     ///
     /// Accepts exactly the payloads of this accumulator's shape that
     /// [`decode_report_batch_into`] followed by [`Self::absorb_batch`]
@@ -1389,17 +1265,8 @@ impl PipelineAccumulator {
                     a.absorb_ones(set_bits(body, set, l.set));
                 },
             ),
-            Self::InpPs(a) => {
-                for_each_field(body, b.count, l.fixed(), |_, row| a.absorb(row));
-                Ok(())
-            }
-            Self::InpHt(a) => absorb_fields(
-                a,
-                b,
-                |f| inp_ht_report(l, f),
-                |a, r| a.check(r),
-                |a, r, n| a.absorb_n(r, n),
-            ),
+            Self::InpPs(a) => absorb_fields(a.tally_mut(), b),
+            Self::InpHt(a) => absorb_fields(a.tally_mut(), b),
             Self::MargRr(a) => absorb_sets(
                 a,
                 b,
@@ -1411,20 +1278,8 @@ impl PipelineAccumulator {
                     );
                 },
             ),
-            Self::MargPs(a) => absorb_fields(
-                a,
-                b,
-                |f| marg_ps_report(l, f),
-                |a, r| a.check(r),
-                |a, r, n| a.absorb_n(r, n),
-            ),
-            Self::MargHt(a) => absorb_fields(
-                a,
-                b,
-                |f| marg_ht_report(l, f),
-                |a, r| a.check(r),
-                |a, r, n| a.absorb_n(r, n),
-            ),
+            Self::MargPs(a) => absorb_fields(a.tally_mut(), b),
+            Self::MargHt(a) => absorb_fields(a.tally_mut(), b),
             Self::InpEm(a) => {
                 a.absorb_batch_iter((0..b.count).map(|i| field(body, i, l.fixed())));
                 Ok(())
@@ -1450,13 +1305,7 @@ impl PipelineAccumulator {
                     );
                 },
             ),
-            Self::Hcms(a) => absorb_fields(
-                a,
-                b,
-                |f| hcms_report(l, f),
-                |a, r| a.check(r),
-                |a, r, n| a.absorb_n(r, n),
-            ),
+            Self::Hcms(a) => absorb_fields(a.tally_mut(), b),
         }
     }
 
@@ -1848,6 +1697,57 @@ mod tests {
             assert_eq!(acc.absorb_frame(&packed(&header, &[good])), Ok(1));
             acc.absorb_batch(&reports[..1]).unwrap();
             assert_eq!(acc.report_count(), 2);
+        }
+
+        // Large batches whose one bad report comes last, at sizes on both
+        // sides of twice the number of packed-field values (2·2^7 = 256
+        // for MargPS d=8 k=2; InpHT d=16 k=3 has 11-bit fields).
+        let large = [
+            (
+                mech(MechanismKind::MargPs, 8, 2),
+                255,
+                (28, 3, false),
+                "MargPS marginal 28 is out of range (must be below 28)",
+            ),
+            (
+                mech(MechanismKind::MargPs, 8, 2),
+                256,
+                (31, 0, false),
+                "MargPS marginal 31 is out of range (must be below 28)",
+            ),
+            (
+                mech(MechanismKind::InpHt, 16, 3),
+                4096,
+                (700, 0, true),
+                "InpHT coefficient 700 is out of range (must be below 696)",
+            ),
+            // 19 fixed bits: wider than the eight-report loads.
+            (
+                oracle_header(Protocol::Hcms, 6, 3, 1 << 16),
+                20,
+                (3, 9, true),
+                "HCMS row 3 is out of range (must be below 3)",
+            ),
+        ];
+        for (header, n, bad, want) in large {
+            let mut acc = PipelineAccumulator::empty(&header).unwrap();
+            acc.absorb_frame(&packed(&header, &[(1, 2, true); 3]))
+                .unwrap();
+            let before = acc.to_bytes();
+            let mut fields: Vec<_> = (0..n - 1).map(|i| (i % 3, i % 4, i % 2 == 0)).collect();
+            fields.push(bad);
+            let payload = packed(&header, &fields);
+            let last = format!("report {} of the batch", n - 1);
+
+            let err = acc.absorb_frame(&payload).unwrap_err();
+            assert!(err.contains(want) && err.contains(&last), "{err}");
+            assert_eq!(acc.to_bytes(), before, "{want}: state changed");
+
+            let mut reports = Vec::new();
+            decode_report_batch_into(&payload, &mut reports).unwrap();
+            let err = acc.absorb_batch(&reports).unwrap_err();
+            assert!(err.contains(want) && err.contains(&last), "{err}");
+            assert_eq!(acc.to_bytes(), before, "{want}: state changed");
         }
 
         // Values no v4 field has room for, so only a caller building

@@ -399,14 +399,6 @@ impl Shared {
         }
     }
 
-    /// Count a connection out and wake an accept loop waiting for a
-    /// descriptor.
-    fn close_connection(&self) {
-        let mut open = lock(&self.connections_active);
-        *open = open.saturating_sub(1);
-        self.connection_closed.notify_all();
-    }
-
     /// Whether the accept loop survives `e`: at once after a connection
     /// reset before it was taken or an interrupted call; when out of
     /// descriptors, once a connection closes.
@@ -921,12 +913,12 @@ impl Server {
                 }
                 *open += 1;
             }
+            let slot = ConnectionSlot(Arc::clone(&self.shared));
             self.shared
                 .connections_accepted
                 .fetch_add(1, Ordering::Relaxed);
-            let shared = Arc::clone(&self.shared);
             handlers.push(std::thread::spawn(move || {
-                handle_connection(shared, stream);
+                handle_connection(slot, stream);
             }));
             handlers.retain(|h| !h.is_finished());
         }
@@ -1019,14 +1011,27 @@ fn refuse(stream: &TcpStream, cap: u64) {
     );
 }
 
-/// Serve one admitted connection. The accept loop counted it into
-/// `connections_active` before spawning this handler.
-fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
+/// Serve one admitted connection. Parameters drop in reverse order, so
+/// when the handler ends, by return or by unwinding, the socket closes
+/// and then `slot` counts the connection out.
+fn handle_connection(slot: ConnectionSlot, stream: TcpStream) {
     // Per-connection failures are answered on the wire (or the peer
     // vanished); either way the server itself keeps serving.
-    let _ = serve_connection(&shared, &stream);
-    drop(stream);
-    shared.close_connection();
+    let _ = serve_connection(&slot.0, &stream);
+}
+
+/// One admitted connection's place in `connections_active`, which the
+/// accept loop raised when it made the slot. Dropping the slot counts
+/// the connection out and wakes an accept loop waiting for a
+/// descriptor.
+struct ConnectionSlot(Arc<Shared>);
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        let mut open = lock(&self.0.connections_active);
+        *open = open.saturating_sub(1);
+        self.0.connection_closed.notify_all();
+    }
 }
 
 // Both halves borrow the one socket, so a connection holds one

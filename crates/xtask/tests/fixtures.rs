@@ -116,6 +116,7 @@ fn clean_fixture() -> Fixture {
     fixture.write("docs/WIRE_FORMAT.md", DOC);
     fixture.write("crates/core/src/wire.rs", WIRE);
     fixture.write("crates/core/src/frame.rs", FRAME);
+    fixture.write("crates/core/src/tally.rs", CLEAN_RS);
     fixture.write("crates/oracles/src/pipeline.rs", CLEAN_RS);
     fixture.write("crates/cli/src/serve.rs", CLEAN_RS);
     fixture.write("crates/cli/src/load.rs", CLEAN_RS);

@@ -18,9 +18,9 @@
 use ldp_server::{read_checkpoint, Checkpoint, DownstreamEntry, PushRequest, Request, Response};
 use marginal_ldp::core::frame::{FrameWriter, StreamHeader};
 use marginal_ldp::core::wire::Writer;
-use marginal_ldp::core::Protocol;
+use marginal_ldp::core::{layout, Layout, Protocol};
 use marginal_ldp::oracles::pipeline::{
-    decode_report_batch_into, header_for, layout, Client, Layout, PipelineAccumulator, SketchShape,
+    decode_report_batch_into, header_for, Client, PipelineAccumulator, SketchShape,
 };
 use marginal_ldp::prelude::MechanismKind;
 use proptest::prelude::*;
@@ -175,9 +175,8 @@ proptest! {
     /// so decoding gets past the prelude. Batches also get the
     /// pipeline's own envelope over a random body, with the count the
     /// body holds and its pad bits cleared, so the range checks see
-    /// arbitrary field values. Bodies reach 400 bytes, so every
-    /// fixed-field protocol's batches cross the `2·2^fixed` reports at
-    /// which its frame kernel counts reports by value.
+    /// arbitrary field values. Bodies reach 400 bytes, so a fixed-field
+    /// batch holds up to hundreds of reports.
     #[test]
     fn random_bytes_never_panic_a_decoder(
         body in proptest::collection::vec(any::<u8>(), 0..400),
@@ -385,7 +384,9 @@ fn claimed_lengths_the_input_lacks_allocate_nothing() {
 /// Merging decoded states whose counts sum past `u64::MAX` saturates
 /// instead of overflowing (a panic in debug builds, a silent wrap in
 /// release), for every protocol that keeps counts — OLH keeps its
-/// reports verbatim, so its merge only appends.
+/// reports verbatim, so its merge only appends. Each saturated state
+/// still finalizes: an estimate divides by the one saturating report
+/// count, never by a second sum that wraps.
 #[test]
 fn merging_states_near_u64_max_saturates() {
     for (header, client) in pipelines() {
@@ -405,5 +406,58 @@ fn merging_states_near_u64_max_saturates() {
             acc.merge(copy).unwrap();
         }
         assert_eq!(acc.report_count(), u64::MAX, "{name}");
+        let _ = acc.finalize();
+    }
+}
+
+/// A signed state (InpHT, MargHT, HCMS) stores each table entry as
+/// `sums = pos − neg` and `counts = pos + neg`, so `from_state` refuses
+/// an entry no report tally makes — `counts + sums` odd, or
+/// `|sums| > counts` — and loads one that a tally does make.
+#[test]
+fn signed_states_no_tally_makes_are_refused() {
+    use marginal_ldp::bits::binomial;
+    use marginal_ldp::mechanisms::theory::coefficient_count;
+    for (header, client) in pipelines() {
+        // Entries per serialized row, and rows per table.
+        let (entries, rows) = match client.protocol() {
+            Protocol::InpHt => (coefficient_count(D, 2), 1),
+            Protocol::MargHt => (binomial(u64::from(D), 2) << 2, 1),
+            Protocol::Hcms => (u64::from(header.width), u64::from(header.hashes)),
+            _ => continue,
+        };
+        let name = client.protocol().name();
+        let state = valid_state(&client, 1).to_bytes();
+        // The first entry of the last row of each table: the tables are
+        // the state's tail, all sums rows and then all counts rows.
+        let (entries, rows) = (entries as usize, rows as usize);
+        let count_at = state.len() - 8 * entries;
+        let sum_at = state.len() - rows * (8 + 8 * entries) - 8 * entries;
+        let word = |at: usize| <[u8; 8]>::try_from(&state[at..at + 8]).unwrap();
+        let (sum, count) = (
+            i64::from_le_bytes(word(sum_at)),
+            u64::from_le_bytes(word(count_at)),
+        );
+        let load = |sum: i64, count: u64| {
+            let mut forged = state.clone();
+            forged[sum_at..sum_at + 8].copy_from_slice(&sum.to_le_bytes());
+            forged[count_at..count_at + 8].copy_from_slice(&count.to_le_bytes());
+            PipelineAccumulator::from_state(&header, &forged)
+        };
+        let loaded = load(sum, count).unwrap();
+        assert_eq!(loaded.to_bytes(), state, "{name}");
+        // Two more positive reports: a tally makes it.
+        let more = load(sum + 2, count + 2).unwrap();
+        assert_eq!(more.report_count(), loaded.report_count() + 2, "{name}");
+        for (sum, count, why) in [
+            (sum, count + 1, "odd counts + sums"),
+            (count as i64 + 2, count, "sums above counts"),
+            (-(count as i64) - 2, count, "sums below −counts"),
+        ] {
+            let err = load(sum, count).err().unwrap_or_else(|| {
+                panic!("{name}: a state with {why} loaded");
+            });
+            assert!(err.contains("no tally makes"), "{name}, {why}: {err}");
+        }
     }
 }

@@ -16,10 +16,9 @@
 //! frame holding one out-of-range report is refused whole, naming it.
 
 use marginal_ldp::core::wire::Writer;
-use marginal_ldp::core::{user_rng, Accumulator as _, Protocol};
+use marginal_ldp::core::{layout, user_rng, Accumulator as _, Protocol};
 use marginal_ldp::oracles::pipeline::{
-    decode_report_batch_into, header_for, layout, Client, PipelineReport, SketchShape,
-    ENVELOPE_BYTES,
+    decode_report_batch_into, header_for, Client, PipelineReport, SketchShape, ENVELOPE_BYTES,
 };
 use proptest::prelude::*;
 
@@ -130,9 +129,9 @@ proptest! {
 }
 
 /// The fixed-field kernels with a range check, each at a shape whose
-/// reports have at most 10 fixed bits (so large batches are counted by
-/// value), plus InpHT at d=16, k=3, whose 11-bit reports are always
-/// absorbed one by one.
+/// reports have at most 10 fixed bits (so a 1024-report batch holds
+/// every field value twice over), plus InpHT at d=16, k=3, whose 11-bit
+/// reports outnumber a 1024-report batch.
 const FIXED_FIELD_SHAPES: [(Protocol, u32, u32); 6] = [
     (Protocol::MargPs, 8, 2),
     (Protocol::MargPs, 5, 2),
@@ -187,8 +186,8 @@ fn frame(client: &Client, rows: &[u64], seed: u64, first_user: u64) -> Vec<u8> {
 }
 
 /// `absorb_frame` leaves the typed reference's state at batch sizes just
-/// below and at the counting threshold `2·2^fixed`, and at 1024 and
-/// 4096 reports. Each population goes in as two frames, so the second
+/// below and at twice the number of field values, `2·2^fixed`, and at
+/// 1024 and 4096 reports. Each population goes in as two frames, so the second
 /// is absorbed onto a state that already holds counts.
 #[test]
 fn frame_kernels_match_typed_encode_then_absorb() {
@@ -226,8 +225,8 @@ fn put_bits(frame: &mut [u8], at: usize, bits: u32, value: u64) {
     }
 }
 
-/// A counted 1024-report frame holding one report whose leading field
-/// is out of range — first, in the middle or last — is refused whole:
+/// A 1024-report frame, at least two reports per field value, holding
+/// one report whose leading field is out of range — first, in the middle or last — is refused whole:
 /// the error names that report and its field, and the state (already
 /// holding one valid frame) is unchanged.
 #[test]
@@ -266,7 +265,7 @@ fn counted_frames_with_one_bad_report_are_refused_whole() {
         let l = layout(protocol, d, k, SKETCH.hashes, SKETCH.width);
         assert!(
             COUNT >= 2 << l.fixed(),
-            "{} is not counted",
+            "{}: fewer than two reports per field value",
             protocol.name()
         );
         let rows = population(d, 2 * COUNT);

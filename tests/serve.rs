@@ -34,8 +34,8 @@
 
 use ldp_core::frame::{read_snapshot, FrameReader, FrameWriter, StreamHeader};
 use ldp_core::wire::Writer;
-use ldp_core::MarginalEstimator;
-use ldp_server::{QueryRequest, QueryTarget, Request, Response};
+use ldp_core::{MarginalEstimator, MechanismKind};
+use ldp_server::{PushRequest, QueryRequest, QueryTarget, Request, Response};
 use marginal_ldp::bits::Mask;
 use marginal_ldp::oracles::pipeline::{Client, PipelineAccumulator, PipelineEstimate};
 use std::io::{BufRead, BufReader, Write};
@@ -1203,6 +1203,55 @@ fn connections_beyond_the_cap_are_refused_and_the_server_keeps_serving() {
     }
     server.exits_within(asked, Duration::from_secs(1));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A pushed state whose counts no real population reaches (an InpPS
+/// d=2 histogram `[u64::MAX, 1, 0, 0]`, whose cells wrap a `usize` sum
+/// to 0) still finalizes: every query on it is answered, and each
+/// query's connection frees its slot, so `connections_active` returns
+/// to the one control session.
+#[test]
+fn queries_of_a_saturated_pushed_state_are_answered_and_free_their_slots() {
+    let server = ServerProc::start(&[]);
+    let header = StreamHeader::mechanism(MechanismKind::InpPs, 2, 1, 1.1);
+    let mut state = PipelineAccumulator::empty(&header).unwrap().to_bytes();
+    let cells = state.len() - 32;
+    for (i, count) in [u64::MAX, 1, 0, 0].into_iter().enumerate() {
+        state[cells + 8 * i..cells + 8 * (i + 1)].copy_from_slice(&count.to_le_bytes());
+    }
+    let control = client_socket(&server.addr);
+    let push = Request::Push(PushRequest {
+        collector: "forged".to_string(),
+        epoch: 1,
+        header,
+        state,
+    });
+    match request(&client_socket(&server.addr), &push) {
+        Response::Push { applied: true, .. } => {}
+        other => panic!("the push got {other:?}"),
+    }
+    let query = Request::Query(QueryRequest {
+        target: QueryTarget::Marginal(0b11),
+        normalize: false,
+    });
+    for _ in 0..3 {
+        match request(&client_socket(&server.addr), &query) {
+            Response::Query(table) => assert_eq!(table.len(), 4),
+            other => panic!("a query got {other:?}"),
+        }
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        match request(&control, &Request::Stats) {
+            Response::Stats(s) if s.connections_active == 1 => break,
+            Response::Stats(_) => {}
+            other => panic!("stats got {other:?}"),
+        }
+        assert!(Instant::now() < deadline, "query connections never left");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    drop(control);
+    server.shutdown();
 }
 
 /// A stream of only a header feeds no worker, so its ack needs no flush

@@ -9,9 +9,9 @@
 
 use marginal_ldp::core::frame::StreamHeader;
 use marginal_ldp::core::wire::Writer;
-use marginal_ldp::core::Protocol;
+use marginal_ldp::core::{layout, Protocol};
 use marginal_ldp::oracles::pipeline::{
-    decode_report_batch_into, header_for, layout, Client, SketchShape, ENVELOPE_BYTES,
+    decode_report_batch_into, header_for, Client, SketchShape, ENVELOPE_BYTES,
 };
 use marginal_ldp::prelude::*;
 
