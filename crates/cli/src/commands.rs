@@ -254,6 +254,9 @@ fn mask_label(mask: Mask) -> String {
         .join("+")
 }
 
+/// Why `query` refuses a state that holds no report.
+const NO_REPORTS: &str = "no reports collected; nothing to estimate";
+
 /// Where `query` evaluates estimates: a finalized local snapshot, or a
 /// live server reached over a control connection (`--connect`). Both
 /// paths print identical output for the same absorbed reports — the
@@ -338,6 +341,15 @@ pub fn query(flags: &Flags) -> Result<(), String> {
     // output (proved by tests/serve.rs) for one round trip and one
     // collect+merge, rather than one per mask or domain value.
     let single_target = flags.get("marginal").is_some() || flags.get("value").is_some();
+    // A state is checked for reports before it is finalized: InpPS
+    // cannot finalize an empty one.
+    let local = |header: StreamHeader, state: &[u8]| {
+        let acc = PipelineAccumulator::from_state(&header, state)?;
+        match acc.report_count() {
+            0 => Err(NO_REPORTS.to_string()),
+            n => Ok((header, n, QuerySource::Local(acc.finalize()))),
+        }
+    };
     let (header, reports, mut source) = match flags.get("connect") {
         Some(addr) => {
             let mut control = Control::connect(addr)?;
@@ -352,11 +364,7 @@ pub fn query(flags: &Flags) -> Result<(), String> {
                 (header, stats.reports, QuerySource::Remote(control))
             } else {
                 match control.request(&Request::Snapshot)? {
-                    Response::Snapshot { header, state } => {
-                        let acc = PipelineAccumulator::from_state(&header, &state)?;
-                        let reports = acc.report_count();
-                        (header, reports, QuerySource::Local(acc.finalize()))
-                    }
+                    Response::Snapshot { header, state } => local(header, &state)?,
                     other => return Err(format!("unexpected snapshot response: {other:?}")),
                 }
             }
@@ -365,13 +373,11 @@ pub fn query(flags: &Flags) -> Result<(), String> {
             let input = flags.get("input").unwrap_or("-");
             let (header, state) =
                 read_snapshot(open_input(input)?).map_err(|e| format!("{input}: {e}"))?;
-            let acc = PipelineAccumulator::from_state(&header, &state)?;
-            let reports = acc.report_count();
-            (header, reports, QuerySource::Local(acc.finalize()))
+            local(header, &state)?
         }
     };
     if reports == 0 {
-        return Err("no reports collected; nothing to estimate".to_string());
+        return Err(NO_REPORTS.to_string());
     }
     let protocol = Protocol::from_header(&header).map_or("?", Protocol::name);
     let mut out = open_output(flags.get("output").unwrap_or("-"))?;

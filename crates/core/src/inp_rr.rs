@@ -15,7 +15,7 @@
 //! and cells), validated by a statistical equivalence test below.
 
 use crate::wire::{tag, Reader, WireError, Writer};
-use crate::{Accumulator, FullDistributionEstimate};
+use crate::{Accumulator, FullDistributionEstimate, UnaryTally};
 use ldp_mechanisms::{UnaryEncoding, UnaryFlavor};
 use ldp_sampling::{binomial, hash::splitmix64, one_hot_words};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
@@ -97,12 +97,7 @@ impl InpRr {
     /// Fresh aggregator.
     #[must_use]
     pub fn aggregator(&self) -> InpRrAggregator {
-        InpRrAggregator {
-            ue: self.ue,
-            ones: vec![0u64; 1usize << self.d],
-            n: 0,
-            d: self.d,
-        }
+        InpRrAggregator::new(self.ue, self.d, 0, vec![0; 1 << self.d])
     }
 
     /// Exact-in-distribution aggregate simulation (see module docs): draws
@@ -111,32 +106,36 @@ impl InpRr {
     pub fn run_fast(&self, rows: &[u64], seed: u64) -> FullDistributionEstimate {
         assert!(!rows.is_empty());
         let cells = 1usize << self.d;
-        let mut true_counts = vec![0u64; cells];
+        let mut counts = vec![0u64; cells];
         for &r in rows {
-            true_counts[r as usize] += 1;
+            counts[r as usize] += 1;
         }
         let n = rows.len() as u64;
         let mut rng = SmallRng::seed_from_u64(splitmix64(seed ^ 0x1A9C));
-        let mut agg = self.aggregator();
-        agg.n = rows.len();
-        for (cell, ones) in agg.ones.iter_mut().enumerate() {
-            let n1 = true_counts[cell];
-            *ones = binomial(&mut rng, n1, self.ue.p1()) + binomial(&mut rng, n - n1, self.ue.p0());
+        for c in &mut counts {
+            *c = binomial(&mut rng, *c, self.ue.p1()) + binomial(&mut rng, n - *c, self.ue.p0());
         }
-        agg.finish()
+        InpRrAggregator::new(self.ue, self.d, n, counts).finish()
     }
 }
 
-/// Aggregator for [`InpRr`]: per-cell 1-report counts.
+/// Aggregator for [`InpRr`]: per-cell 1-report counts, a
+/// [`UnaryTally`] of one `2^d`-cell row.
 #[derive(Clone, Debug)]
 pub struct InpRrAggregator {
     ue: UnaryEncoding,
-    ones: Vec<u64>,
-    n: usize,
+    tally: UnaryTally,
     d: u32,
 }
 
 impl InpRrAggregator {
+    /// `n` users' per-cell 1-counts `ones` (`2^d` of them).
+    fn new(ue: UnaryEncoding, d: u32, n: u64, ones: Vec<u64>) -> Self {
+        // One row: the range check never fails, so its name never shows.
+        let tally = UnaryTally::new("InpRR table", 1 << d, vec![n], ones);
+        InpRrAggregator { ue, tally, d }
+    }
+
     /// Absorb one user's report (the positions reporting 1). Positions
     /// are folded into the 2^d-cell table (`pos mod 2^d`), so a corrupt
     /// wire report degrades to a miscount instead of panicking a
@@ -144,18 +143,12 @@ impl InpRrAggregator {
     /// position.
     #[inline]
     pub fn absorb(&mut self, report: &[u32]) {
-        self.absorb_ones(report.iter().copied());
+        self.tally.absorb(0, report.iter().map(|&p| p as usize));
     }
 
-    /// [`Self::absorb`] over any iterator of positions — the form the
-    /// protocol table's frame kernel reads straight off the wire.
-    #[inline]
-    pub fn absorb_ones<I: IntoIterator<Item = u32>>(&mut self, ones: I) {
-        let mask = self.ones.len() - 1; // cell count is 2^d
-        for pos in ones {
-            self.ones[pos as usize & mask] += 1;
-        }
-        self.n += 1;
+    /// The tally the frame kernel counts reports into.
+    pub fn tally_mut(&mut self) -> &mut UnaryTally {
+        &mut self.tally
     }
 
     /// Domain dimensionality.
@@ -164,17 +157,11 @@ impl InpRrAggregator {
         self.d
     }
 
-    /// Unbias every cell and produce the reconstructed full distribution.
+    /// Unbias every cell and produce the reconstructed full
+    /// distribution (uniform when no report was absorbed).
     #[must_use]
     pub fn finish(self) -> FullDistributionEstimate {
-        assert!(self.n > 0, "no reports absorbed");
-        let n = self.n as f64;
-        let dist = self
-            .ones
-            .iter()
-            .map(|&c| self.ue.unbias_frequency(c as f64 / n))
-            .collect();
-        FullDistributionEstimate::new(self.d, dist)
+        FullDistributionEstimate::new(self.d, self.tally.unbias(self.ue).concat())
     }
 }
 
@@ -188,15 +175,11 @@ impl Accumulator for InpRrAggregator {
     }
 
     fn merge(&mut self, other: Self) {
-        assert_eq!(self.ones.len(), other.ones.len());
-        for (a, b) in self.ones.iter_mut().zip(other.ones) {
-            *a = a.saturating_add(b);
-        }
-        self.n = self.n.saturating_add(other.n);
+        self.tally.merge(&other.tally);
     }
 
     fn report_count(&self) -> u64 {
-        self.n as u64
+        self.tally.report_count()
     }
 
     fn finalize(self) -> FullDistributionEstimate {
@@ -208,8 +191,8 @@ impl Accumulator for InpRrAggregator {
         w.put_u32(self.d);
         w.put_f64(self.ue.p1());
         w.put_f64(self.ue.p0());
-        w.put_u64(self.n as u64);
-        w.put_u64_slice(&self.ones);
+        w.put_u64(self.tally.report_count());
+        w.put_u64_slice(self.tally.counts().1);
         w.into_bytes()
     }
 
@@ -218,7 +201,7 @@ impl Accumulator for InpRrAggregator {
         let d = r.get_u32()?;
         let p1 = r.get_f64()?;
         let p0 = r.get_f64()?;
-        let n = r.get_u64()? as usize;
+        let n = r.get_u64()?;
         let ones = r.get_u64_vec()?;
         r.finish()?;
         if !(1..=24).contains(&d) {
@@ -230,12 +213,8 @@ impl Accumulator for InpRrAggregator {
         if ones.len() != 1usize << d {
             return Err(WireError::Invalid("InpRR cell-count length"));
         }
-        Ok(InpRrAggregator {
-            ue: UnaryEncoding::with_probabilities(p1, p0),
-            ones,
-            n,
-            d,
-        })
+        let ue = UnaryEncoding::with_probabilities(p1, p0);
+        Ok(InpRrAggregator::new(ue, d, n, ones))
     }
 }
 

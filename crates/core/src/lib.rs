@@ -54,6 +54,7 @@ mod personalized;
 mod protocol;
 mod runner;
 mod tally;
+mod unary_tally;
 pub mod wire;
 
 pub use accumulator::Accumulator;
@@ -73,6 +74,7 @@ pub use personalized::{PersonalizedAggregator, PersonalizedInpHt, PersonalizedRe
 pub use protocol::{layout, Layout, Protocol};
 pub use runner::{ingest_sharded, run_population_sharded, user_rng};
 pub use tally::Tally;
+pub use unary_tally::{UnaryRow, UnaryTally};
 
 use ldp_mechanisms::theory::MethodBound;
 
@@ -198,10 +200,9 @@ impl Mechanism {
     /// Each user's report comes from the mechanism's own `encode` and is
     /// absorbed into its typed aggregator, sharded across the available
     /// cores and [`Accumulator::merge`]d. `MargRr` skips the report: its
-    /// perturbed table's words are counted as they are drawn
-    /// ([`MargRr::sample_marginal`], [`MargRr::perturbed_table`],
-    /// [`MargRrAggregator::user_table`]), with the same draws and counts
-    /// as `encode` then `absorb`. Because the seed schedule is
+    /// perturbed table's words go through the frame kernel
+    /// ([`UnaryRow::add_word`]) as they are drawn, with the same draws
+    /// and counts as `encode` then `absorb`. Because the seed schedule is
     /// per-user (see [`user_rng`]) and accumulators obey the
     /// partition-invariance law of [`Accumulator`], the result is
     /// bit-identical to `run_sharded(rows, seed, 1)` — the serial
@@ -264,7 +265,7 @@ impl Mechanism {
             Mechanism::InpHt(m) => Estimate::Hadamard(ingest!(m)),
             // The encode and absorb kernels the protocol table shares,
             // with no report in between: each word of the perturbed
-            // table goes straight into the sampled marginal's counts.
+            // table goes straight into the sampled marginal's row.
             Mechanism::MargRr(m) => Estimate::MarginalSet(
                 run_population_sharded(
                     rows,
@@ -273,14 +274,8 @@ impl Mechanism {
                     || m.aggregator(),
                     |row, rng, acc| {
                         let (marginal, cell) = m.sample_marginal(row, rng);
-                        let table = acc.user_table(marginal);
-                        let mut base = 0;
-                        m.perturbed_table(cell, rng, |word, lanes| {
-                            for tz in ldp_bits::ones(word) {
-                                table[base + tz as usize] += 1;
-                            }
-                            base += lanes as usize;
-                        });
+                        let mut user = acc.tally_mut().user(u64::from(marginal));
+                        m.perturbed_table(cell, rng, |word, _| user.add_word(word));
                     },
                     |acc, part| acc.merge(part),
                 )

@@ -8,8 +8,8 @@
 //! unbias cell frequencies over the users who sampled it. Error
 //! `Õ(2^k d^{k/2} / (ε√N))`.
 
-use crate::wire::{in_range, tag, Reader, WireError, Writer};
-use crate::{Accumulator, MarginalSetEstimate};
+use crate::wire::{tag, Reader, WireError, Writer};
+use crate::{Accumulator, MarginalSetEstimate, UnaryTally};
 use ldp_bits::{compress, masks_of_weight, Mask};
 use ldp_mechanisms::{UnaryEncoding, UnaryFlavor};
 use ldp_sampling::one_hot_words;
@@ -114,74 +114,52 @@ impl MargRr {
     /// Fresh aggregator.
     #[must_use]
     pub fn aggregator(&self) -> MargRrAggregator {
-        MargRrAggregator {
-            ue: self.ue,
-            d: self.d,
-            k: self.k,
-            ones: vec![0u64; (1usize << self.k) * self.marginals.len()],
-            users: vec![0u64; self.marginals.len()],
-        }
+        let m = self.marginals.len();
+        MargRrAggregator::new(self.ue, self.d, self.k, vec![0; m], vec![0; m << self.k])
     }
 }
 
-/// Aggregator for [`MargRr`]: per-marginal per-cell 1-report counts,
-/// stored flat (marginal-major) so the per-report hot loop touches one
-/// contiguous table instead of chasing a nested `Vec`.
+/// Aggregator for [`MargRr`]: per-marginal per-cell 1-report counts, a
+/// [`UnaryTally`] of one `2^k`-cell row per marginal.
 #[derive(Clone, Debug)]
 pub struct MargRrAggregator {
     ue: UnaryEncoding,
     d: u32,
     k: u32,
-    ones: Vec<u64>,
-    users: Vec<u64>,
+    tally: UnaryTally,
 }
 
 impl MargRrAggregator {
+    /// Per-marginal `users` and marginal-major 1-counts `ones`.
+    fn new(ue: UnaryEncoding, d: u32, k: u32, users: Vec<u64>, ones: Vec<u64>) -> Self {
+        let tally = UnaryTally::new("MargRR marginal", 1 << k, users, ones);
+        MargRrAggregator { ue, d, k, tally }
+    }
+
     /// The range check: a report must name one of the `C(d,k)`
     /// marginals. The protocol table applies it to a whole batch before
     /// absorbing any of it.
     #[inline]
     pub fn check(&self, marginal: u32) -> Result<(), WireError> {
-        in_range(
-            "MargRR marginal",
-            u64::from(marginal),
-            self.users.len() as u64,
-        )
+        self.tally.check(u64::from(marginal))
     }
 
-    /// Absorb one report.
+    /// Absorb one report that passes [`Self::check`] (absorbing one
+    /// outside `C(d,k)` panics). Cell indices are folded into the
+    /// sampled marginal's 2^k-cell table (`cell mod 2^k`), so a corrupt
+    /// cell degrades to a miscount.
     #[inline]
     pub fn absorb(&mut self, report: &MargRrReport) {
-        self.absorb_ones(report.marginal, report.ones.iter().copied());
-    }
-
-    /// Absorb one report given as its marginal and the positions of its
-    /// table's 1-bits — the form the protocol table's frame kernel reads
-    /// straight off the wire. Cell indices are folded into the sampled
-    /// marginal's 2^k-cell table (`cell mod 2^k`), so a corrupt cell
-    /// degrades to a miscount. The marginal must pass [`Self::check`]:
-    /// the protocol table refuses a batch holding a marginal outside
-    /// `C(d,k)`, and absorbing one directly panics.
-    #[inline]
-    pub fn absorb_ones<I: IntoIterator<Item = u16>>(&mut self, marginal: u32, ones: I) {
-        let mask = (1usize << self.k) - 1;
-        let table = self.user_table(marginal);
-        for c in ones {
-            table[c as usize & mask] += 1;
+        if let Err(e) = self.check(report.marginal) {
+            panic!("{e}");
         }
+        let cells = report.ones.iter().map(|&c| usize::from(c));
+        self.tally.absorb(u64::from(report.marginal), cells);
     }
 
-    /// Count one user of `marginal` and return that marginal's `2^k`
-    /// cell counts, for the caller to add the user's 1-cells to. The
-    /// user is counted here, once, however many words their table
-    /// spans. The marginal must pass [`Self::check`] (one outside
-    /// `C(d,k)` panics).
-    #[inline]
-    pub fn user_table(&mut self, marginal: u32) -> &mut [u64] {
-        let cells = 1usize << self.k;
-        let m = marginal as usize;
-        self.users[m] += 1;
-        &mut self.ones[m * cells..(m + 1) * cells]
+    /// The tally the frame kernel and `Mechanism::run` count into.
+    pub fn tally_mut(&mut self) -> &mut UnaryTally {
+        &mut self.tally
     }
 
     /// Domain dimensionality.
@@ -200,24 +178,7 @@ impl MargRrAggregator {
     /// the uniform table.
     #[must_use]
     pub fn finish(self) -> MarginalSetEstimate {
-        let cells = 1usize << self.k;
-        let uniform = 1.0 / cells as f64;
-        let tables = self
-            .ones
-            .chunks_exact(cells)
-            .zip(&self.users)
-            .map(|(table, &u)| {
-                if u == 0 {
-                    vec![uniform; table.len()]
-                } else {
-                    table
-                        .iter()
-                        .map(|&c| self.ue.unbias_frequency(c as f64 / u as f64))
-                        .collect()
-                }
-            })
-            .collect();
-        MarginalSetEstimate::new(self.d, self.k, tables)
+        MarginalSetEstimate::new(self.d, self.k, self.tally.unbias(self.ue))
     }
 }
 
@@ -231,18 +192,11 @@ impl Accumulator for MargRrAggregator {
     }
 
     fn merge(&mut self, other: Self) {
-        for (a, b) in self.users.iter_mut().zip(other.users) {
-            *a = a.saturating_add(b);
-        }
-        for (a, b) in self.ones.iter_mut().zip(other.ones) {
-            *a = a.saturating_add(b);
-        }
+        self.tally.merge(&other.tally);
     }
 
     fn report_count(&self) -> u64 {
-        // Saturating: a decoded hostile state may hold counts whose
-        // total no real population reaches.
-        self.users.iter().fold(0, |n: u64, &c| n.saturating_add(c))
+        self.tally.report_count()
     }
 
     fn finalize(self) -> MarginalSetEstimate {
@@ -255,8 +209,9 @@ impl Accumulator for MargRrAggregator {
         w.put_u32(self.k);
         w.put_f64(self.ue.p1());
         w.put_f64(self.ue.p0());
-        w.put_u64_slice(&self.users);
-        w.put_u64_slice(&self.ones);
+        let (users, ones) = self.tally.counts();
+        w.put_u64_slice(users);
+        w.put_u64_slice(ones);
         w.into_bytes()
     }
 
@@ -278,20 +233,12 @@ impl Accumulator for MargRrAggregator {
         // O(k) count and checked width math — never enumerate C(d,k)
         // masks or trust a product on untrusted dims.
         let marginals = ldp_bits::binomial(u64::from(d), u64::from(k));
-        let cells = 1u64 << k;
-        let expected = marginals
-            .checked_mul(cells)
-            .ok_or(WireError::Invalid("MargRR table shape"))?;
-        if users.len() as u64 != marginals || flat.len() as u64 != expected {
+        let cells = marginals.checked_mul(1 << k);
+        if users.len() as u64 != marginals || Some(flat.len() as u64) != cells {
             return Err(WireError::Invalid("MargRR table shape"));
         }
-        Ok(MargRrAggregator {
-            ue: UnaryEncoding::with_probabilities(p1, p0),
-            d,
-            k,
-            ones: flat,
-            users,
-        })
+        let ue = UnaryEncoding::with_probabilities(p1, p0);
+        Ok(MargRrAggregator::new(ue, d, k, users, flat))
     }
 }
 

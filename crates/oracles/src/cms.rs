@@ -5,7 +5,7 @@
 
 use crate::FrequencyOracle;
 use ldp_core::wire::{in_range, tag, Reader, WireError, Writer};
-use ldp_core::Accumulator;
+use ldp_core::{Accumulator, UnaryTally};
 use ldp_mechanisms::{check_epsilon, UnaryEncoding, UnaryFlavor};
 use ldp_sampling::hash::{splitmix64, PolyHash};
 use ldp_sampling::one_hot_words;
@@ -112,52 +112,50 @@ impl Cms {
     /// Fresh aggregator.
     #[must_use]
     pub fn aggregator(&self) -> CmsAggregator {
-        CmsAggregator {
-            config: self.clone(),
-            ones: vec![vec![0u64; self.w]; self.g],
-            users: vec![0u64; self.g],
-        }
+        CmsAggregator::new(self.clone(), vec![0; self.g], vec![0; self.g * self.w])
     }
 }
 
-/// Aggregator for [`Cms`].
+/// Aggregator for [`Cms`]: per-row per-bucket 1-report counts, a
+/// [`UnaryTally`] of `g` rows of `w` buckets.
 #[derive(Clone, Debug)]
 pub struct CmsAggregator {
     config: Cms,
-    ones: Vec<Vec<u64>>,
-    users: Vec<u64>,
+    tally: UnaryTally,
 }
 
 impl CmsAggregator {
+    /// Per-row `users` and row-major 1-counts `ones` under `config`.
+    fn new(config: Cms, users: Vec<u64>, ones: Vec<u64>) -> Self {
+        let tally = UnaryTally::new("CMS row", config.w, users, ones);
+        CmsAggregator { config, tally }
+    }
+
     /// The range check: a report must name one of the `g` sketch rows,
     /// and every position must lie in the row's `w` buckets. The
     /// protocol table applies it to a whole batch before absorbing any
     /// of it.
     #[inline]
     pub fn check<I: IntoIterator<Item = u16>>(&self, row: u8, ones: I) -> Result<(), WireError> {
-        in_range("CMS row", u64::from(row), self.users.len() as u64)?;
+        self.tally.check(u64::from(row))?;
         let width = self.config.w as u64;
         ones.into_iter()
             .try_for_each(|b| in_range("CMS bucket", u64::from(b), width))
     }
 
-    /// Absorb one report.
+    /// Absorb one report that passes [`Self::check`] (absorbing one
+    /// outside the sketch panics).
     pub fn absorb(&mut self, report: &CmsReport) {
-        self.absorb_ones(report.row, report.ones.iter().copied());
+        if let Err(e) = self.check(report.row, report.ones.iter().copied()) {
+            panic!("{e}");
+        }
+        let buckets = report.ones.iter().map(|&b| usize::from(b));
+        self.tally.absorb(u64::from(report.row), buckets);
     }
 
-    /// Absorb one report given as its row and positions — the form the
-    /// protocol table's frame kernel reads straight off the wire. The
-    /// report must pass [`Self::check`]; absorbing one outside the
-    /// sketch panics.
-    #[inline]
-    pub fn absorb_ones<I: IntoIterator<Item = u16>>(&mut self, row: u8, ones: I) {
-        let l = usize::from(row);
-        self.users[l] += 1;
-        let cells = &mut self.ones[l];
-        for b in ones {
-            cells[usize::from(b)] += 1;
-        }
+    /// The tally the frame kernel counts reports into.
+    pub fn tally_mut(&mut self) -> &mut UnaryTally {
+        &mut self.tally
     }
 
     /// The oracle configuration this aggregator decodes under.
@@ -166,27 +164,13 @@ impl CmsAggregator {
         &self.config
     }
 
-    /// Unbias rows into bucket distributions.
+    /// Unbias rows into bucket distributions. Rows nobody sampled fall
+    /// back to the uniform row.
     #[must_use]
     pub fn finish(self) -> CmsOracle {
-        let rows = self
-            .ones
-            .iter()
-            .zip(&self.users)
-            .map(|(cells, &u)| {
-                if u == 0 {
-                    vec![1.0 / self.config.w as f64; self.config.w]
-                } else {
-                    cells
-                        .iter()
-                        .map(|&c| self.config.ue.unbias_frequency(c as f64 / u as f64))
-                        .collect()
-                }
-            })
-            .collect();
         CmsOracle {
+            rows: self.tally.unbias(self.config.ue),
             config: self.config,
-            rows,
         }
     }
 }
@@ -200,20 +184,11 @@ impl Accumulator for CmsAggregator {
     }
 
     fn merge(&mut self, other: Self) {
-        for (a, b) in self.users.iter_mut().zip(other.users) {
-            *a = a.saturating_add(b);
-        }
-        for (ra, rb) in self.ones.iter_mut().zip(other.ones) {
-            for (a, b) in ra.iter_mut().zip(rb) {
-                *a = a.saturating_add(b);
-            }
-        }
+        self.tally.merge(&other.tally);
     }
 
     fn report_count(&self) -> u64 {
-        // Saturating: a decoded hostile state may hold counts whose
-        // total no real population reaches.
-        self.users.iter().fold(0, |n: u64, &c| n.saturating_add(c))
+        self.tally.report_count()
     }
 
     fn finalize(self) -> CmsOracle {
@@ -230,8 +205,9 @@ impl Accumulator for CmsAggregator {
         for hash in &self.config.hashes {
             w.put_u64_slice(hash.coefficients());
         }
-        w.put_u64_slice(&self.users);
-        for row in &self.ones {
+        let (users, ones) = self.tally.counts();
+        w.put_u64_slice(users);
+        for row in ones.chunks_exact(self.config.w) {
             w.put_u64_slice(row);
         }
         w.into_bytes()
@@ -261,24 +237,22 @@ impl Accumulator for CmsAggregator {
             })
             .collect::<Result<Vec<_>, _>>()?;
         let users = r.get_u64_vec()?;
-        let ones = (0..g)
+        let rows = (0..g)
             .map(|_| r.get_u64_vec())
             .collect::<Result<Vec<_>, _>>()?;
         r.finish()?;
-        if users.len() != g || ones.iter().any(|row| row.len() != w) {
+        if users.len() != g || rows.iter().any(|row| row.len() != w) {
             return Err(WireError::Invalid("CMS table shape"));
         }
-        Ok(CmsAggregator {
-            config: Cms {
-                d,
-                g,
-                w,
-                ue: UnaryEncoding::with_probabilities(p1, p0),
-                hashes,
-            },
-            ones,
-            users,
-        })
+        let ue = UnaryEncoding::with_probabilities(p1, p0);
+        let config = Cms {
+            d,
+            g,
+            w,
+            ue,
+            hashes,
+        };
+        Ok(CmsAggregator::new(config, users, rows.concat()))
     }
 }
 

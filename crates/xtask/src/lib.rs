@@ -109,10 +109,11 @@ impl fmt::Display for Diagnostic {
 /// exist: a missing entry is an [`Kind::Io`] diagnostic, so renaming a
 /// hot-path file forces a linter update instead of silently shrinking
 /// coverage.
-pub const REQUIRED_FILES: [&str; 6] = [
+pub const REQUIRED_FILES: [&str; 7] = [
     "crates/core/src/wire.rs",
     "crates/core/src/frame.rs",
     "crates/core/src/tally.rs",
+    "crates/core/src/unary_tally.rs",
     "crates/oracles/src/pipeline.rs",
     "crates/cli/src/serve.rs",
     "crates/cli/src/load.rs",

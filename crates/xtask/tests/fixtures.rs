@@ -117,6 +117,7 @@ fn clean_fixture() -> Fixture {
     fixture.write("crates/core/src/wire.rs", WIRE);
     fixture.write("crates/core/src/frame.rs", FRAME);
     fixture.write("crates/core/src/tally.rs", CLEAN_RS);
+    fixture.write("crates/core/src/unary_tally.rs", CLEAN_RS);
     fixture.write("crates/oracles/src/pipeline.rs", CLEAN_RS);
     fixture.write("crates/cli/src/serve.rs", CLEAN_RS);
     fixture.write("crates/cli/src/load.rs", CLEAN_RS);

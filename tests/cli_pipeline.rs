@@ -529,6 +529,53 @@ fn exit_codes_follow_the_documented_convention() {
     }
 }
 
+/// `query` of a snapshot that holds no report fails with exit code 1
+/// and says so, for every protocol, before it finalizes anything (InpPS
+/// cannot finalize an empty state).
+#[test]
+fn query_of_an_empty_snapshot_fails_cleanly_for_every_protocol() {
+    let dir = scratch("empty_snapshots");
+    let empty = dir.join("empty.csv");
+    std::fs::write(&empty, "").unwrap();
+    for protocol in Protocol::ALL {
+        let name = protocol.name();
+        let stream = run_cli(
+            &[
+                "encode",
+                "--protocol",
+                name,
+                "--d",
+                "4",
+                "--k",
+                "2",
+                "--input",
+                empty.to_str().unwrap(),
+            ],
+            None,
+        );
+        let snapshot = run_cli(&["ingest"], Some(&stream));
+        let mut child = Command::new(cli_bin())
+            .arg("query")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("failed to spawn ldp-cli");
+        {
+            use std::io::Write;
+            child.stdin.take().unwrap().write_all(&snapshot).unwrap();
+        }
+        let output = child.wait_with_output().unwrap();
+        let err = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{name}: stderr:\n{err}");
+        assert!(
+            err.contains("no reports collected"),
+            "{name}: stderr:\n{err}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A truncated report stream is rejected with a frame error, not
 /// silently folded into a short snapshot.
 #[test]

@@ -8,15 +8,17 @@
 //! batched frames ends up with exactly the reports the serial path
 //! would have produced.
 //!
-//! The fixed-field frame kernels are held to the same reference on the
-//! other side: `absorb_frame` over `encode_batch` frames leaves state
-//! byte-identical to typed serial `encode` then the typed aggregator's
-//! `absorb`, on both sides of the batch size where a kernel switches
-//! from absorbing report by report to counting reports by value, and a
-//! frame holding one out-of-range report is refused whole, naming it.
+//! The frame kernels are held to the same reference on the other side:
+//! `absorb_frame` over `encode_batch` frames leaves state byte-identical
+//! to typed serial `encode` then the typed aggregator's `absorb`. The
+//! fixed-field kernels are checked on both sides of the batch size where
+//! they switch from absorbing report by report to counting reports by
+//! value, the set kernel at sets that end mid-word or span several words
+//! and at batch sizes that are not multiples of 64, and a frame holding
+//! one out-of-range report is refused whole, naming it.
 
 use marginal_ldp::core::wire::Writer;
-use marginal_ldp::core::{layout, user_rng, Accumulator as _, Protocol};
+use marginal_ldp::core::{layout, user_rng, Accumulator, Protocol};
 use marginal_ldp::oracles::pipeline::{
     decode_report_batch_into, header_for, Client, PipelineReport, SketchShape, ENVELOPE_BYTES,
 };
@@ -36,7 +38,11 @@ fn client_for(protocol: Protocol) -> Client {
 }
 
 fn client_at(protocol: Protocol, d: u32, k: u32) -> Client {
-    let header = header_for(protocol, d, k, EPS, SKETCH);
+    sketch_client(protocol, d, k, SKETCH)
+}
+
+fn sketch_client(protocol: Protocol, d: u32, k: u32, sketch: SketchShape) -> Client {
+    let header = header_for(protocol, d, k, EPS, sketch);
     Client::from_header(&header).expect("test header is valid")
 }
 
@@ -163,17 +169,20 @@ fn typed_state(client: &Client, rows: &[u64], seed: u64) -> Vec<u8> {
         ($m:ident) => {{
             let mut acc = $m.aggregator();
             for (u, &row) in (0u64..).zip(rows) {
-                acc.absorb($m.encode(row, &mut user_rng(seed, u)));
+                Accumulator::absorb(&mut acc, &$m.encode(row, &mut user_rng(seed, u)));
             }
             acc.to_bytes()
         }};
     }
     match client {
+        Client::InpRr(m) => serial!(m),
         Client::InpHt(m) => serial!(m),
+        Client::MargRr(m) => serial!(m),
         Client::MargPs(m) => serial!(m),
         Client::MargHt(m) => serial!(m),
+        Client::Cms(o) => serial!(o),
         Client::Hcms(o) => serial!(o),
-        other => panic!("{} has no fixed-field range check", other.protocol().name()),
+        other => panic!("{} has no typed reference here", other.protocol().name()),
     }
 }
 
@@ -185,29 +194,71 @@ fn frame(client: &Client, rows: &[u64], seed: u64, first_user: u64) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// `absorb_frame` leaves the typed reference's state at batch sizes just
-/// below and at twice the number of field values, `2·2^fixed`, and at
-/// 1024 and 4096 reports. Each population goes in as two frames, so the second
-/// is absorbed onto a state that already holds counts.
+/// The set-carrying shapes (InpRR, MargRR, CMS), each `(protocol, d,
+/// k, hashes, width)`: sets of 2 to 256 bits that end mid-word (InpRR
+/// d=5, MargRR k ≤ 2, CMS width 65 and 100), fill one word (InpRR d=6,
+/// MargRR k=6) or span several (InpRR d ≥ 7, MargRR k=7, CMS).
+const SET_SHAPES: [(Protocol, u32, u32, u32, u32); 11] = [
+    (Protocol::InpRr, 5, 2, 0, 0),
+    (Protocol::InpRr, 6, 2, 0, 0),
+    (Protocol::InpRr, 7, 2, 0, 0),
+    (Protocol::InpRr, 8, 2, 0, 0),
+    (Protocol::MargRr, 8, 1, 0, 0),
+    (Protocol::MargRr, 8, 2, 0, 0),
+    (Protocol::MargRr, 8, 6, 0, 0),
+    (Protocol::MargRr, 8, 7, 0, 0),
+    (Protocol::Cms, 8, 1, 1, 65),
+    (Protocol::Cms, 8, 1, 3, 100),
+    (Protocol::Cms, 8, 1, 5, 256),
+];
+
+/// Absorb a `2·count`-row population over `d` attributes as two
+/// `count`-report frames, the second onto a state that already holds
+/// counts, and compare the state with the typed reference's.
+fn assert_frames_match_typed(client: &Client, d: u32, count: usize, shape: &str) {
+    const SEED: u64 = 17;
+    let rows = population(d, 2 * count);
+    let (first, second) = rows.split_at(count);
+    let mut acc = client.accumulator();
+    for (part, first_user) in [(first, 0), (second, count as u64)] {
+        let absorbed = acc.absorb_frame(&frame(client, part, SEED, first_user));
+        assert_eq!(absorbed, Ok(count), "{shape}");
+    }
+    assert!(
+        acc.to_bytes() == typed_state(client, &rows, SEED),
+        "{shape}: {count}-report frames diverged from the typed reference"
+    );
+}
+
+/// `absorb_frame` leaves the typed reference's state. The fixed-field
+/// kernels are run at batch sizes just below and at twice the number of
+/// field values, `2·2^fixed`, and at 1024 and 4096 reports; the set
+/// kernel at every [`SET_SHAPES`] shape, at batch sizes below, just
+/// under, just over and well past 64.
 #[test]
 fn frame_kernels_match_typed_encode_then_absorb() {
-    const SEED: u64 = 17;
     for (protocol, d, k) in FIXED_FIELD_SHAPES {
         let client = client_at(protocol, d, k);
         let threshold = 2usize << fixed_bits(protocol, d, k);
         for count in [threshold - 1, threshold, 1024, 4096] {
-            let rows = population(d, 2 * count);
-            let (first, second) = rows.split_at(count);
-            let mut acc = client.accumulator();
-            for (part, first_user) in [(first, 0), (second, count as u64)] {
-                let absorbed = acc.absorb_frame(&frame(&client, part, SEED, first_user));
-                assert_eq!(absorbed, Ok(count), "{} d={d} k={k}", protocol.name());
-            }
-            assert!(
-                acc.to_bytes() == typed_state(&client, &rows, SEED),
-                "{} d={d} k={k}: {count}-report frames diverged from the typed reference",
-                protocol.name()
+            assert_frames_match_typed(
+                &client,
+                d,
+                count,
+                &format!("{} d={d} k={k}", protocol.name()),
             );
+        }
+    }
+    for (protocol, d, k, hashes, width) in SET_SHAPES {
+        let sketch = SketchShape {
+            hashes,
+            width,
+            family_seed: 9,
+        };
+        let client = sketch_client(protocol, d, k, sketch);
+        let shape = format!("{} d={d} k={k} {hashes}×{width}", protocol.name());
+        for count in [1, 7, 63, 65, 1024] {
+            assert_frames_match_typed(&client, d, count, &shape);
         }
     }
 }
