@@ -50,8 +50,8 @@ pub enum FrameError {
     MissingFrame(&'static str),
     /// A snapshot carried frames after the accumulator state.
     TrailingFrame,
-    /// A [`FrameReader::next_frame_while`] read was abandoned because
-    /// its `keep_going` condition became false (server shutdown).
+    /// A [`FrameReader::next_frame_while_into`] read was abandoned
+    /// because its `keep_going` condition became false (server shutdown).
     Interrupted,
 }
 
@@ -348,31 +348,17 @@ impl<R: Read> FrameReader<R> {
         self.read_frame_into(payload, None)
     }
 
-    /// Read the next frame from a long-lived socket, staying
-    /// shutdown-safe: the source should carry a read timeout (or be
-    /// non-blocking), and every time it times out `keep_going` is
-    /// consulted — the read retries (keeping partial progress) while it
-    /// returns true and fails with [`FrameError::Interrupted`] once it
-    /// does not. This is the reader loop of the `ldp-cli serve`
-    /// connection handlers: a server draining live TCP streams can
-    /// neither block forever on an idle peer nor tear down sockets
-    /// mid-frame without noticing.
-    pub fn next_frame_while<F: Fn() -> bool>(
-        &mut self,
-        keep_going: F,
-    ) -> Result<Option<Vec<u8>>, FrameError> {
-        let mut payload = Vec::new();
-        Ok(self
-            .next_frame_while_into(&mut payload, keep_going)?
-            .then_some(payload))
-    }
-
-    /// Buffer-reusing form of [`FrameReader::next_frame_while`]: the
-    /// payload lands in a caller-owned buffer (cleared, then filled) and
-    /// `Ok(false)` marks a clean end of stream. The server's connection
-    /// handlers use this so a long-lived ingest socket performs no
-    /// per-frame allocation once the buffer has grown to the stream's
-    /// largest report.
+    /// Read the next frame from a long-lived socket into a caller-owned
+    /// buffer (cleared, then filled; `Ok(false)` marks a clean end of
+    /// stream), staying shutdown-safe: the source should carry a read
+    /// timeout (or be non-blocking), and every time it times out
+    /// `keep_going` is consulted — the read retries (keeping partial
+    /// progress) while it returns true and fails with
+    /// [`FrameError::Interrupted`] once it does not. This is the reader
+    /// loop of the `ldp-cli serve` connection handlers: a server draining
+    /// live TCP streams can neither block forever on an idle peer nor
+    /// tear down sockets mid-frame without noticing, and each connection
+    /// reads every frame into its one buffer.
     pub fn next_frame_while_into<F: Fn() -> bool>(
         &mut self,
         payload: &mut Vec<u8>,
@@ -634,9 +620,12 @@ mod tests {
             pos: 0,
             timed_out: false,
         });
-        assert_eq!(r.next_frame_while(|| true).unwrap().unwrap(), b"report-one");
-        assert_eq!(r.next_frame_while(|| true).unwrap().unwrap(), b"report-two");
-        assert!(r.next_frame_while(|| true).unwrap().is_none());
+        let mut frame = Vec::new();
+        assert!(r.next_frame_while_into(&mut frame, || true).unwrap());
+        assert_eq!(frame, b"report-one");
+        assert!(r.next_frame_while_into(&mut frame, || true).unwrap());
+        assert_eq!(frame, b"report-two");
+        assert!(!r.next_frame_while_into(&mut frame, || true).unwrap());
     }
 
     #[test]
@@ -652,11 +641,13 @@ mod tests {
         });
         // First frame completes (retrying through every timeout)…
         let keep = || !shutdown.load(Ordering::SeqCst);
-        assert_eq!(r.next_frame_while(keep).unwrap().unwrap(), b"partial");
+        let mut frame = Vec::new();
+        assert!(r.next_frame_while_into(&mut frame, keep).unwrap());
+        assert_eq!(frame, b"partial");
         // …then shutdown flips mid-wait and the next read is abandoned.
         shutdown.store(true, Ordering::SeqCst);
         assert!(matches!(
-            r.next_frame_while(keep),
+            r.next_frame_while_into(&mut frame, keep),
             Err(FrameError::Interrupted)
         ));
     }
@@ -771,9 +762,11 @@ mod tests {
             for timeouts in [false, true] {
                 let source = ChunkedStream::new(serial.clone(), pattern.to_vec(), timeouts);
                 let mut r = FrameReader::new(source);
+                let mut frame = Vec::new();
                 for (i, want) in frames.iter().enumerate() {
                     let got = if timeouts {
-                        r.next_frame_while(|| true).unwrap()
+                        let more = r.next_frame_while_into(&mut frame, || true).unwrap();
+                        more.then(|| frame.clone())
                     } else {
                         // A blocking source never times out; the plain
                         // reader must reassemble identically.
@@ -786,7 +779,7 @@ mod tests {
                     );
                 }
                 assert!(
-                    r.next_frame_while(|| true).unwrap().is_none(),
+                    !r.next_frame_while_into(&mut frame, || true).unwrap(),
                     "spurious trailing frame under chunking {pattern:?}"
                 );
             }

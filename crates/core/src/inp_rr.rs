@@ -61,19 +61,15 @@ impl InpRr {
         self.ue
     }
 
-    /// Faithful client: perturb the full one-hot vector, reporting the
-    /// (typically dense) set of positions that flip to 1. `O(2^d)` cells,
+    /// Faithful client: perturb the full one-hot vector and report it as
+    /// words (bit `j` of word `i` is cell `64·i + j`). `O(2^d)` cells,
     /// but the coins are drawn 64 lanes per RNG word (see
     /// [`perturbed_words`](Self::perturbed_words)), not one `gen_bool`
     /// per cell.
-    pub fn encode<R: Rng + ?Sized>(&self, row: u64, rng: &mut R) -> Vec<u32> {
-        let mut ones = Vec::new();
-        let mut base = 0u32;
-        self.perturbed_words(row, rng, |word, lanes| {
-            ones.extend(ldp_bits::ones(word).map(|tz| base + tz));
-            base += lanes;
-        });
-        ones
+    pub fn encode<R: Rng + ?Sized>(&self, row: u64, rng: &mut R) -> Vec<u64> {
+        let mut words = Vec::new();
+        self.perturbed_words(row, rng, |word, _| words.push(word));
+        words
     }
 
     /// The perturbed one-hot vector as successive 64-bit words, in
@@ -136,14 +132,12 @@ impl InpRrAggregator {
         InpRrAggregator { ue, tally, d }
     }
 
-    /// Absorb one user's report (the positions reporting 1). Positions
-    /// are folded into the 2^d-cell table (`pos mod 2^d`), so a corrupt
-    /// wire report degrades to a miscount instead of panicking a
-    /// collector thread; the encoder never produces an out-of-range
-    /// position.
+    /// Absorb one user's report, the words of its perturbed vector. A
+    /// bit past the `2^d` cells (which the encoder never sets) counts
+    /// nothing.
     #[inline]
-    pub fn absorb(&mut self, report: &[u32]) {
-        self.tally.absorb(0, report.iter().map(|&p| p as usize));
+    pub fn absorb(&mut self, report: &[u64]) {
+        self.tally.absorb(0, report);
     }
 
     /// The tally the frame kernel counts reports into.
@@ -166,11 +160,11 @@ impl InpRrAggregator {
 }
 
 impl Accumulator for InpRrAggregator {
-    type Report = Vec<u32>;
+    type Report = Vec<u64>;
     type Output = FullDistributionEstimate;
 
     #[inline]
-    fn absorb(&mut self, report: &Vec<u32>) {
+    fn absorb(&mut self, report: &Vec<u64>) {
         InpRrAggregator::absorb(self, report);
     }
 

@@ -15,14 +15,15 @@ use ldp_mechanisms::{UnaryEncoding, UnaryFlavor};
 use ldp_sampling::one_hot_words;
 use rand::Rng;
 
-/// One user's report: the sampled marginal and the perturbed one-hot
-/// table (as the list of cells reporting 1).
+/// One user's report: the sampled marginal and its perturbed one-hot
+/// table.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MargRrReport {
     /// Index of the sampled marginal in `masks_of_weight(d, k)` order.
     pub marginal: u32,
-    /// Cells (local indices in `[0, 2^k)`) reporting 1.
-    pub ones: Vec<u16>,
+    /// The perturbed `2^k`-cell table as words: bit `j` of word `i` is
+    /// cell `64·i + j`.
+    pub words: Vec<u64>,
 }
 
 /// Configuration of the `MargRR` mechanism.
@@ -75,20 +76,16 @@ impl MargRr {
     /// Client: sample a marginal, perturb its one-hot table.
     pub fn encode<R: Rng + ?Sized>(&self, row: u64, rng: &mut R) -> MargRrReport {
         let (marginal, cell) = self.sample_marginal(row, rng);
-        let mut ones = Vec::new();
-        let mut base = 0u16;
-        self.perturbed_table(cell, rng, |word, lanes| {
-            ones.extend(ldp_bits::ones(word).map(|tz| base + tz as u16));
-            base = base.wrapping_add(lanes as u16);
-        });
-        MargRrReport { marginal, ones }
+        let mut words = Vec::new();
+        self.perturbed_table(cell, rng, |word, _| words.push(word));
+        MargRrReport { marginal, words }
     }
 
     /// First half of the encode: draw the marginal uniformly and project
     /// the row onto it. Returns `(marginal index, local cell)`. Split
     /// out so the batched kernel can write the marginal field before the
-    /// variable-length ones list, and `Mechanism::run` can count the
-    /// table without building a report.
+    /// table, and `Mechanism::run` can count the table without building
+    /// a report.
     #[inline]
     pub fn sample_marginal<R: Rng + ?Sized>(&self, row: u64, rng: &mut R) -> (u32, u64) {
         let mi = rng.gen_range(0..self.marginals.len());
@@ -145,16 +142,14 @@ impl MargRrAggregator {
     }
 
     /// Absorb one report that passes [`Self::check`] (absorbing one
-    /// outside `C(d,k)` panics). Cell indices are folded into the
-    /// sampled marginal's 2^k-cell table (`cell mod 2^k`), so a corrupt
-    /// cell degrades to a miscount.
+    /// outside `C(d,k)` panics). A bit past the sampled marginal's `2^k`
+    /// cells (which the encoder never sets) counts nothing.
     #[inline]
     pub fn absorb(&mut self, report: &MargRrReport) {
         if let Err(e) = self.check(report.marginal) {
             panic!("{e}");
         }
-        let cells = report.ones.iter().map(|&c| usize::from(c));
-        self.tally.absorb(u64::from(report.marginal), cells);
+        self.tally.absorb(u64::from(report.marginal), &report.words);
     }
 
     /// The tally the frame kernel and `Mechanism::run` count into.

@@ -75,16 +75,11 @@ impl UnaryTally {
     }
 
     /// Count one typed report: a user of `row` (as for [`Self::user`])
-    /// whose set is the listed positions. A position past the row folds
-    /// into it (`position mod width`): a stray one miscounts, not panics.
-    pub fn absorb(&mut self, row: u64, positions: impl IntoIterator<Item = usize>) {
-        let cells = self.user(row).cells;
-        let width = cells.len();
-        for p in positions {
-            let cell = if p < width { p } else { p % width.max(1) };
-            if let Some(n) = cells.get_mut(cell) {
-                *n = n.wrapping_add(1);
-            }
+    /// whose set is `words`, each through [`UnaryRow::add_word`].
+    pub fn absorb(&mut self, row: u64, words: &[u64]) {
+        let mut user = self.user(row);
+        for &word in words {
+            user.add_word(word);
         }
     }
 
@@ -131,30 +126,41 @@ impl UnaryTally {
 mod tests {
     use super::*;
 
-    #[test]
-    fn words_and_positions_count_the_same_set() {
-        // Two rows of 70 positions: a set spanning two words, the second
-        // ending mid-word.
-        let set = [0usize, 5, 63, 64, 69];
-        let mut words = UnaryTally::new("row", 70, vec![0; 2], vec![0; 140]);
-        let mut row = words.user(1);
-        row.add_word(1 | 1 << 5 | 1 << 63);
-        row.add_word(1 | 1 << 5);
-        let mut typed = UnaryTally::new("row", 70, vec![0; 2], vec![0; 140]);
-        typed.absorb(1, set);
-        assert_eq!(words.counts().1, typed.counts().1);
-        assert_eq!(words.counts().0, &[0, 1]);
-        assert_eq!(typed.counts().0, &[0, 1]);
-        let counted: Vec<usize> = (0..140).filter(|&c| words.counts().1[c] == 1).collect();
-        assert_eq!(counted, set.map(|p| 70 + p));
+    /// The bit-by-bit count of one user's `words` into `row` of a tally
+    /// of `width`-cell rows, a cell past the width counting nothing: the
+    /// reference [`UnaryRow::add_word`] is held to.
+    fn naive(users: &mut [u64], ones: &mut [u64], width: usize, row: usize, words: &[u64]) {
+        users[row] += 1;
+        for (i, word) in words.iter().enumerate() {
+            for j in 0..64 {
+                let cell = 64 * i + j;
+                if cell < width && word >> j & 1 == 1 {
+                    ones[row * width + cell] += 1;
+                }
+            }
+        }
+    }
 
-        // A stray position folds; a bit past the width counts nothing.
-        typed.absorb(0, [70 + 3]);
-        let mut row = words.user(0);
-        row.add_word(1 << 3);
-        row.add_word(1 << 6); // position 70, past the width
-        assert_eq!(words.counts().1, typed.counts().1);
-        assert_eq!(words.report_count(), 2);
+    #[test]
+    fn add_word_counts_what_a_bit_by_bit_count_does() {
+        // Two rows of 70 cells: sets spanning two words, the second
+        // ending mid-word, one with bits past the width.
+        let sets: [(usize, &[u64]); 3] = [
+            (1, &[1 | 1 << 5 | 1 << 63, 1 | 1 << 5]),
+            (0, &[1 << 3, 1 << 6 | 1 << 63]),
+            (1, &[u64::MAX, u64::MAX]),
+        ];
+        let mut words = UnaryTally::new("row", 70, vec![0; 2], vec![0; 140]);
+        let (mut users, mut ones) = (vec![0; 2], vec![0; 140]);
+        for (row, set) in sets {
+            words.absorb(row as u64, set);
+            naive(&mut users, &mut ones, 70, row, set);
+        }
+        assert_eq!(words.counts(), (&users[..], &ones[..]));
+        let counted: Vec<usize> = (0..70).filter(|&c| ones[70 + c] == 2).collect();
+        assert_eq!(counted, [0, 5, 63, 64, 69]);
+        assert_eq!(ones[3], 1);
+        assert_eq!(words.report_count(), 3);
     }
 
     #[test]
@@ -164,7 +170,7 @@ mod tests {
             t.check(3).unwrap_err().to_string(),
             "MargRR marginal 3 is out of range (must be below 3)"
         );
-        t.absorb(3, [0]);
+        t.absorb(3, &[1]);
         t.user(3).add_word(u64::MAX);
         t.user(u64::MAX).add_word(u64::MAX);
         assert_eq!(t.report_count(), 0);

@@ -38,11 +38,12 @@ pub mod tag {
     /// `ldp_oracles::OlhAggregator`.
     pub const OLH: u8 = 0x13;
 
-    // 0x21–0x33: the wire-v1 single-report frames, one user's report
-    // behind its own tag and version. Wire v4 retired them (reports
-    // travel only inside `REPORT_BATCH`); the tags stay reserved, and
-    // a batch decoder names them when a retired frame arrives. Never
-    // reuse them.
+    // The ten wire-v1 single-report frames, one user's report behind
+    // its own tag and version: each tag is 0x20 plus its protocol's
+    // accumulator tag (0x21–0x27 and 0x31–0x33; 0x28–0x30 were never
+    // tags). Wire v4 retired them (reports travel only inside
+    // `REPORT_BATCH`); the tags stay reserved, and a batch decoder names
+    // them when a retired frame of wire v1–v3 arrives. Never reuse them.
 
     /// Retired (wire v1–v3): one user's InpRR report. Never reuse.
     pub const REPORT_INP_RR: u8 = 0x21;

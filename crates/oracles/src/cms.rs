@@ -11,13 +11,15 @@ use ldp_sampling::hash::{splitmix64, PolyHash};
 use ldp_sampling::one_hot_words;
 use rand::Rng;
 
-/// One user's report: the sampled row and the positions reporting 1.
+/// One user's report: the sampled row and its perturbed unary
+/// encoding.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CmsReport {
     /// Which sketch row (hash function) the user sampled.
     pub row: u8,
-    /// Bucket positions reporting 1 after unary encoding.
-    pub ones: Vec<u16>,
+    /// The perturbed `w`-bucket row as words: bit `j` of word `i` is
+    /// bucket `64·i + j`.
+    pub words: Vec<u64>,
 }
 
 /// Configuration of the count-mean sketch.
@@ -75,19 +77,14 @@ impl Cms {
     /// Client: hash into the sampled row, unary-encode the bucket.
     pub fn encode<R: Rng + ?Sized>(&self, value: u64, rng: &mut R) -> CmsReport {
         let (row, bucket) = self.sample_row(value, rng);
-        let mut ones = Vec::new();
-        let mut base = 0u16;
-        self.perturbed_row(bucket, rng, |word, lanes| {
-            ones.extend(ldp_bits::ones(word).map(|tz| base + tz as u16));
-            base = base.wrapping_add(lanes as u16);
-        });
-        CmsReport { row, ones }
+        let mut words = Vec::new();
+        self.perturbed_row(bucket, rng, |word, _| words.push(word));
+        CmsReport { row, words }
     }
 
     /// First half of the encode: draw the sketch row uniformly and hash
     /// the value into it. Returns `(row, bucket)`. Split out so the
-    /// batched kernel can write the row field before the variable-length
-    /// ones list.
+    /// batched kernel can write the row field before the perturbed row.
     #[inline]
     pub fn sample_row<R: Rng + ?Sized>(&self, value: u64, rng: &mut R) -> (u8, u64) {
         let l = rng.gen_range(0..self.g);
@@ -132,25 +129,34 @@ impl CmsAggregator {
     }
 
     /// The range check: a report must name one of the `g` sketch rows,
-    /// and every position must lie in the row's `w` buckets. The
-    /// protocol table applies it to a whole batch before absorbing any
-    /// of it.
+    /// and no bit of its `words` may stand for a bucket at or past `w`
+    /// (the first such bucket is named). The protocol table applies it
+    /// to a whole batch before absorbing any of it.
     #[inline]
-    pub fn check<I: IntoIterator<Item = u16>>(&self, row: u8, ones: I) -> Result<(), WireError> {
+    pub fn check(&self, row: u8, words: &[u64]) -> Result<(), WireError> {
         self.tally.check(u64::from(row))?;
         let width = self.config.w as u64;
-        ones.into_iter()
-            .try_for_each(|b| in_range("CMS bucket", u64::from(b), width))
+        for (base, &word) in (0u64..).step_by(64).zip(words) {
+            // This word's bits past its `inside` buckets, shifted down.
+            let inside = width.saturating_sub(base);
+            let stray = word
+                .checked_shr(inside.try_into().unwrap_or(64))
+                .unwrap_or(0);
+            if stray != 0 {
+                let bucket = base + inside + u64::from(stray.trailing_zeros());
+                return in_range("CMS bucket", bucket, width);
+            }
+        }
+        Ok(())
     }
 
     /// Absorb one report that passes [`Self::check`] (absorbing one
     /// outside the sketch panics).
     pub fn absorb(&mut self, report: &CmsReport) {
-        if let Err(e) = self.check(report.row, report.ones.iter().copied()) {
+        if let Err(e) = self.check(report.row, &report.words) {
             panic!("{e}");
         }
-        let buckets = report.ones.iter().map(|&b| usize::from(b));
-        self.tally.absorb(u64::from(report.row), buckets);
+        self.tally.absorb(u64::from(report.row), &report.words);
     }
 
     /// The tally the frame kernel counts reports into.

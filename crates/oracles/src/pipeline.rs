@@ -27,10 +27,13 @@
 //! field value, and absorbing a report is `tally[field] += 1` at every
 //! batch size. InpRR, MargRR and CMS, whose report carries a set, share
 //! another: their state is a [`UnaryTally`], and a report's set goes
-//! into its row a 64-bit word at a time. [`decode_report_batch_into`]
-//! followed by [`PipelineAccumulator::absorb_batch`] decodes into
-//! [`PipelineReport`]s first; it is the reference the frame kernels are
-//! tested against.
+//! into its row a 64-bit word at a time. A set has one form everywhere:
+//! the words the lane sampler draws, the words on the wire and the words
+//! of a decoded report are the same words, and
+//! [`ldp_core::UnaryRow::add_word`] is the only code that counts them.
+//! [`decode_report_batch_into`] followed by
+//! [`PipelineAccumulator::absorb_batch`] decodes into [`PipelineReport`]s
+//! first; it is the reference the frame kernels are tested against.
 //!
 //! This crate hosts the table because it is the lowest layer that can
 //! see both protocol families (`ldp_oracles` depends on `ldp_core`).
@@ -403,14 +406,13 @@ impl<'w> Bits<'w> {
 /// [`layout`], widened to the protocol's report type.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PipelineReport {
-    /// InpRR: positions of the perturbed one-hot vector's 1-bits.
-    InpRr(Vec<u32>),
+    /// InpRR: the perturbed one-hot vector's words.
+    InpRr(Vec<u64>),
     /// InpPS: the perturbed input index.
     InpPs(u64),
     /// InpHT: sampled Hadamard coefficient + sign.
     InpHt(InpHtReport),
-    /// MargRR: sampled marginal + positions of its perturbed table's
-    /// 1-bits.
+    /// MargRR: sampled marginal + its perturbed table's words.
     MargRr(MargRrReport),
     /// MargPS: sampled marginal + perturbed cell.
     MargPs(MargPsReport),
@@ -420,8 +422,8 @@ pub enum PipelineReport {
     InpEm(u64),
     /// OLH: hash seed + reported bucket.
     Olh(OlhReport),
-    /// CMS: sketch row + positions of the perturbed row's 1-bits. Boxed
-    /// so the enum stays the size of the other position-list report.
+    /// CMS: sketch row + the perturbed row's words. Boxed so the enum
+    /// stays the size of the other set reports.
     Cms(Box<CmsReport>),
     /// HCMS: sketch row + Hadamard coefficient sign.
     Hcms(HcmsReport),
@@ -603,13 +605,16 @@ struct Batch<'a> {
 
 /// Why a payload is not a wire-v4 batch, for one whose prelude is wrong:
 /// a retired single-report frame or an older batch body (naming its
-/// wire version), or another tag.
+/// wire version), or another tag. A single-report frame is named only
+/// for one of the ten retired tags (`0x20` plus a protocol's
+/// accumulator tag) at the wire versions that carried them, v1–v3.
 #[cold]
 fn wrong_prelude(payload: &[u8]) -> String {
     let refuse = |why: String| format!("bad report batch frame: {why}");
+    let retired = |t: u8| Protocol::from_wire_tag(t.wrapping_sub(0x20)).is_some();
     match *payload {
         [] => refuse("empty payload".to_string()),
-        [t, version, ..] if (tag::REPORT_INP_RR..=tag::REPORT_OLH).contains(&t) => refuse(format!(
+        [t, version @ 1..=3, ..] if retired(t) => refuse(format!(
             "tag {t:#04x} is a wire-v{version} single-report frame; wire v4 retired them, \
              so send reports in wire-v4 REPORT_BATCH frames"
         )),
@@ -753,22 +758,14 @@ fn for_each_set_report(b: &Batch<'_>, mut visit: impl FnMut(usize, u64, u64)) {
     }
 }
 
-/// Append the positions of a set's 1-bits to `out` through `cell`, a
-/// word at a time so each extend knows its exact length (the decode
-/// path; one flattened iterator measured 2.4× slower on InpRR).
+/// The words of the `len`-bit set at bit `start` of `bytes`: bit `j` of
+/// word `i` is cell `64·i + j`, and the bits of the last word past `len`
+/// are zero.
 #[inline]
-fn extend_set<T>(out: &mut Vec<T>, bytes: &[u8], start: u64, len: u32, cell: impl Fn(u32) -> T) {
-    for base in (0..len).step_by(64) {
-        let word = bits_at(bytes, start + u64::from(base), (len - base).min(64));
-        out.extend(ldp_bits::ones(word).map(|tz| cell(base + tz)));
-    }
-}
-
-/// A set position as the `u16` cell of a MargRR table or CMS row (at
-/// most 2^16 of them).
-#[inline]
-fn cell_u16(position: u32) -> u16 {
-    u16::try_from(position).unwrap_or(u16::MAX)
+fn set_words(bytes: &[u8], start: u64, len: u32) -> impl Iterator<Item = u64> + '_ {
+    (0..len)
+        .step_by(64)
+        .map(move |base| bits_at(bytes, start + u64::from(base), (len - base).min(64)))
 }
 
 /// The slot for report `i` of `scratch`, growing it by one when `i` is
@@ -795,7 +792,7 @@ fn fill(scratch: &mut Vec<PipelineReport>, b: &Batch<'_>, report: impl Fn(u64) -
 /// Decode a wire-v4 [`tag::REPORT_BATCH`] frame payload into a reusable
 /// scratch vector, returning the number of reports decoded. The
 /// envelope names the protocol and shape, so no header is needed.
-/// Existing `scratch` slots are refilled in place (reusing the position
+/// Existing `scratch` slots are refilled in place (reusing the word
 /// buffers of InpRR, MargRR and CMS reports) and the vector grows only
 /// when the batch is larger than any seen before; entries past the
 /// returned count are stale leftovers that must not be absorbed.
@@ -841,26 +838,26 @@ pub fn decode_report_batch_into(
         }
         Protocol::InpRr => for_each_set_report(&b, |i, _, set| {
             if let Some(s) = slot(scratch, i) {
-                let mut ones = match std::mem::replace(s, EMPTY_SLOT) {
-                    PipelineReport::InpRr(ones) => ones,
+                let mut words = match std::mem::replace(s, EMPTY_SLOT) {
+                    PipelineReport::InpRr(words) => words,
                     _ => Vec::new(),
                 };
-                ones.clear();
-                extend_set(&mut ones, body, set, l.set, |p| p);
-                *s = PipelineReport::InpRr(ones);
+                words.clear();
+                words.extend(set_words(body, set, l.set));
+                *s = PipelineReport::InpRr(words);
             }
         }),
         Protocol::MargRr => for_each_set_report(&b, |i, marginal, set| {
             if let Some(s) = slot(scratch, i) {
-                let mut ones = match std::mem::replace(s, EMPTY_SLOT) {
-                    PipelineReport::MargRr(report) => report.ones,
+                let mut words = match std::mem::replace(s, EMPTY_SLOT) {
+                    PipelineReport::MargRr(report) => report.words,
                     _ => Vec::new(),
                 };
-                ones.clear();
-                extend_set(&mut ones, body, set, l.set, cell_u16);
+                words.clear();
+                words.extend(set_words(body, set, l.set));
                 *s = PipelineReport::MargRr(MargRrReport {
                     marginal: index_u32(marginal),
-                    ones,
+                    words,
                 });
             }
         }),
@@ -870,12 +867,12 @@ pub fn decode_report_batch_into(
                     PipelineReport::Cms(report) => report,
                     _ => Box::new(CmsReport {
                         row: 0,
-                        ones: Vec::new(),
+                        words: Vec::new(),
                     }),
                 };
                 report.row = u8::try_from(row).unwrap_or(u8::MAX);
-                report.ones.clear();
-                extend_set(&mut report.ones, body, set, l.set, cell_u16);
+                report.words.clear();
+                report.words.extend(set_words(body, set, l.set));
                 *s = PipelineReport::Cms(report);
             }
         }),
@@ -999,11 +996,10 @@ fn absorb_sets(tally: &mut UnaryTally, b: &Batch<'_>) -> Result<(), (usize, Wire
             tally.check(bits_at(b.body, i as u64 * bits, fixed))
         }));
     }
-    let len = b.layout.set;
     for_each_set_report(b, |_, row, set| {
         let mut user = tally.user(row);
-        for base in (0..len).step_by(64) {
-            user.add_word(bits_at(b.body, set + u64::from(base), (len - base).min(64)));
+        for word in set_words(b.body, set, b.layout.set) {
+            user.add_word(word);
         }
     });
     Ok(())
@@ -1165,7 +1161,9 @@ impl PipelineAccumulator {
             };
         }
         match self {
-            // InpRR and InpPS fold their positions into 2^d: no range.
+            // InpRR has one row and InpPS folds its index into 2^d: no
+            // range to check. A set bit past InpRR's 2^d cells, or past
+            // MargRR's 2^k, counts nothing.
             Self::InpRr(a) => absorb_each!(a, InpRr),
             Self::InpPs(a) => absorb_each!(a, InpPs),
             Self::InpHt(a) => {
@@ -1196,7 +1194,7 @@ impl PipelineAccumulator {
                 absorb_each!(a, Olh);
             }
             Self::Cms(a) => {
-                check_each!(Cms, |r| a.check(r.row, r.ones.iter().copied()));
+                check_each!(Cms, |r| a.check(r.row, &r.words));
                 absorb_each!(a, Cms);
             }
             Self::Hcms(a) => {
@@ -1553,6 +1551,20 @@ mod tests {
         );
         assert!(bad(&[]).contains("empty payload"));
         assert!(bad(&[tag::STREAM_HEADER, VERSION]).contains("not a report batch"));
+        // Only the ten retired tags at wire v1–v3 name a single-report
+        // frame: 0x2A was never a tag, and no single report is wire v9.
+        for other in [
+            [0x2A, 1, 4, 0],
+            [0x2A, 200, 4, 0],
+            [tag::REPORT_MARG_PS, 9, 4, 0],
+        ] {
+            let err = bad(&other);
+            assert!(
+                err.contains(&format!("tag {:#04x} is not a report batch", other[0])),
+                "{err}"
+            );
+            assert!(!err.contains("single-report"), "{err}");
+        }
 
         assert_eq!(decode_report_batch_into(&good, &mut scratch), Ok(7));
     }
@@ -1730,11 +1742,11 @@ mod tests {
                 oracle_header(Protocol::Cms, 6, 3, 16),
                 PipelineReport::Cms(Box::new(CmsReport {
                     row: 0,
-                    ones: vec![1],
+                    words: vec![1 << 1],
                 })),
                 PipelineReport::Cms(Box::new(CmsReport {
                     row: 0,
-                    ones: vec![1, 16],
+                    words: vec![1 << 1 | 1 << 16 | 1 << 20],
                 })),
                 "CMS bucket 16 is out of range (must be below 16)",
             ),
@@ -1766,6 +1778,40 @@ mod tests {
 
             acc.absorb_batch(&[good]).unwrap();
             assert_eq!(acc.report_count(), 1);
+        }
+    }
+
+    #[test]
+    fn set_bits_past_the_width_count_nothing_on_absorb_batch() {
+        // Bits no wire report can carry, so only a caller building
+        // `PipelineReport`s itself can hand them over: past InpRR's
+        // 2^6 = 64 cells (a second word) and past a MargRR k=2 marginal's
+        // four cells (bits 4 and 63 of its one word).
+        let cases = [
+            (
+                mech(MechanismKind::InpRr, 6, 2),
+                PipelineReport::InpRr(vec![1 << 3 | 1 << 63, 1 | 1 << 40]),
+                PipelineReport::InpRr(vec![1 << 3 | 1 << 63]),
+            ),
+            (
+                mech(MechanismKind::MargRr, 6, 2),
+                PipelineReport::MargRr(MargRrReport {
+                    marginal: 14,
+                    words: vec![1 << 2 | 1 << 4 | 1 << 63, 1],
+                }),
+                PipelineReport::MargRr(MargRrReport {
+                    marginal: 14,
+                    words: vec![1 << 2],
+                }),
+            ),
+        ];
+        for (header, stray, clean) in cases {
+            let mut with_stray = PipelineAccumulator::empty(&header).unwrap();
+            with_stray.absorb_batch(&[stray.clone(), stray]).unwrap();
+            let mut without = PipelineAccumulator::empty(&header).unwrap();
+            without.absorb_batch(&[clean.clone(), clean]).unwrap();
+            assert_eq!(with_stray.report_count(), 2);
+            assert_eq!(with_stray.to_bytes(), without.to_bytes(), "{header:?}");
         }
     }
 

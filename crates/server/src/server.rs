@@ -58,7 +58,7 @@ use std::time::{Duration, Instant};
 
 /// Read timeout on every accepted socket: the upper bound on how long a
 /// connection handler can go without noticing a shutdown (the
-/// `keep_going` check of `FrameReader::next_frame_while`).
+/// `keep_going` check of `FrameReader::next_frame_while_into`).
 const READ_TIMEOUT: Duration = Duration::from_millis(25);
 
 /// How often the relay thread wakes to check the push interval, the
@@ -1057,20 +1057,23 @@ fn serve_connection(shared: &Arc<Shared>, stream: &TcpStream) -> Result<(), Stri
     let mut reader = FrameReader::new(stream);
     let mut writer = FrameWriter::new(BufWriter::new(stream));
 
-    let first = match reader.next_frame_while(|| shared.keep_going()) {
-        Ok(Some(frame)) => frame,
-        Ok(None) | Err(FrameError::Interrupted) => return Ok(()),
+    // The connection's one frame buffer: every frame it sends is read
+    // into it, the first one included.
+    let mut frame = Vec::new();
+    match reader.next_frame_while_into(&mut frame, || shared.keep_going()) {
+        Ok(true) => {}
+        Ok(false) | Err(FrameError::Interrupted) => return Ok(()),
         Err(e) => return Err(format!("bad first frame: {e}")),
-    };
-    match first.first() {
-        Some(&tag::STREAM_HEADER) => handle_ingest(shared, &first, &mut reader, &mut writer),
+    }
+    match frame.first() {
+        Some(&tag::STREAM_HEADER) => handle_ingest(shared, frame, &mut reader, &mut writer),
         Some(&(tag::REQ_SNAPSHOT..=tag::REQ_PUSH)) => {
-            handle_control(shared, first, &mut reader, &mut writer)
+            handle_control(shared, frame, &mut reader, &mut writer)
         }
         _ => {
             let message = format!(
                 "expected a stream header or request frame, got tag {:?}",
-                first.first()
+                frame.first()
             );
             reply(&mut writer, &Response::Error(message.clone()))?;
             Err(message)
@@ -1078,16 +1081,17 @@ fn serve_connection(shared: &Arc<Shared>, stream: &TcpStream) -> Result<(), Stri
     }
 }
 
-/// An ingest connection: header frame, then report frames until a clean
-/// end-of-stream, answered with one `Ingested` acknowledgement once
-/// every report frame has been absorbed.
+/// An ingest connection: header frame (in `frame`, the connection's
+/// buffer), then report frames until a clean end-of-stream, answered
+/// with one `Ingested` acknowledgement once every report frame has been
+/// absorbed.
 fn handle_ingest(
     shared: &Arc<Shared>,
-    header_frame: &[u8],
+    mut frame: Vec<u8>,
     reader: &mut ConnReader<'_>,
     writer: &mut ConnWriter<'_>,
 ) -> Result<(), String> {
-    let header = match StreamHeader::from_bytes(header_frame) {
+    let header = match StreamHeader::from_bytes(&frame) {
         Ok(header) => header,
         Err(e) => {
             let message = format!("bad header frame: {e}");
@@ -1110,7 +1114,6 @@ fn handle_ingest(
     let progress = Arc::new(IngestProgress::default());
     // The frame buffer travels with an offer a helper takes; an offer
     // no helper takes comes back, and its buffer is read into again.
-    let mut frame = Vec::new();
     let end = loop {
         match reader.next_frame_while_into(&mut frame, || shared.keep_going()) {
             Ok(true) => {
@@ -1156,14 +1159,14 @@ fn handle_ingest(
 }
 
 /// A control connection: request frames until the peer closes, each
-/// answered by exactly one response frame.
+/// answered by exactly one response frame and each read into `frame`,
+/// the connection's buffer, which holds the first request.
 fn handle_control(
     shared: &Arc<Shared>,
-    first: Vec<u8>,
+    mut frame: Vec<u8>,
     reader: &mut ConnReader<'_>,
     writer: &mut ConnWriter<'_>,
 ) -> Result<(), String> {
-    let mut frame = first;
     loop {
         let (response, stop) = match Request::from_bytes(&frame) {
             Ok(Request::Snapshot) => {
@@ -1208,11 +1211,11 @@ fn handle_control(
         if stop {
             return Ok(());
         }
-        frame = match reader.next_frame_while(|| shared.keep_going()) {
-            Ok(Some(frame)) => frame,
-            Ok(None) | Err(FrameError::Interrupted) => return Ok(()),
+        match reader.next_frame_while_into(&mut frame, || shared.keep_going()) {
+            Ok(true) => {}
+            Ok(false) | Err(FrameError::Interrupted) => return Ok(()),
             Err(e) => return Err(format!("control connection: {e}")),
-        };
+        }
     }
 }
 

@@ -14,13 +14,16 @@
 //! fixed-field kernels are checked on both sides of the batch size where
 //! they switch from absorbing report by report to counting reports by
 //! value, the set kernel at sets that end mid-word or span several words
-//! and at batch sizes that are not multiples of 64, and a frame holding
-//! one out-of-range report is refused whole, naming it.
+//! and at batch sizes that are not multiples of 64 (and against a
+//! bit-by-bit count of the typed reports' words, since typed `absorb`
+//! shares its word counter), and a frame holding one out-of-range report
+//! is refused whole, naming it.
 
 use marginal_ldp::core::wire::Writer;
 use marginal_ldp::core::{layout, user_rng, Accumulator, Protocol};
 use marginal_ldp::oracles::pipeline::{
-    decode_report_batch_into, header_for, Client, PipelineReport, SketchShape, ENVELOPE_BYTES,
+    decode_report_batch_into, header_for, Client, PipelineAccumulator, PipelineReport, SketchShape,
+    ENVELOPE_BYTES,
 };
 use proptest::prelude::*;
 
@@ -212,11 +215,18 @@ const SET_SHAPES: [(Protocol, u32, u32, u32, u32); 11] = [
     (Protocol::Cms, 8, 1, 5, 256),
 ];
 
+/// The seed of the populations [`assert_frames_match_typed`] encodes.
+const SEED: u64 = 17;
+
 /// Absorb a `2·count`-row population over `d` attributes as two
 /// `count`-report frames, the second onto a state that already holds
-/// counts, and compare the state with the typed reference's.
-fn assert_frames_match_typed(client: &Client, d: u32, count: usize, shape: &str) {
-    const SEED: u64 = 17;
+/// counts, compare the state with the typed reference's, and return it.
+fn assert_frames_match_typed(
+    client: &Client,
+    d: u32,
+    count: usize,
+    shape: &str,
+) -> PipelineAccumulator {
     let rows = population(d, 2 * count);
     let (first, second) = rows.split_at(count);
     let mut acc = client.accumulator();
@@ -228,13 +238,67 @@ fn assert_frames_match_typed(client: &Client, d: u32, count: usize, shape: &str)
         acc.to_bytes() == typed_state(client, &rows, SEED),
         "{shape}: {count}-report frames diverged from the typed reference"
     );
+    acc
+}
+
+/// The set reference that shares no code with the set kernel: each
+/// typed report's words counted bit by bit (`word >> j & 1`), a cell
+/// past the row's width counting nothing, into per-row user counts and
+/// row-major 1-counts.
+fn naive_set_counts(client: &Client, rows: &[u64], seed: u64) -> (Vec<u64>, Vec<u64>) {
+    let (row_count, width) = match client {
+        Client::InpRr(m) => (1, 1usize << m.d()),
+        Client::MargRr(m) => (m.marginal_count(), 1usize << m.k()),
+        Client::Cms(o) => (o.rows(), o.width()),
+        other => panic!("{} carries no set", other.protocol().name()),
+    };
+    let (mut users, mut ones) = (vec![0u64; row_count], vec![0u64; row_count * width]);
+    for (u, &value) in (0u64..).zip(rows) {
+        let rng = &mut user_rng(seed, u);
+        let (row, words) = match client {
+            Client::InpRr(m) => (0, m.encode(value, rng)),
+            Client::MargRr(m) => {
+                let r = m.encode(value, rng);
+                (r.marginal as usize, r.words)
+            }
+            Client::Cms(o) => {
+                let r = o.encode(value, rng);
+                (usize::from(r.row), r.words)
+            }
+            _ => unreachable!(),
+        };
+        users[row] += 1;
+        for (i, word) in words.iter().enumerate() {
+            for j in 0..64 {
+                let cell = 64 * i + j;
+                if cell < width && word >> j & 1 == 1 {
+                    ones[row * width + cell] += 1;
+                }
+            }
+        }
+    }
+    (users, ones)
+}
+
+/// The per-row user counts and 1-counts of a set accumulator's tally.
+fn set_counts(acc: &mut PipelineAccumulator) -> (Vec<u64>, Vec<u64>) {
+    let tally = match acc {
+        PipelineAccumulator::InpRr(a) => a.tally_mut(),
+        PipelineAccumulator::MargRr(a) => a.tally_mut(),
+        PipelineAccumulator::Cms(a) => a.tally_mut(),
+        other => panic!("{} carries no set", other.protocol().name()),
+    };
+    let (users, ones) = tally.counts();
+    (users.to_vec(), ones.to_vec())
 }
 
 /// `absorb_frame` leaves the typed reference's state. The fixed-field
 /// kernels are run at batch sizes just below and at twice the number of
 /// field values, `2·2^fixed`, and at 1024 and 4096 reports; the set
 /// kernel at every [`SET_SHAPES`] shape, at batch sizes below, just
-/// under, just over and well past 64.
+/// under, just over and well past 64. Typed `absorb` and the frame
+/// kernel count a set through the same `UnaryRow::add_word`, so the set
+/// kernel's counts are also held to [`naive_set_counts`].
 #[test]
 fn frame_kernels_match_typed_encode_then_absorb() {
     for (protocol, d, k) in FIXED_FIELD_SHAPES {
@@ -258,7 +322,11 @@ fn frame_kernels_match_typed_encode_then_absorb() {
         let client = sketch_client(protocol, d, k, sketch);
         let shape = format!("{} d={d} k={k} {hashes}×{width}", protocol.name());
         for count in [1, 7, 63, 65, 1024] {
-            assert_frames_match_typed(&client, d, count, &shape);
+            let mut acc = assert_frames_match_typed(&client, d, count, &shape);
+            assert!(
+                set_counts(&mut acc) == naive_set_counts(&client, &population(d, 2 * count), SEED),
+                "{shape}: {count}-report frames diverged from the bit-by-bit count"
+            );
         }
     }
 }
