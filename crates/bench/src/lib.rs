@@ -53,6 +53,23 @@ pub enum DataSource {
 }
 
 impl DataSource {
+    /// The source a `--generate` flag names: `taxi`, `movielens` or
+    /// `skewed`.
+    ///
+    /// # Errors
+    ///
+    /// Names the unknown source and the three known ones.
+    pub fn parse(name: &str) -> Result<DataSource, String> {
+        match name {
+            "taxi" => Ok(DataSource::Taxi),
+            "movielens" => Ok(DataSource::MovieLens),
+            "skewed" => Ok(DataSource::Skewed),
+            other => Err(format!(
+                "unknown --generate source {other:?}; expected taxi, movielens or skewed"
+            )),
+        }
+    }
+
     /// Generate a dataset of `n` records over `d` attributes.
     #[must_use]
     pub fn generate(self, d: u32, n: usize, seed: u64) -> BinaryDataset {
@@ -297,6 +314,17 @@ pub fn fmt_summary(s: Summary) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn data_sources_parse_by_name() {
+        assert_eq!(DataSource::parse("taxi"), Ok(DataSource::Taxi));
+        assert_eq!(DataSource::parse("movielens"), Ok(DataSource::MovieLens));
+        assert_eq!(DataSource::parse("skewed"), Ok(DataSource::Skewed));
+        assert_eq!(
+            DataSource::parse("census").unwrap_err(),
+            "unknown --generate source \"census\"; expected taxi, movielens or skewed"
+        );
+    }
 
     #[test]
     fn summary_basics() {

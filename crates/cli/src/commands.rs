@@ -72,17 +72,10 @@ pub fn encode(flags: &Flags) -> Result<(), String> {
     let rows: Vec<u64> = match flags.get("generate") {
         Some(source_name) => {
             let n: usize = flags.parsed("n", 10_000)?;
-            let source = match source_name {
-                "taxi" => DataSource::Taxi,
-                "movielens" => DataSource::MovieLens,
-                "skewed" => DataSource::Skewed,
-                other => {
-                    return Err(format!(
-                        "unknown --generate source {other:?}; expected taxi, movielens or skewed"
-                    ))
-                }
-            };
-            source.generate(d, n, seed).rows().to_vec()
+            DataSource::parse(source_name)?
+                .generate(d, n, seed)
+                .rows()
+                .to_vec()
         }
         None => {
             let input = flags.get("input").unwrap_or("-");
@@ -491,16 +484,7 @@ pub fn rows(flags: &Flags) -> Result<(), String> {
     let d: u32 = flags.parsed("d", 8)?;
     let n: usize = flags.parsed("n", 10_000)?;
     let seed: u64 = flags.parsed("seed", 42)?;
-    let source = match flags.get("generate").unwrap_or("taxi") {
-        "taxi" => DataSource::Taxi,
-        "movielens" => DataSource::MovieLens,
-        "skewed" => DataSource::Skewed,
-        other => {
-            return Err(format!(
-                "unknown --generate source {other:?}; expected taxi, movielens or skewed"
-            ))
-        }
-    };
+    let source = DataSource::parse(flags.get("generate").unwrap_or("taxi"))?;
     if !(1..=63).contains(&d) {
         return Err(format!("--d must be in 1..=63, got {d}"));
     }

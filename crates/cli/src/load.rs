@@ -77,16 +77,7 @@ fn parse_common(flags: &Flags) -> Result<Common, String> {
     if clients == 0 {
         return Err("--clients must be at least 1".to_string());
     }
-    let source = match flags.get("generate").unwrap_or("taxi") {
-        "taxi" => DataSource::Taxi,
-        "movielens" => DataSource::MovieLens,
-        "skewed" => DataSource::Skewed,
-        other => {
-            return Err(format!(
-                "unknown --generate source {other:?}; expected taxi, movielens or skewed"
-            ))
-        }
-    };
+    let source = DataSource::parse(flags.get("generate").unwrap_or("taxi"))?;
     Ok(Common {
         addr,
         d,

@@ -11,9 +11,10 @@ use crate::wire::WireError;
 /// collector can ingest reports one at a time ([`Accumulator::absorb`] /
 /// [`Accumulator::absorb_batch`]), combine partial aggregates built by
 /// independent processes ([`Accumulator::merge`]), ship state across
-/// process boundaries ([`Accumulator::to_bytes`] /
-/// [`Accumulator::from_bytes`]), and only at the very end pay for
-/// estimation ([`Accumulator::finalize`]). Nothing requires the
+/// process boundaries ([`Accumulator::to_bytes`], then
+/// [`Accumulator::load`] into an accumulator of the same configuration),
+/// and only at the very end pay for estimation
+/// ([`Accumulator::finalize`]). Nothing requires the
 /// population to ever be materialized in memory. Every mechanism's and
 /// oracle's aggregator implements it; the protocol table
 /// (`ldp_oracles::pipeline::PipelineAccumulator`) holds one of them per
@@ -59,11 +60,17 @@ use crate::wire::WireError;
 ///     }
 /// }
 ///
-/// // `west` ships its compact state to `east`, which merges and
-/// // finalizes.
+/// // `west` ships its compact state to `east`, which loads it into an
+/// // aggregator of the same configuration, merges and finalizes.
 /// let wire = Accumulator::to_bytes(&west);
-/// let west_rebuilt = <ldp_core::InpHtAggregator as Accumulator>::from_bytes(&wire).unwrap();
+/// let mut west_rebuilt = mech.aggregator();
+/// west_rebuilt.load(&wire).unwrap();
 /// Accumulator::merge(&mut east, west_rebuilt);
+///
+/// // A state collected under another ε is refused by name.
+/// let other = InpHt::new(8, 2, 2.0).aggregator();
+/// let err = mech.aggregator().load(&Accumulator::to_bytes(&other)).unwrap_err();
+/// assert_eq!(err.to_string(), "InpHT keep probability differs from the accumulator's");
 /// assert_eq!(east.report_count(), 10_000);
 /// let estimate = Accumulator::finalize(east);
 /// let table = ldp_core::MarginalEstimator::marginal(
@@ -110,14 +117,22 @@ pub trait Accumulator: Sized + Send {
     /// the compact wire form of [`crate::wire`].
     fn to_bytes(&self) -> Vec<u8>;
 
-    /// Rehydrate an accumulator serialized by [`Accumulator::to_bytes`].
-    /// The blob is self-describing: no mechanism object is needed on the
-    /// receiving side.
+    /// Load a state serialized by [`Accumulator::to_bytes`] into this
+    /// accumulator, replacing its counts. The accumulator was built from
+    /// a known configuration (on the wire, the stream header), which is
+    /// the only one the loaded counts are ever read under: the state's
+    /// carried configuration must match it field for field, integers and
+    /// hash coefficients exactly and probabilities within
+    /// [`crate::wire::PARAMETER_TOLERANCE`], and its tables must have
+    /// this accumulator's lengths.
     ///
     /// # Errors
     ///
     /// Returns a [`WireError`] if the blob is truncated, carries the
-    /// wrong type tag, an unsupported version, trailing bytes, or an
-    /// out-of-range field.
-    fn from_bytes(bytes: &[u8]) -> Result<Self, WireError>;
+    /// wrong type tag, an unsupported version or trailing bytes, a
+    /// configuration field or table length other than this
+    /// accumulator's ([`WireError::Mismatch`], naming it), or counts no
+    /// ingest makes. The accumulator may then hold part of the state:
+    /// discard it.
+    fn load(&mut self, bytes: &[u8]) -> Result<(), WireError>;
 }

@@ -483,8 +483,9 @@ pub fn write_snapshot<W: Write>(
     w.flush()
 }
 
-/// Read a snapshot back: the header and the raw accumulator state
-/// (self-describing; decode with `Accumulator::from_bytes`). Rejects
+/// Read a snapshot back: the header and the raw accumulator state, which
+/// is loaded (`Accumulator::load`) into the accumulator the header
+/// builds — the only source of the state's configuration. Rejects
 /// streams with missing or trailing frames.
 pub fn read_snapshot<R: Read>(source: R) -> Result<(StreamHeader, Vec<u8>), FrameError> {
     let mut r = FrameReader::new(source);
@@ -910,7 +911,8 @@ mod tests {
         let (back_header, state) = read_snapshot(buf.as_slice()).unwrap();
         assert_eq!(back_header, header);
         assert_eq!(state, acc.to_bytes());
-        let back = crate::MargPsAggregator::from_bytes(&state).unwrap();
+        let mut back = mech.aggregator();
+        back.load(&state).unwrap();
         assert_eq!(back.report_count(), 200);
 
         // Missing accumulator frame.

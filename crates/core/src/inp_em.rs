@@ -257,14 +257,15 @@ impl Accumulator for InpEmAggregator {
         w.into_bytes()
     }
 
-    fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
+    fn load(&mut self, bytes: &[u8]) -> Result<(), WireError> {
         let mut r = Reader::with_tag(bytes, tag::INP_EM)?;
-        let d = r.get_u32()?;
-        let p = r.get_f64()?;
-        let omega = r.get_f64()?;
-        let max_iters = r.get_u64()? as usize;
+        let config = &self.config;
+        r.expect_u32("InpEM d", config.d)?;
+        r.expect_f64("InpEM keep probability", config.rr.keep_probability())?;
+        r.expect_f64("InpEM convergence threshold", config.omega)?;
+        r.expect_u64("InpEM iteration cap", config.max_iters as u64)?;
         let n = r.get_u64()?;
-        let distinct = r.get_u64()? as usize;
+        let distinct = r.get_u64()?;
         let mut counts = BTreeMap::new();
         let mut total = 0u64;
         for _ in 0..distinct {
@@ -278,30 +279,12 @@ impl Accumulator for InpEmAggregator {
                 .ok_or(WireError::Invalid("InpEM count overflow"))?;
         }
         r.finish()?;
-        if !(1..=63).contains(&d) {
-            return Err(WireError::Invalid("InpEM dimension"));
-        }
-        if !(p > 0.5 && p < 1.0) {
-            return Err(WireError::Invalid("InpEM keep probability"));
-        }
-        if omega.is_nan() || omega <= 0.0 || max_iters == 0 {
-            return Err(WireError::Invalid("InpEM convergence parameters"));
-        }
         if total != n {
             return Err(WireError::Invalid("InpEM count total"));
         }
-        Ok(InpEmAggregator {
-            config: InpEm {
-                d,
-                rr: BinaryRandomizedResponse::with_keep_probability(p),
-                omega,
-                max_iters,
-            },
-            counts,
-            n,
-            dense: Vec::new(),
-            touched: Vec::new(),
-        })
+        self.counts = counts;
+        self.n = n;
+        Ok(())
     }
 }
 
@@ -541,13 +524,14 @@ mod tests {
     }
 
     #[test]
-    fn from_bytes_rejects_overflowing_counts() {
+    fn load_rejects_overflowing_counts() {
         // A crafted blob whose per-row counts wrap u64 must come back as
         // a WireError, not a panic or a state that defeats the n check.
         use crate::wire::{tag, Writer};
+        let mech = InpEm::with_convergence(2, 1.1, 1e-5, 100);
         let mut w = Writer::with_tag(tag::INP_EM);
         w.put_u32(2);
-        w.put_f64(0.7);
+        w.put_f64(mech.per_bit_rr().keep_probability());
         w.put_f64(1e-5);
         w.put_u64(100);
         w.put_u64(5); // claimed n
@@ -556,7 +540,8 @@ mod tests {
         w.put_u64(u64::MAX);
         w.put_u64(1);
         w.put_u64(6); // wraps to 5 if summed unchecked
-        assert!(<InpEmAggregator as crate::Accumulator>::from_bytes(&w.into_bytes()).is_err());
+        let err = mech.aggregator().load(&w.into_bytes()).unwrap_err();
+        assert_eq!(err, WireError::Invalid("InpEM count overflow"));
     }
 
     #[test]

@@ -93,18 +93,14 @@ impl InpHt {
     /// Fresh aggregator.
     #[must_use]
     pub fn aggregator(&self) -> InpHtAggregator {
+        let (d, k) = (self.d(), self.k());
+        let l = layout(Protocol::InpHt, d, k, 0, 0);
         InpHtAggregator {
             rr: self.rr,
-            tally: inp_ht_tally(self.d(), self.k()),
+            tally: Tally::new(l, "InpHT coefficient", coefficient_count(d, k)),
             indexer: self.indexer.clone(),
         }
     }
-}
-
-/// The tally of InpHT reports: a coefficient below `|T|`, then a sign.
-fn inp_ht_tally(d: u32, k: u32) -> Tally {
-    let l = layout(Protocol::InpHt, d, k, 0, 0);
-    Tally::new(l, "InpHT coefficient", coefficient_count(d, k))
 }
 
 /// Aggregator for [`InpHt`] (Algorithm 2): per-coefficient sign sums,
@@ -205,33 +201,15 @@ impl Accumulator for InpHtAggregator {
         w.into_bytes()
     }
 
-    fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
+    fn load(&mut self, bytes: &[u8]) -> Result<(), WireError> {
         let mut r = Reader::with_tag(bytes, tag::INP_HT)?;
-        let d = r.get_u32()?;
-        let k = r.get_u32()?;
-        let p = r.get_f64()?;
+        r.expect_u32("InpHT d", self.d())?;
+        r.expect_u32("InpHT k", self.k())?;
+        r.expect_f64("InpHT keep probability", self.rr.keep_probability())?;
         let sums = r.get_i64_vec()?;
         let counts = r.get_u64_vec()?;
         r.finish()?;
-        if !(1..=63).contains(&d) || k < 1 || k > d {
-            return Err(WireError::Invalid("InpHT dimensions"));
-        }
-        if !(p > 0.5 && p < 1.0) {
-            return Err(WireError::Invalid("InpHT keep probability"));
-        }
-        // Check |T| arithmetically before building the indexer or the
-        // tally, so neither is sized by a header the tables do not back.
-        let coefficients = coefficient_count(d, k);
-        if sums.len() as u64 != coefficients || counts.len() as u64 != coefficients {
-            return Err(WireError::Invalid("InpHT coefficient-table length"));
-        }
-        let mut tally = inp_ht_tally(d, k);
-        tally.fill_signed(&sums, &counts)?;
-        Ok(InpHtAggregator {
-            rr: BinaryRandomizedResponse::with_keep_probability(p),
-            indexer: WeightRank::new(d, k),
-            tally,
-        })
+        self.tally.fill_signed(&sums, &counts)
     }
 }
 

@@ -55,17 +55,13 @@ impl InpPs {
     /// Fresh aggregator.
     #[must_use]
     pub fn aggregator(&self) -> InpPsAggregator {
+        let l = layout(Protocol::InpPs, self.d, 0, 0, 0);
         InpPsAggregator {
             grr: self.grr,
             d: self.d,
-            tally: inp_ps_tally(self.d),
+            tally: Tally::new(l, "InpPS row", 1 << self.d),
         }
     }
-}
-
-/// The tally of `d`-bit InpPS rows: every row names a cell.
-fn inp_ps_tally(d: u32) -> Tally {
-    Tally::new(layout(Protocol::InpPs, d, 0, 0, 0), "InpPS row", 1 << d)
 }
 
 /// Aggregator for [`InpPs`]: a histogram of reported indices, kept as
@@ -78,14 +74,21 @@ pub struct InpPsAggregator {
 }
 
 impl InpPsAggregator {
-    /// Absorb one reported index. Indices are folded into the
-    /// 2^d-cell histogram (`report mod 2^d`), so a corrupt wire report
-    /// degrades to a miscount instead of panicking a collector thread;
-    /// the encoder never produces an out-of-range index.
+    /// The range check: a reported row must lie in the `2^d` domain.
+    /// The protocol table applies it to a whole batch before absorbing
+    /// any of it.
+    #[inline]
+    pub fn check(&self, row: u64) -> Result<(), WireError> {
+        self.tally.check(row)
+    }
+
+    /// Absorb one reported row. A row outside the `2^d` domain (which
+    /// the encoder never produces, and [`Self::check`] refuses) counts
+    /// nothing.
     #[inline]
     pub fn absorb(&mut self, report: u64) {
         // An InpPS report's packed field is its row.
-        self.tally.add(report % (1 << self.d));
+        self.tally.add(report);
     }
 
     /// The tally the frame kernel counts reports into.
@@ -143,29 +146,13 @@ impl Accumulator for InpPsAggregator {
         w.into_bytes()
     }
 
-    fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
+    fn load(&mut self, bytes: &[u8]) -> Result<(), WireError> {
         let mut r = Reader::with_tag(bytes, tag::INP_PS)?;
-        let d = r.get_u32()?;
-        let ps = r.get_f64()?;
+        r.expect_u32("InpPS d", self.d)?;
+        r.expect_f64("InpPS truth probability", self.grr.truth_probability())?;
         let counts = r.get_u64_vec()?;
         r.finish()?;
-        if !(1..=26).contains(&d) {
-            return Err(WireError::Invalid("InpPS dimension"));
-        }
-        let m = 1u64 << d;
-        if !(ps > 1.0 / m as f64 && ps < 1.0) {
-            return Err(WireError::Invalid("InpPS truth probability"));
-        }
-        if counts.len() != 1usize << d {
-            return Err(WireError::Invalid("InpPS histogram length"));
-        }
-        let mut tally = inp_ps_tally(d);
-        tally.fill_counts(&counts);
-        Ok(InpPsAggregator {
-            grr: GeneralizedRandomizedResponse::with_truth_probability(m, ps),
-            d,
-            tally,
-        })
+        self.tally.fill_counts(&counts)
     }
 }
 

@@ -93,7 +93,13 @@ impl InpRr {
     /// Fresh aggregator.
     #[must_use]
     pub fn aggregator(&self) -> InpRrAggregator {
-        InpRrAggregator::new(self.ue, self.d, 0, vec![0; 1 << self.d])
+        // One row: the range check never fails, so its name never shows.
+        let tally = UnaryTally::new("InpRR table", 1, 1 << self.d);
+        InpRrAggregator {
+            ue: self.ue,
+            tally,
+            d: self.d,
+        }
     }
 
     /// Exact-in-distribution aggregate simulation (see module docs): draws
@@ -111,7 +117,11 @@ impl InpRr {
         for c in &mut counts {
             *c = binomial(&mut rng, *c, self.ue.p1()) + binomial(&mut rng, n - *c, self.ue.p0());
         }
-        InpRrAggregator::new(self.ue, self.d, n, counts).finish()
+        let mut agg = self.aggregator();
+        agg.tally
+            .fill(vec![n], counts)
+            .expect("2^d cell counts fill the 2^d-cell tally");
+        agg.finish()
     }
 }
 
@@ -125,13 +135,6 @@ pub struct InpRrAggregator {
 }
 
 impl InpRrAggregator {
-    /// `n` users' per-cell 1-counts `ones` (`2^d` of them).
-    fn new(ue: UnaryEncoding, d: u32, n: u64, ones: Vec<u64>) -> Self {
-        // One row: the range check never fails, so its name never shows.
-        let tally = UnaryTally::new("InpRR table", 1 << d, vec![n], ones);
-        InpRrAggregator { ue, tally, d }
-    }
-
     /// Absorb one user's report, the words of its perturbed vector. A
     /// bit past the `2^d` cells (which the encoder never sets) counts
     /// nothing.
@@ -190,25 +193,15 @@ impl Accumulator for InpRrAggregator {
         w.into_bytes()
     }
 
-    fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
+    fn load(&mut self, bytes: &[u8]) -> Result<(), WireError> {
         let mut r = Reader::with_tag(bytes, tag::INP_RR)?;
-        let d = r.get_u32()?;
-        let p1 = r.get_f64()?;
-        let p0 = r.get_f64()?;
+        r.expect_u32("InpRR d", self.d)?;
+        r.expect_f64("InpRR p1", self.ue.p1())?;
+        r.expect_f64("InpRR p0", self.ue.p0())?;
         let n = r.get_u64()?;
         let ones = r.get_u64_vec()?;
         r.finish()?;
-        if !(1..=24).contains(&d) {
-            return Err(WireError::Invalid("InpRR dimension"));
-        }
-        if !(0.0..=1.0).contains(&p1) || !(0.0..=1.0).contains(&p0) || p1 <= p0 {
-            return Err(WireError::Invalid("InpRR probabilities"));
-        }
-        if ones.len() != 1usize << d {
-            return Err(WireError::Invalid("InpRR cell-count length"));
-        }
-        let ue = UnaryEncoding::with_probabilities(p1, p0);
-        Ok(InpRrAggregator::new(ue, d, n, ones))
+        self.tally.fill(vec![n], ones)
     }
 }
 

@@ -95,20 +95,14 @@ impl MargHt {
     /// Fresh aggregator.
     #[must_use]
     pub fn aggregator(&self) -> MargHtAggregator {
+        let l = layout(Protocol::MargHt, self.d, self.k, 0, 0);
         MargHtAggregator {
             rr: self.rr,
             d: self.d,
             k: self.k,
-            tally: marg_ht_tally(self.d, self.k, self.marginals.len() as u64),
+            tally: Tally::new(l, "MargHT marginal", self.marginals.len() as u64),
         }
     }
-}
-
-/// The tally of MargHT reports: one of `marginals`, a `k`-bit
-/// coefficient, then a sign.
-fn marg_ht_tally(d: u32, k: u32, marginals: u64) -> Tally {
-    let l = layout(Protocol::MargHt, d, k, 0, 0);
-    Tally::new(l, "MargHT marginal", marginals)
 }
 
 /// Aggregator for [`MargHt`]: per-(marginal, coefficient) sign sums,
@@ -225,38 +219,15 @@ impl Accumulator for MargHtAggregator {
         w.into_bytes()
     }
 
-    fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
+    fn load(&mut self, bytes: &[u8]) -> Result<(), WireError> {
         let mut r = Reader::with_tag(bytes, tag::MARG_HT)?;
-        let d = r.get_u32()?;
-        let k = r.get_u32()?;
-        let p = r.get_f64()?;
-        let flat_sums = r.get_i64_vec()?;
-        let flat_counts = r.get_u64_vec()?;
+        r.expect_u32("MargHT d", self.d)?;
+        r.expect_u32("MargHT k", self.k)?;
+        r.expect_f64("MargHT keep probability", self.rr.keep_probability())?;
+        let sums = r.get_i64_vec()?;
+        let counts = r.get_u64_vec()?;
         r.finish()?;
-        if !(1..=63).contains(&d) || k < 1 || k > d || k > 16 {
-            return Err(WireError::Invalid("MargHT dimensions"));
-        }
-        if !(p > 0.5 && p < 1.0) {
-            return Err(WireError::Invalid("MargHT keep probability"));
-        }
-        // O(k) count and checked width math — never enumerate C(d,k)
-        // masks or trust a product on untrusted dims.
-        let marginals = ldp_bits::binomial(u64::from(d), u64::from(k));
-        let cells_u64 = 1u64 << k;
-        let expected = marginals
-            .checked_mul(cells_u64)
-            .ok_or(WireError::Invalid("MargHT table shape"))?;
-        if flat_sums.len() as u64 != expected || flat_counts.len() as u64 != expected {
-            return Err(WireError::Invalid("MargHT table shape"));
-        }
-        let mut tally = marg_ht_tally(d, k, marginals);
-        tally.fill_signed(&flat_sums, &flat_counts)?;
-        Ok(MargHtAggregator {
-            rr: BinaryRandomizedResponse::with_keep_probability(p),
-            d,
-            k,
-            tally,
-        })
+        self.tally.fill_signed(&sums, &counts)
     }
 }
 
@@ -311,10 +282,10 @@ mod tests {
     }
 
     #[test]
-    fn from_bytes_rejects_huge_dims_without_enumerating() {
-        // d=63, k=16 passes the range checks but implies C(63,16) ≈ 9e14
-        // tables; the shape check must reject the blob in O(k), not
-        // enumerate masks.
+    fn load_refuses_huge_dims_without_enumerating() {
+        // d=63, k=16 implies C(63,16) ≈ 9e14 tables; a d=8 k=2
+        // accumulator refuses the blob at its first field, in O(1), and
+        // never enumerates the masks the blob claims.
         use crate::wire::{tag, Writer};
         let mut w = Writer::with_tag(tag::MARG_HT);
         w.put_u32(63);
@@ -322,8 +293,12 @@ mod tests {
         w.put_f64(0.75);
         w.put_i64_slice(&[0; 4]);
         w.put_u64_slice(&[0; 4]);
+        let mut acc = MargHt::new(8, 2, 1.1).aggregator();
         let t0 = std::time::Instant::now();
-        assert!(<MargHtAggregator as Accumulator>::from_bytes(&w.into_bytes()).is_err());
+        assert_eq!(
+            acc.load(&w.into_bytes()),
+            Err(WireError::Mismatch("MargHT d"))
+        );
         assert!(t0.elapsed() < std::time::Duration::from_secs(1));
     }
 

@@ -86,19 +86,14 @@ impl MargPs {
     /// Fresh aggregator.
     #[must_use]
     pub fn aggregator(&self) -> MargPsAggregator {
+        let l = layout(Protocol::MargPs, self.d, self.k, 0, 0);
         MargPsAggregator {
             grr: self.grr,
             d: self.d,
             k: self.k,
-            tally: marg_ps_tally(self.d, self.k, self.marginals.len() as u64),
+            tally: Tally::new(l, "MargPS marginal", self.marginals.len() as u64),
         }
     }
-}
-
-/// The tally of MargPS reports: one of `marginals`, then a `k`-bit cell.
-fn marg_ps_tally(d: u32, k: u32, marginals: u64) -> Tally {
-    let l = layout(Protocol::MargPs, d, k, 0, 0);
-    Tally::new(l, "MargPS marginal", marginals)
 }
 
 /// Aggregator for [`MargPs`]: per-marginal reported-cell histograms,
@@ -207,37 +202,14 @@ impl Accumulator for MargPsAggregator {
         w.into_bytes()
     }
 
-    fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
+    fn load(&mut self, bytes: &[u8]) -> Result<(), WireError> {
         let mut r = Reader::with_tag(bytes, tag::MARG_PS)?;
-        let d = r.get_u32()?;
-        let k = r.get_u32()?;
-        let ps = r.get_f64()?;
-        let flat = r.get_u64_vec()?;
+        r.expect_u32("MargPS d", self.d)?;
+        r.expect_u32("MargPS k", self.k)?;
+        r.expect_f64("MargPS truth probability", self.grr.truth_probability())?;
+        let counts = r.get_u64_vec()?;
         r.finish()?;
-        if !(1..=63).contains(&d) || k < 1 || k > d || k > 16 {
-            return Err(WireError::Invalid("MargPS dimensions"));
-        }
-        let cells = 1u64 << k;
-        if !(ps > 1.0 / cells as f64 && ps < 1.0) {
-            return Err(WireError::Invalid("MargPS truth probability"));
-        }
-        // O(k) count and checked width math — never enumerate C(d,k)
-        // masks or trust a product on untrusted dims.
-        let marginals = ldp_bits::binomial(u64::from(d), u64::from(k));
-        let expected = marginals
-            .checked_mul(cells)
-            .ok_or(WireError::Invalid("MargPS table shape"))?;
-        if flat.len() as u64 != expected {
-            return Err(WireError::Invalid("MargPS table shape"));
-        }
-        let mut tally = marg_ps_tally(d, k, marginals);
-        tally.fill_counts(&flat);
-        Ok(MargPsAggregator {
-            grr: GeneralizedRandomizedResponse::with_truth_probability(cells, ps),
-            d,
-            k,
-            tally,
-        })
+        self.tally.fill_counts(&counts)
     }
 }
 

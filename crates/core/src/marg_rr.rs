@@ -111,8 +111,13 @@ impl MargRr {
     /// Fresh aggregator.
     #[must_use]
     pub fn aggregator(&self) -> MargRrAggregator {
-        let m = self.marginals.len();
-        MargRrAggregator::new(self.ue, self.d, self.k, vec![0; m], vec![0; m << self.k])
+        let tally = UnaryTally::new("MargRR marginal", self.marginals.len(), 1 << self.k);
+        MargRrAggregator {
+            ue: self.ue,
+            d: self.d,
+            k: self.k,
+            tally,
+        }
     }
 }
 
@@ -127,12 +132,6 @@ pub struct MargRrAggregator {
 }
 
 impl MargRrAggregator {
-    /// Per-marginal `users` and marginal-major 1-counts `ones`.
-    fn new(ue: UnaryEncoding, d: u32, k: u32, users: Vec<u64>, ones: Vec<u64>) -> Self {
-        let tally = UnaryTally::new("MargRR marginal", 1 << k, users, ones);
-        MargRrAggregator { ue, d, k, tally }
-    }
-
     /// The range check: a report must name one of the `C(d,k)`
     /// marginals. The protocol table applies it to a whole batch before
     /// absorbing any of it.
@@ -210,30 +209,16 @@ impl Accumulator for MargRrAggregator {
         w.into_bytes()
     }
 
-    fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
+    fn load(&mut self, bytes: &[u8]) -> Result<(), WireError> {
         let mut r = Reader::with_tag(bytes, tag::MARG_RR)?;
-        let d = r.get_u32()?;
-        let k = r.get_u32()?;
-        let p1 = r.get_f64()?;
-        let p0 = r.get_f64()?;
+        r.expect_u32("MargRR d", self.d)?;
+        r.expect_u32("MargRR k", self.k)?;
+        r.expect_f64("MargRR p1", self.ue.p1())?;
+        r.expect_f64("MargRR p0", self.ue.p0())?;
         let users = r.get_u64_vec()?;
-        let flat = r.get_u64_vec()?;
+        let ones = r.get_u64_vec()?;
         r.finish()?;
-        if !(1..=63).contains(&d) || k < 1 || k > d || k > 16 {
-            return Err(WireError::Invalid("MargRR dimensions"));
-        }
-        if !(0.0..=1.0).contains(&p1) || !(0.0..=1.0).contains(&p0) || p1 <= p0 {
-            return Err(WireError::Invalid("MargRR probabilities"));
-        }
-        // O(k) count and checked width math — never enumerate C(d,k)
-        // masks or trust a product on untrusted dims.
-        let marginals = ldp_bits::binomial(u64::from(d), u64::from(k));
-        let cells = marginals.checked_mul(1 << k);
-        if users.len() as u64 != marginals || Some(flat.len() as u64) != cells {
-            return Err(WireError::Invalid("MargRR table shape"));
-        }
-        let ue = UnaryEncoding::with_probabilities(p1, p0);
-        Ok(MargRrAggregator::new(ue, d, k, users, flat))
+        self.tally.fill(users, ones)
     }
 }
 

@@ -130,22 +130,40 @@ impl Tally {
             .unzip()
     }
 
+    /// Refuse a serialized table whose length is not the tally's.
+    fn table_length(&self, len: usize) -> Result<(), WireError> {
+        let entries = self.indices << self.layout.value;
+        if u64::try_from(len).is_ok_and(|len| len == entries) {
+            Ok(())
+        } else {
+            Err(WireError::Mismatch("table length"))
+        }
+    }
+
     /// Load an unsigned table of [`Self::counts`]' length.
-    pub fn fill_counts(&mut self, counts: &[u64]) {
+    ///
+    /// # Errors
+    ///
+    /// Refuses a table of another length.
+    pub fn fill_counts(&mut self, counts: &[u64]) -> Result<(), WireError> {
+        self.table_length(counts.len())?;
         for (b, &c) in self.entries().zip(counts) {
             if let Some(n) = self.bins.get_mut(b) {
                 *n = c;
             }
         }
+        Ok(())
     }
 
     /// Load a signed table of [`Self::signed`]' length.
     ///
     /// # Errors
     ///
-    /// Refuses an entry no pair of bins makes: `counts + sums` odd, or
-    /// `|sums| > counts`.
+    /// Refuses tables of another length, and an entry no pair of bins
+    /// makes: `counts + sums` odd, or `|sums| > counts`.
     pub fn fill_signed(&mut self, sums: &[i64], counts: &[u64]) -> Result<(), WireError> {
+        self.table_length(sums.len())?;
+        self.table_length(counts.len())?;
         let half = self.bins.len() / 2;
         for ((b, &s), &c) in self.entries().zip(sums).zip(counts) {
             let abs = s.unsigned_abs();
@@ -183,8 +201,15 @@ mod tests {
         let mut back = Tally::new(l, "InpHT coefficient", 3);
         back.fill_signed(&[-1, 2, 0], &[3, 4, 0]).unwrap();
         assert_eq!(back.bins, t.bins);
-        assert!(back.fill_signed(&[1], &[2]).is_err(), "odd");
-        assert!(back.fill_signed(&[-3], &[2]).is_err(), "|sums| > counts");
+        assert!(back.fill_signed(&[1, 0, 0], &[2, 0, 0]).is_err(), "odd");
+        assert!(
+            back.fill_signed(&[-3, 0, 0], &[2, 0, 0]).is_err(),
+            "|sums| > counts"
+        );
+        assert_eq!(
+            back.fill_signed(&[0; 2], &[0; 3]),
+            Err(WireError::Mismatch("table length"))
+        );
 
         for (pos, neg) in [
             (u64::MAX, 0),
@@ -252,8 +277,9 @@ mod tests {
         want[3] = 1;
         assert_eq!(t.counts(), want);
         let mut back = Tally::new(l, "MargPS marginal", 3);
-        back.fill_counts(&want);
+        back.fill_counts(&want).unwrap();
         assert_eq!(back.bins, t.bins);
+        assert!(back.fill_counts(&want[1..]).is_err(), "short table");
         assert_eq!(t.report_count(), 2);
 
         let full = Tally::new(layout(Protocol::InpPs, 4, 0, 0, 0), "InpPS row", 16);

@@ -41,17 +41,32 @@ impl UnaryRow<'_> {
 }
 
 impl UnaryTally {
-    /// A tally of per-row `users` and row-major `ones` (`width ≥ 1` per
-    /// row, which the callers check), whose row index is named `field`.
+    /// An empty tally of `rows` rows of `width ≥ 1` cells (which the
+    /// callers check), whose row index is named `field`.
     #[must_use]
-    pub fn new(field: &'static str, width: usize, users: Vec<u64>, ones: Vec<u64>) -> UnaryTally {
+    pub fn new(field: &'static str, rows: usize, width: usize) -> UnaryTally {
         let width = width.max(1);
         UnaryTally {
             field,
             width,
-            users,
-            ones,
+            users: vec![0; rows],
+            ones: vec![0; rows.saturating_mul(width)],
         }
+    }
+
+    /// Load per-row `users` and row-major `ones`, the tables
+    /// [`Self::counts`] returns.
+    ///
+    /// # Errors
+    ///
+    /// Refuses tables of other lengths than the tally's.
+    pub fn fill(&mut self, users: Vec<u64>, ones: Vec<u64>) -> Result<(), WireError> {
+        if users.len() != self.users.len() || ones.len() != self.ones.len() {
+            return Err(WireError::Mismatch("table length"));
+        }
+        self.users = users;
+        self.ones = ones;
+        Ok(())
     }
 
     /// The range check: `row` must be one of the tally's rows.
@@ -150,7 +165,7 @@ mod tests {
             (0, &[1 << 3, 1 << 6 | 1 << 63]),
             (1, &[u64::MAX, u64::MAX]),
         ];
-        let mut words = UnaryTally::new("row", 70, vec![0; 2], vec![0; 140]);
+        let mut words = UnaryTally::new("row", 2, 70);
         let (mut users, mut ones) = (vec![0; 2], vec![0; 140]);
         for (row, set) in sets {
             words.absorb(row as u64, set);
@@ -165,7 +180,7 @@ mod tests {
 
     #[test]
     fn rows_outside_the_tally_are_refused_and_count_nothing() {
-        let mut t = UnaryTally::new("MargRR marginal", 4, vec![0; 3], vec![0; 12]);
+        let mut t = UnaryTally::new("MargRR marginal", 3, 4);
         assert_eq!(
             t.check(3).unwrap_err().to_string(),
             "MargRR marginal 3 is out of range (must be below 3)"
@@ -179,9 +194,14 @@ mod tests {
 
     #[test]
     fn merge_saturates_and_empty_rows_unbias_to_uniform() {
-        let ue = UnaryEncoding::with_probabilities(0.75, 0.25);
-        let mut a = UnaryTally::new("row", 2, vec![u64::MAX, 0], vec![1, 2, 0, 0]);
-        let b = UnaryTally::new("row", 2, vec![1, 0], vec![u64::MAX, 0, 0, 0]);
+        let ue = UnaryEncoding::for_epsilon(1.1, ldp_mechanisms::UnaryFlavor::Optimized);
+        let (mut a, mut b) = (UnaryTally::new("row", 2, 2), UnaryTally::new("row", 2, 2));
+        a.fill(vec![u64::MAX, 0], vec![1, 2, 0, 0]).unwrap();
+        b.fill(vec![1, 0], vec![u64::MAX, 0, 0, 0]).unwrap();
+        assert_eq!(
+            b.fill(vec![1], vec![0; 4]),
+            Err(WireError::Mismatch("table length"))
+        );
         a.merge(&b);
         assert_eq!(a.counts().0, &[u64::MAX, 0]);
         assert_eq!(a.counts().1, &[u64::MAX, 2, 0, 0]);

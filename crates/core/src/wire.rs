@@ -8,10 +8,13 @@
 //! is exactly byte-identical — the property the partition-invariance
 //! proptest in `tests/streaming.rs` checks.
 //!
-//! The format carries the full protocol configuration (dimensions and
-//! perturbation probabilities), so a partial aggregate can cross a
-//! process boundary and be merged by a peer that was never handed the
-//! originating [`crate::Mechanism`].
+//! A state carries its protocol configuration (dimensions, perturbation
+//! probabilities, hash coefficients) ahead of its counts. It is loaded
+//! ([`crate::Accumulator::load`]) into an accumulator built from a known
+//! configuration — on the wire, the stream header a snapshot travels
+//! with — which refuses it unless each carried field matches its own
+//! ([`Reader::expect_u32`], [`Reader::expect_u64`], [`Reader::expect_f64`],
+//! [`Reader::expect_u64_slice`]).
 
 /// Type tags identifying which accumulator a byte blob belongs to.
 ///
@@ -141,6 +144,12 @@ pub const MIN_VERSION: u8 = 1;
 /// batch body, so report batches decode only from this version on.
 pub const MIN_BATCH_VERSION: u8 = 4;
 
+/// How far, relative to the accumulator's own, a loaded state's
+/// floating-point parameter (a perturbation probability, InpEM's EM
+/// threshold) may lie: states written where `exp` rounds differently
+/// still load, and states of another ε do not.
+pub const PARAMETER_TOLERANCE: f64 = 1e-9;
+
 /// Why a byte blob failed to decode into an accumulator.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireError {
@@ -169,6 +178,10 @@ pub enum WireError {
         /// The exclusive bound the shape allows.
         bound: u64,
     },
+    /// A loaded state's configuration field, or the length of one of its
+    /// tables, differs from the loading accumulator's; names the field,
+    /// e.g. `"MargPS truth probability"`.
+    Mismatch(&'static str),
 }
 
 impl std::fmt::Display for WireError {
@@ -190,6 +203,7 @@ impl std::fmt::Display for WireError {
                 value,
                 bound,
             } => write!(f, "{field} {value} is out of range (must be below {bound})"),
+            WireError::Mismatch(field) => write!(f, "{field} differs from the accumulator's"),
         }
     }
 }
@@ -208,6 +222,17 @@ pub fn in_range(field: &'static str, value: u64, bound: u64) -> Result<(), WireE
             value,
             bound,
         })
+    }
+}
+
+/// `Ok` when a loaded field `matches` the accumulator's, else a
+/// [`WireError::Mismatch`] naming it.
+#[inline]
+fn matching(field: &'static str, matches: bool) -> Result<(), WireError> {
+    if matches {
+        Ok(())
+    } else {
+        Err(WireError::Mismatch(field))
     }
 }
 
@@ -468,6 +493,57 @@ impl<'a> Reader<'a> {
         let prefix = self.get_u64()?;
         let len = self.checked_len(prefix, 8)?;
         (0..len).map(|_| self.get_f64()).collect()
+    }
+
+    /// Read a `u32` parameter and refuse it unless it is `own`.
+    pub fn expect_u32(&mut self, field: &'static str, own: u32) -> Result<(), WireError> {
+        matching(field, self.get_u32()? == own)
+    }
+
+    /// Read a `u64` parameter and refuse it unless it is `own`.
+    pub fn expect_u64(&mut self, field: &'static str, own: u64) -> Result<(), WireError> {
+        matching(field, self.get_u64()? == own)
+    }
+
+    /// Read an `f64` parameter and refuse it unless it lies within
+    /// [`PARAMETER_TOLERANCE`] of `own`, relative to `own` (a NaN never
+    /// does).
+    pub fn expect_f64(&mut self, field: &'static str, own: f64) -> Result<(), WireError> {
+        let found = self.get_f64()?;
+        matching(
+            field,
+            (found - own).abs() <= PARAMETER_TOLERANCE * own.abs(),
+        )
+    }
+
+    /// Read a length-prefixed `u64` vector and refuse it unless it is
+    /// `own`, element for element (allocating nothing).
+    pub fn expect_u64_slice(&mut self, field: &'static str, own: &[u64]) -> Result<(), WireError> {
+        matching(field, self.get_u64()? == own.len() as u64)?;
+        for &v in own {
+            self.expect_u64(field, v)?;
+        }
+        Ok(())
+    }
+
+    /// Read `rows` length-prefixed vectors of `width` elements each,
+    /// every element read by `get`, into one row-major vector; refuses a
+    /// row of another length by `field`.
+    pub fn get_rows<T>(
+        &mut self,
+        field: &'static str,
+        rows: usize,
+        width: usize,
+        get: fn(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let mut out = Vec::new();
+        for _ in 0..rows {
+            self.expect_u64(field, width as u64)?;
+            for _ in 0..width {
+                out.push(get(self)?);
+            }
+        }
+        Ok(out)
     }
 
     /// Assert the whole blob was consumed.

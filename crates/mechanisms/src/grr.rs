@@ -25,19 +25,6 @@ impl GeneralizedRandomizedResponse {
         GeneralizedRandomizedResponse { m, ps }
     }
 
-    /// Construct directly from the domain size and truth probability
-    /// (used when rehydrating a serialized aggregator; `ps > 1/m` so the
-    /// estimator denominator is positive).
-    #[must_use]
-    pub fn with_truth_probability(m: u64, ps: f64) -> Self {
-        assert!(m >= 2, "domain must have at least two values");
-        assert!(
-            ps > 1.0 / m as f64 && ps < 1.0,
-            "truth probability must lie in (1/m, 1), got {ps}"
-        );
-        GeneralizedRandomizedResponse { m, ps }
-    }
-
     /// Domain size.
     #[must_use]
     pub fn domain(self) -> u64 {

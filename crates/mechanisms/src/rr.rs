@@ -21,13 +21,6 @@ impl BinaryRandomizedResponse {
         }
     }
 
-    /// Construct directly from a keep-probability `p ∈ (1/2, 1)`.
-    #[must_use]
-    pub fn with_keep_probability(p: f64) -> Self {
-        assert!(p > 0.5 && p < 1.0, "keep probability must be in (1/2, 1)");
-        BinaryRandomizedResponse { p }
-    }
-
     /// Probability of reporting the truth.
     #[must_use]
     pub fn keep_probability(self) -> f64 {

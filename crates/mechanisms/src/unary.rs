@@ -46,18 +46,6 @@ impl UnaryEncoding {
         }
     }
 
-    /// Construct directly from the two report probabilities (used when
-    /// rehydrating a serialized aggregator; `p1 > p0` so the estimator
-    /// denominator is positive).
-    #[must_use]
-    pub fn with_probabilities(p1: f64, p0: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p1) && (0.0..=1.0).contains(&p0) && p1 > p0,
-            "need probabilities with p1 > p0, got p1={p1}, p0={p0}"
-        );
-        UnaryEncoding { p1, p0 }
-    }
-
     /// P(report 1 | true bit 1).
     #[must_use]
     pub fn p1(self) -> f64 {

@@ -109,7 +109,10 @@ impl Cms {
     /// Fresh aggregator.
     #[must_use]
     pub fn aggregator(&self) -> CmsAggregator {
-        CmsAggregator::new(self.clone(), vec![0; self.g], vec![0; self.g * self.w])
+        CmsAggregator {
+            tally: UnaryTally::new("CMS row", self.g, self.w),
+            config: self.clone(),
+        }
     }
 }
 
@@ -122,12 +125,6 @@ pub struct CmsAggregator {
 }
 
 impl CmsAggregator {
-    /// Per-row `users` and row-major 1-counts `ones` under `config`.
-    fn new(config: Cms, users: Vec<u64>, ones: Vec<u64>) -> Self {
-        let tally = UnaryTally::new("CMS row", config.w, users, ones);
-        CmsAggregator { config, tally }
-    }
-
     /// The range check: a report must name one of the `g` sketch rows,
     /// and no bit of its `words` may stand for a bucket at or past `w`
     /// (the first such bucket is named). The protocol table applies it
@@ -219,46 +216,21 @@ impl Accumulator for CmsAggregator {
         w.into_bytes()
     }
 
-    fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
+    fn load(&mut self, bytes: &[u8]) -> Result<(), WireError> {
         let mut r = Reader::with_tag(bytes, tag::CMS)?;
-        let d = r.get_u32()?;
-        let g = r.get_u64()? as usize;
-        let w = r.get_u64()? as usize;
-        let p1 = r.get_f64()?;
-        let p0 = r.get_f64()?;
-        if !(1..=255).contains(&g) || w < 2 {
-            return Err(WireError::Invalid("CMS sketch shape"));
+        let Cms { d, g, w, ue, .. } = self.config;
+        r.expect_u32("CMS d", d)?;
+        r.expect_u64("CMS hashes", g as u64)?;
+        r.expect_u64("CMS width", w as u64)?;
+        r.expect_f64("CMS p1", ue.p1())?;
+        r.expect_f64("CMS p0", ue.p0())?;
+        for hash in &self.config.hashes {
+            r.expect_u64_slice("CMS hash coefficients", hash.coefficients())?;
         }
-        if !(0.0..=1.0).contains(&p1) || !(0.0..=1.0).contains(&p0) || p1 <= p0 {
-            return Err(WireError::Invalid("CMS probabilities"));
-        }
-        let hashes = (0..g)
-            .map(|_| {
-                let coeffs = r.get_u64_vec()?;
-                if coeffs.is_empty() || coeffs.iter().any(|&c| c >= ldp_sampling::hash::MERSENNE_P)
-                {
-                    return Err(WireError::Invalid("CMS hash coefficients"));
-                }
-                Ok(PolyHash::from_coefficients(coeffs, w as u64))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
         let users = r.get_u64_vec()?;
-        let rows = (0..g)
-            .map(|_| r.get_u64_vec())
-            .collect::<Result<Vec<_>, _>>()?;
+        let ones = r.get_rows("CMS row length", g, w, Reader::get_u64)?;
         r.finish()?;
-        if users.len() != g || rows.iter().any(|row| row.len() != w) {
-            return Err(WireError::Invalid("CMS table shape"));
-        }
-        let ue = UnaryEncoding::with_probabilities(p1, p0);
-        let config = Cms {
-            d,
-            g,
-            w,
-            ue,
-            hashes,
-        };
-        Ok(CmsAggregator::new(config, users, rows.concat()))
+        self.tally.fill(users, ones)
     }
 }
 
@@ -322,12 +294,20 @@ mod tests {
             agg.absorb(&config.encode(v % 50, &mut rng));
         }
         let bytes = Accumulator::to_bytes(&agg);
-        let back = <CmsAggregator as Accumulator>::from_bytes(&bytes).unwrap();
+        let mut back = config.aggregator();
+        back.load(&bytes).unwrap();
         assert_eq!(Accumulator::to_bytes(&back), bytes);
         assert_eq!(back.report_count(), 800);
         assert_eq!(
             back.finalize().estimate(17).to_bits(),
             agg.finish().estimate(17).to_bits()
+        );
+
+        // A sketch of another hash family refuses the state by name.
+        let mut other = Cms::new(8, 1.1, 4, 32, 3).aggregator();
+        assert_eq!(
+            other.load(&bytes),
+            Err(WireError::Mismatch("CMS hash coefficients"))
         );
     }
 

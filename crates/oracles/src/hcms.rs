@@ -101,19 +101,13 @@ impl HadamardCms {
     /// Fresh aggregator.
     #[must_use]
     pub fn aggregator(&self) -> HadamardCmsAggregator {
+        let shape = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
+        let l = layout(Protocol::Hcms, self.d, 0, shape(self.g), shape(self.w));
         HadamardCmsAggregator {
-            tally: hcms_tally(self.d, self.g, self.w),
+            tally: Tally::new(l, "HCMS row", self.g as u64),
             config: self.clone(),
         }
     }
-}
-
-/// The tally of HCMS reports on a `g × w` sketch: a row below `g`, a
-/// coefficient below `w`, then a sign.
-fn hcms_tally(d: u32, g: usize, w: usize) -> Tally {
-    let shape = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
-    let l = layout(Protocol::Hcms, d, 0, shape(g), shape(w));
-    Tally::new(l, "HCMS row", g as u64)
 }
 
 /// Aggregator for [`HadamardCms`]: per-(row, coefficient) sign sums,
@@ -233,50 +227,20 @@ impl Accumulator for HadamardCmsAggregator {
         w.into_bytes()
     }
 
-    fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
+    fn load(&mut self, bytes: &[u8]) -> Result<(), WireError> {
         let mut r = Reader::with_tag(bytes, tag::HCMS)?;
-        let d = r.get_u32()?;
-        let g = r.get_u64()? as usize;
-        let w = r.get_u64()? as usize;
-        let p = r.get_f64()?;
-        if !(1..=255).contains(&g) || !w.is_power_of_two() || w < 2 {
-            return Err(WireError::Invalid("HCMS sketch shape"));
+        let HadamardCms { d, g, w, rr, .. } = self.config;
+        r.expect_u32("HCMS d", d)?;
+        r.expect_u64("HCMS hashes", g as u64)?;
+        r.expect_u64("HCMS width", w as u64)?;
+        r.expect_f64("HCMS keep probability", rr.keep_probability())?;
+        for hash in &self.config.hashes {
+            r.expect_u64_slice("HCMS hash coefficients", hash.coefficients())?;
         }
-        if !(p > 0.5 && p < 1.0) {
-            return Err(WireError::Invalid("HCMS keep probability"));
-        }
-        let hashes = (0..g)
-            .map(|_| {
-                let coeffs = r.get_u64_vec()?;
-                if coeffs.is_empty() || coeffs.iter().any(|&c| c >= ldp_sampling::hash::MERSENNE_P)
-                {
-                    return Err(WireError::Invalid("HCMS hash coefficients"));
-                }
-                Ok(PolyHash::from_coefficients(coeffs, w as u64))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let sums = (0..g)
-            .map(|_| r.get_i64_vec())
-            .collect::<Result<Vec<_>, _>>()?;
-        let counts = (0..g)
-            .map(|_| r.get_u64_vec())
-            .collect::<Result<Vec<_>, _>>()?;
+        let sums = r.get_rows("HCMS row length", g, w, Reader::get_i64)?;
+        let counts = r.get_rows("HCMS row length", g, w, Reader::get_u64)?;
         r.finish()?;
-        if sums.iter().any(|row| row.len() != w) || counts.iter().any(|row| row.len() != w) {
-            return Err(WireError::Invalid("HCMS row length"));
-        }
-        let mut tally = hcms_tally(d, g, w);
-        tally.fill_signed(&sums.concat(), &counts.concat())?;
-        Ok(HadamardCmsAggregator {
-            config: HadamardCms {
-                d,
-                g,
-                w,
-                rr: BinaryRandomizedResponse::with_keep_probability(p),
-                hashes,
-            },
-            tally,
-        })
+        self.tally.fill_signed(&sums, &counts)
     }
 }
 
@@ -415,7 +379,8 @@ mod tests {
 
         let bytes = Accumulator::to_bytes(&serial);
         assert_eq!(bytes, Accumulator::to_bytes(&b));
-        let back = <HadamardCmsAggregator as Accumulator>::from_bytes(&bytes).unwrap();
+        let mut back = config.aggregator();
+        back.load(&bytes).unwrap();
         assert_eq!(Accumulator::to_bytes(&back), bytes);
         assert_eq!(back.report_count(), 2_000);
         // Rehydrated sketch decodes identically.

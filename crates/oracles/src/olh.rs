@@ -115,10 +115,10 @@ pub enum OlhDecode {
 
 impl OlhAggregator {
     /// The range check: a report's bucket must be one of the hash's `g`
-    /// outputs, the same bound [`Accumulator::from_bytes`] holds a state
-    /// to, so an absorbed report can never make a state that does not
-    /// decode. The protocol table applies it to a whole batch before
-    /// absorbing any of it.
+    /// outputs, the same bound [`Accumulator::load`] holds a state's
+    /// reports to, so an absorbed report can never make a state that
+    /// does not load. The protocol table applies it to a whole batch
+    /// before absorbing any of it.
     #[inline]
     pub fn check(&self, report: OlhReport) -> Result<(), WireError> {
         in_range("OLH bucket", u64::from(report.bucket), self.config.g)
@@ -191,36 +191,22 @@ impl Accumulator for OlhAggregator {
         w.into_bytes()
     }
 
-    fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
+    fn load(&mut self, bytes: &[u8]) -> Result<(), WireError> {
         let mut r = Reader::with_tag(bytes, tag::OLH)?;
-        let d = r.get_u32()?;
-        let g = r.get_u64()?;
-        let ps = r.get_f64()?;
-        let len = r.get_u64()? as usize;
+        r.expect_u32("OLH d", self.config.d)?;
+        r.expect_u64("OLH g", self.config.g)?;
+        r.expect_f64("OLH truth probability", self.config.grr.truth_probability())?;
+        let len = r.get_u64()?;
         let mut reports = Vec::new();
         for _ in 0..len {
-            let seed = r.get_u64()?;
-            let bucket = r.get_u8()?;
-            if u64::from(bucket) >= g {
-                return Err(WireError::Invalid("OLH bucket out of range"));
-            }
-            reports.push(OlhReport { seed, bucket });
+            let (seed, bucket) = (r.get_u64()?, r.get_u8()?);
+            let report = OlhReport { seed, bucket };
+            self.check(report)?;
+            reports.push(report);
         }
         r.finish()?;
-        if !(1..=40).contains(&d) || !(2..=256).contains(&g) {
-            return Err(WireError::Invalid("OLH configuration"));
-        }
-        if !(ps > 1.0 / g as f64 && ps < 1.0) {
-            return Err(WireError::Invalid("OLH truth probability"));
-        }
-        Ok(OlhAggregator {
-            config: Olh {
-                d,
-                g,
-                grr: GeneralizedRandomizedResponse::with_truth_probability(g, ps),
-            },
-            reports,
-        })
+        self.reports = reports;
+        Ok(())
     }
 }
 
@@ -353,7 +339,8 @@ mod tests {
         // In-memory order differs, canonical bytes do not.
         let bytes = Accumulator::to_bytes(&forward);
         assert_eq!(bytes, Accumulator::to_bytes(&backward));
-        let back = <OlhAggregator as Accumulator>::from_bytes(&bytes).unwrap();
+        let mut back = mech.aggregator();
+        back.load(&bytes).unwrap();
         assert_eq!(Accumulator::to_bytes(&back), bytes);
         assert_eq!(
             back.finalize().estimate(3).to_bits(),

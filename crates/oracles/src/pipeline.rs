@@ -1049,47 +1049,40 @@ impl PipelineAccumulator {
         Client::from_header(header).map(|client| client.accumulator())
     }
 
-    /// Rehydrate serialized accumulator state, verifying it belongs to
-    /// the snapshot's header: same protocol tag, and the same `d`, `k`
-    /// and sketch `hashes × width` wherever the state depends on them.
+    /// Rehydrate serialized accumulator state under its snapshot's
+    /// header: the header builds the empty accumulator ([`Self::empty`]),
+    /// and the state is loaded into it (`Accumulator::load`), refused
+    /// unless its tag, carried configuration (`d`, `k`, probabilities,
+    /// OLH's `g`, the sketch shape and hash family, InpEM's EM
+    /// threshold and iteration cap) and table lengths match. The
+    /// validated header is the only source of the state's configuration.
     pub fn from_state(header: &StreamHeader, state: &[u8]) -> Result<Self, String> {
-        if state.first() != Some(&header.protocol) {
-            return Err(format!(
-                "snapshot state tag {:?} does not match header protocol {:#04x}",
-                state.first(),
-                header.protocol
-            ));
+        let mut acc = Self::empty(header)?;
+        match &mut acc {
+            Self::InpRr(a) => a.load(state),
+            Self::InpPs(a) => a.load(state),
+            Self::InpHt(a) => a.load(state),
+            Self::MargRr(a) => a.load(state),
+            Self::MargPs(a) => a.load(state),
+            Self::MargHt(a) => a.load(state),
+            Self::InpEm(a) => a.load(state),
+            Self::Olh(a) => a.load(state),
+            Self::Cms(a) => a.load(state),
+            Self::Hcms(a) => a.load(state),
         }
-        let protocol = Protocol::from_header(header)
-            .ok_or_else(|| format!("header names unknown protocol tag {:#04x}", header.protocol))?;
-        let acc = match protocol {
-            Protocol::InpRr => InpRrAggregator::from_bytes(state).map(Self::InpRr),
-            Protocol::InpPs => InpPsAggregator::from_bytes(state).map(Self::InpPs),
-            Protocol::InpHt => InpHtAggregator::from_bytes(state).map(Self::InpHt),
-            Protocol::MargRr => MargRrAggregator::from_bytes(state).map(Self::MargRr),
-            Protocol::MargPs => MargPsAggregator::from_bytes(state).map(Self::MargPs),
-            Protocol::MargHt => MargHtAggregator::from_bytes(state).map(Self::MargHt),
-            Protocol::InpEm => InpEmAggregator::from_bytes(state).map(Self::InpEm),
-            Protocol::Olh => OlhAggregator::from_bytes(state).map(Self::Olh),
-            Protocol::Cms => CmsAggregator::from_bytes(state).map(Self::Cms),
-            Protocol::Hcms => HadamardCmsAggregator::from_bytes(state).map(Self::Hcms),
-        }
-        .map_err(|e| format!("bad snapshot state: {e}"))?;
-        // The same fields read off the header, whose protocol the tag
-        // check above has already matched.
-        let shape = acc.shape();
-        let want = Shape::new(
-            shape.protocol,
-            header.d,
-            header.k,
-            header.hashes,
-            header.width,
-        );
-        if shape != want {
-            return Err(format!(
-                "snapshot state shape {shape} does not match header shape {want}"
-            ));
-        }
+        .map_err(|e| match e {
+            WireError::Mismatch(field) => {
+                format!("snapshot state does not match header: {field} differs")
+            }
+            WireError::WrongTag {
+                expected,
+                found: Some(found),
+            } => format!(
+                "snapshot state does not match header: state tag {found:#04x} is not the \
+                 header's {expected:#04x}"
+            ),
+            e => format!("bad snapshot state: {e}"),
+        })?;
         Ok(acc)
     }
 
@@ -1161,11 +1154,13 @@ impl PipelineAccumulator {
             };
         }
         match self {
-            // InpRR has one row and InpPS folds its index into 2^d: no
-            // range to check. A set bit past InpRR's 2^d cells, or past
-            // MargRR's 2^k, counts nothing.
+            // InpRR has one row: no range to check. A set bit past
+            // InpRR's 2^d cells, or past MargRR's 2^k, counts nothing.
             Self::InpRr(a) => absorb_each!(a, InpRr),
-            Self::InpPs(a) => absorb_each!(a, InpPs),
+            Self::InpPs(a) => {
+                check_each!(InpPs, |row| a.check(*row));
+                absorb_each!(a, InpPs);
+            }
             Self::InpHt(a) => {
                 check_each!(InpHt, |r| a.check(*r));
                 absorb_each!(a, InpHt);
@@ -1733,6 +1728,12 @@ mod tests {
         // `PipelineReport`s itself can hand them to `absorb_batch`.
         let hand_built = [
             (
+                mech(MechanismKind::InpPs, 6, 2),
+                PipelineReport::InpPs(63),
+                PipelineReport::InpPs(64),
+                "InpPS row 64 is out of range (must be below 64)",
+            ),
+            (
                 mech(MechanismKind::InpEm, 6, 2),
                 PipelineReport::InpEm(0),
                 PipelineReport::InpEm(64),
@@ -1820,8 +1821,7 @@ mod tests {
         let d8 = mech(MechanismKind::InpRr, 8, 2);
         let d6 = mech(MechanismKind::InpRr, 6, 2);
         let err = PipelineAccumulator::from_state(&d8, &state(&d6, 40)).unwrap_err();
-        assert!(err.contains("InpRR d=6"), "{err}");
-        assert!(err.contains("InpRR d=8"), "{err}");
+        assert_eq!(err, "snapshot state does not match header: InpRR d differs");
     }
 
     #[test]
@@ -1829,8 +1829,10 @@ mod tests {
         let d8 = mech(MechanismKind::MargPs, 8, 2);
         let d6 = mech(MechanismKind::MargPs, 6, 2);
         let err = PipelineAccumulator::from_state(&d8, &state(&d6, 40)).unwrap_err();
-        assert!(err.contains("MargPS d=6 k=2"), "{err}");
-        assert!(err.contains("MargPS d=8 k=2"), "{err}");
+        assert_eq!(
+            err,
+            "snapshot state does not match header: MargPS d differs"
+        );
 
         // Nor may two same-protocol states of different shapes merge.
         let mut big = PipelineAccumulator::from_state(&d8, &state(&d8, 40)).unwrap();
@@ -1845,16 +1847,24 @@ mod tests {
         let k2 = mech(MechanismKind::InpHt, 6, 2);
         let k3 = mech(MechanismKind::InpHt, 6, 3);
         let err = PipelineAccumulator::from_state(&k3, &state(&k2, 30)).unwrap_err();
-        assert!(err.contains("k=2") && err.contains("k=3"), "{err}");
+        assert!(err.ends_with("InpHT k differs"), "{err}");
 
         let narrow = oracle_header(Protocol::Hcms, 6, 3, 16);
         let wide = oracle_header(Protocol::Hcms, 6, 3, 32);
         let err = PipelineAccumulator::from_state(&wide, &state(&narrow, 30)).unwrap_err();
-        assert!(err.contains("3×16") && err.contains("3×32"), "{err}");
+        assert!(err.ends_with("HCMS width differs"), "{err}");
 
         // Fields a state does not depend on (InpRR's k) are not compared.
         let k3_rr = mech(MechanismKind::InpRr, 6, 3);
         let k2_rr = mech(MechanismKind::InpRr, 6, 2);
         assert!(PipelineAccumulator::from_state(&k3_rr, &state(&k2_rr, 30)).is_ok());
+
+        // A state of another protocol names both tags.
+        let ps = mech(MechanismKind::MargPs, 6, 2);
+        let err = PipelineAccumulator::from_state(&k2, &state(&ps, 30)).unwrap_err();
+        assert_eq!(
+            err,
+            "snapshot state does not match header: state tag 0x05 is not the header's 0x03"
+        );
     }
 }

@@ -109,15 +109,6 @@ impl PolyHash {
     pub fn coefficients(&self) -> &[u64] {
         &self.coeffs
     }
-
-    /// Rebuild a hash from its coefficients (the inverse of
-    /// [`PolyHash::coefficients`] + [`PolyHash::range`]).
-    #[must_use]
-    pub fn from_coefficients(coeffs: Vec<u64>, m: u64) -> Self {
-        assert!(!coeffs.is_empty() && m >= 1);
-        assert!(coeffs.iter().all(|&c| c < MERSENNE_P));
-        PolyHash { coeffs, m }
-    }
 }
 
 /// A pairwise-independent (universal) hash: degree-1 [`PolyHash`].

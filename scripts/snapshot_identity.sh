@@ -4,14 +4,17 @@
 # write exactly the bytes its parent writes.
 #
 # For each of the ten protocols at d=8 k=2 (CMS and HCMS at 5×256),
-# and each --batch of 1, 7 and 1024, on 5000 taxi rows from
+# at eps 1.1 with each --batch of 1, 7 and 1024 and at eps 0.5 and 3.0
+# with --batch 1024 (OLH's g is 3 and 22 there), on 5000 taxi rows from
 # `ldp-cli rows`, it `cmp`s:
 #   1. both builds' `encode` streams,
 #   2. both builds' `ingest` snapshots,
 #   3. the change's `merge` of the parent's snapshot against the
-#      change's own snapshot (the change loads and re-serializes it),
+#      change's own snapshot (the change loads the parent's state into
+#      the accumulator its header builds, which must accept the state's
+#      probabilities, and re-serializes it),
 #   4. both builds' `query` outputs.
-# 30 cases; the script fails on the first difference.
+# 50 cases; the script fails on the first difference.
 #
 # Usage: scripts/snapshot_identity.sh <parent-ldp-cli> <change-ldp-cli>
 # (CI runs it with the same binary on both sides, so it keeps working.)
@@ -30,9 +33,10 @@ fail() { echo "FAIL $1"; cat "$LOG"; exit 1; }
 
 cases=0
 for protocol in InpRR InpPS InpHT MargRR MargPS MargHT InpEM OLH CMS HCMS; do
-  for batch in 1 7 1024; do
-    name="$protocol --batch $batch"
-    flags=(--protocol "$protocol" --d 8 --k 2 --eps 1.1 --seed 7
+  for pass in "1.1 1" "1.1 7" "1.1 1024" "0.5 1024" "3.0 1024"; do
+    read -r eps batch <<<"$pass"
+    name="$protocol --eps $eps --batch $batch"
+    flags=(--protocol "$protocol" --d 8 --k 2 --eps "$eps" --seed 7
       --hashes 5 --width 256 --family-seed 1 --batch "$batch")
     for side in parent change; do
       if [ "$side" = parent ]; then bin=$PARENT; else bin=$CHANGE; fi

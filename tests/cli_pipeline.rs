@@ -11,7 +11,7 @@
 //! reference built directly against `ldp_core`, and the finalized
 //! estimate must equal `Mechanism::run`.
 
-use ldp_core::frame::{read_snapshot, FrameReader, FrameWriter, StreamHeader};
+use ldp_core::frame::{read_snapshot, write_snapshot, FrameReader, FrameWriter, StreamHeader};
 use ldp_core::wire::Writer;
 use ldp_core::{MarginalEstimator, MechanismKind, Protocol};
 use ldp_oracles::pipeline::{
@@ -461,6 +461,67 @@ fn merge_refuses_mismatched_pipelines() {
         err.contains("refusing to merge"),
         "unexpected error:\n{err}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A snapshot spliced from one pipeline's header and a state collected
+/// under another ε is refused with exit code 1 — by `merge`, alone or
+/// beside an honest snapshot of the header's pipeline, and by `query` —
+/// naming the field the state differs in: its counts would otherwise be
+/// unbiased with the header's probability.
+#[test]
+fn spliced_snapshots_are_refused_by_merge_and_query() {
+    let dir = scratch("spliced");
+    let snapshot = |eps: &str, out: &str| {
+        let stream = run_cli(
+            &[
+                "encode",
+                "--protocol",
+                "MargPS",
+                "--d",
+                "8",
+                "--eps",
+                eps,
+                "--generate",
+                "taxi",
+                "--n",
+                "500",
+            ],
+            None,
+        );
+        let path = dir.join(out);
+        std::fs::write(&path, run_cli(&["ingest"], Some(&stream))).unwrap();
+        path
+    };
+    let honest = snapshot("1.1", "honest.bin");
+    let other = snapshot("3.0", "other.bin");
+    let (header, _) = read_snapshot(std::fs::read(&honest).unwrap().as_slice()).unwrap();
+    let (_, state) = read_snapshot(std::fs::read(&other).unwrap().as_slice()).unwrap();
+    let spliced = dir.join("spliced.bin");
+    let mut bytes = Vec::new();
+    write_snapshot(&mut bytes, &header, &state).unwrap();
+    std::fs::write(&spliced, bytes).unwrap();
+
+    let (honest, spliced) = (honest.to_str().unwrap(), spliced.to_str().unwrap());
+    let merged = dir.join("merged.bin");
+    let merged = merged.to_str().unwrap();
+    for args in [
+        vec!["merge", "--output", merged, honest, spliced],
+        vec!["merge", "--output", merged, spliced],
+        vec!["query", "--input", spliced],
+    ] {
+        let output = Command::new(cli_bin())
+            .args(&args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("failed to spawn ldp-cli");
+        let err = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: stderr:\n{err}");
+        assert!(
+            err.contains("snapshot state does not match header: MargPS truth probability differs"),
+            "{args:?}: stderr:\n{err}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

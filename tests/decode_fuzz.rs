@@ -13,7 +13,9 @@
 //! nonzero pad bits, a count the body length disagrees with, and an
 //! envelope of another shape. No decoder may allocate for a length the
 //! input does not contain. Hostile states with counts near `u64::MAX`
-//! must merge without overflowing.
+//! must merge without overflowing, and a state collected under another
+//! configuration than its header's is refused by the field it differs
+//! in.
 
 use ldp_server::{read_checkpoint, Checkpoint, DownstreamEntry, PushRequest, Request, Response};
 use marginal_ldp::core::frame::{FrameWriter, StreamHeader};
@@ -459,5 +461,79 @@ fn signed_states_no_tally_makes_are_refused() {
             });
             assert!(err.contains("no tally makes"), "{name}, {why}: {err}");
         }
+    }
+}
+
+/// A state collected under another configuration than its header's —
+/// another ε for every protocol, another hash family for the sketches,
+/// another EM threshold or iteration cap for InpEM — is refused by the
+/// field it differs in: its counts mean something only under the
+/// configuration they were collected with, and the header is the one
+/// the estimate would use.
+#[test]
+fn states_of_another_configuration_are_refused_by_field() {
+    use marginal_ldp::core::{Accumulator, InpEm};
+    let mut cases: Vec<(StreamHeader, Vec<u8>, &str)> = Vec::new();
+    for (header, client) in pipelines() {
+        let state = valid_state(&client, 1).to_bytes();
+        // ε = 1.2 keeps OLH's g = ⌈e^ε⌉ + 1 = 5, so its probability
+        // is the first field to differ.
+        let other = StreamHeader { eps: 1.2, ..header };
+        let other_state = valid_state(&Client::from_header(&other).unwrap(), 1).to_bytes();
+        let field = match client.protocol() {
+            // Optimized unary encoding keeps p1 = 1/2 at every ε.
+            Protocol::InpRr => "InpRR p0",
+            Protocol::InpPs => "InpPS truth probability",
+            Protocol::InpHt => "InpHT keep probability",
+            Protocol::MargRr => "MargRR p0",
+            Protocol::MargPs => "MargPS truth probability",
+            Protocol::MargHt => "MargHT keep probability",
+            Protocol::InpEm => "InpEM keep probability",
+            Protocol::Olh => "OLH truth probability",
+            Protocol::Cms => "CMS p0",
+            Protocol::Hcms => "HCMS keep probability",
+        };
+        cases.push((header, other_state, field));
+        if matches!(client.protocol(), Protocol::Cms | Protocol::Hcms) {
+            let family = StreamHeader {
+                family_seed: header.family_seed + 1,
+                ..header
+            };
+            let family_state = valid_state(&Client::from_header(&family).unwrap(), 1).to_bytes();
+            let field = match client.protocol() {
+                Protocol::Cms => "CMS hash coefficients",
+                _ => "HCMS hash coefficients",
+            };
+            cases.push((header, family_state, field));
+        }
+        if client.protocol() == Protocol::InpEm {
+            for (mech, field) in [
+                (
+                    InpEm::with_convergence(D, header.eps, 1e-3, 100_000),
+                    "InpEM convergence threshold",
+                ),
+                (
+                    InpEm::with_convergence(D, header.eps, 1e-5, 7),
+                    "InpEM iteration cap",
+                ),
+            ] {
+                let mut agg = mech.aggregator();
+                agg.absorb_batch(&[1, 2, 3]);
+                cases.push((header, agg.to_bytes(), field));
+            }
+        }
+        // The honest state still loads, byte for byte.
+        let loaded = PipelineAccumulator::from_state(&header, &state).unwrap();
+        assert_eq!(loaded.to_bytes(), state);
+    }
+    assert_eq!(cases.len(), 14);
+    for (header, state, field) in cases {
+        let err = PipelineAccumulator::from_state(&header, &state)
+            .err()
+            .unwrap_or_else(|| panic!("a state differing in {field} loaded"));
+        assert_eq!(
+            err,
+            format!("snapshot state does not match header: {field} differs")
+        );
     }
 }

@@ -552,30 +552,48 @@ fn corrupt_and_stale_pushes_are_named_and_survivable() {
         Err(message) => assert!(message.contains("does not decode"), "{message}"),
         other => panic!("corrupt push got {other:?}"),
     }
-    // A push whose state was built for another dimension, sent under
-    // this pipeline's header, is refused by name: merged, it would land
-    // its counts in the wrong marginals of every later snapshot.
-    let wide_header = StreamHeader {
-        d: header.d + 2,
-        ..header
-    };
-    let wide_client = Client::from_header(&wide_header).unwrap();
-    let mut wide = wide_client.accumulator();
-    let rows: Vec<u64> = (0..50u64).map(|user| user % 64).collect();
-    let mut frame = Writer::default();
-    wide_client.encode_batch(&rows, 7, 0, &mut frame);
-    wide.absorb_frame(frame.as_bytes()).unwrap();
-    match control.request(&Request::Push(PushRequest {
-        collector: "child-wide".to_string(),
-        epoch: 1,
-        header,
-        state: wide.to_bytes(),
-    })) {
-        Err(message) => {
-            assert!(message.contains("child-wide"), "{message}");
-            assert!(message.contains("does not match header shape"), "{message}");
+    // A push whose state was built for another dimension, or under
+    // another ε, sent under this pipeline's header, is refused by the
+    // field it differs in: merged, it would land its counts in the wrong
+    // marginals, or unbias them with the wrong probability, in every
+    // later snapshot.
+    for (collector, built_for, field) in [
+        (
+            "child-wide",
+            StreamHeader {
+                d: header.d + 2,
+                ..header
+            },
+            "MargPS d",
+        ),
+        (
+            "child-eps",
+            StreamHeader {
+                eps: header.eps * 2.0,
+                ..header
+            },
+            "MargPS truth probability",
+        ),
+    ] {
+        let client = Client::from_header(&built_for).unwrap();
+        let mut acc = client.accumulator();
+        let rows: Vec<u64> = (0..50u64).map(|user| user % 64).collect();
+        let mut frame = Writer::default();
+        client.encode_batch(&rows, 7, 0, &mut frame);
+        acc.absorb_frame(frame.as_bytes()).unwrap();
+        match control.request(&Request::Push(PushRequest {
+            collector: collector.to_string(),
+            epoch: 1,
+            header,
+            state: acc.to_bytes(),
+        })) {
+            Err(message) => {
+                assert!(message.contains(collector), "{message}");
+                let named = format!("does not match header: {field} differs");
+                assert!(message.contains(&named), "{message}");
+            }
+            other => panic!("mis-shaped push from {collector} got {other:?}"),
         }
-        other => panic!("mis-shaped push got {other:?}"),
     }
     // A push for a different pipeline is refused by name.
     let (alien_header_bytes, _) = encoded_stream("MargHT", &[], 4);
