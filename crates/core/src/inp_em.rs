@@ -242,12 +242,27 @@ impl Accumulator for InpEmAggregator {
         self.finish()
     }
 
-    fn to_bytes(&self) -> Vec<u8> {
+    fn write_config(&self) -> Writer {
         let mut w = Writer::with_tag(tag::INP_EM);
         w.put_u32(self.config.d);
         w.put_f64(self.config.rr.keep_probability());
         w.put_f64(self.config.omega);
         w.put_u64(self.config.max_iters as u64);
+        w
+    }
+
+    fn read_config<'a>(&self, bytes: &'a [u8]) -> Result<Reader<'a>, WireError> {
+        let mut r = Reader::with_tag(bytes, tag::INP_EM)?;
+        let config = &self.config;
+        r.expect_u32("InpEM d", config.d)?;
+        r.expect_f64("InpEM keep probability", config.rr.keep_probability())?;
+        r.expect_f64("InpEM convergence threshold", config.omega)?;
+        r.expect_u64("InpEM iteration cap", config.max_iters as u64)?;
+        Ok(r)
+    }
+
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut w = self.write_config();
         w.put_u64(self.n);
         w.put_u64(self.counts.len() as u64);
         for (&row, &count) in &self.counts {
@@ -258,18 +273,14 @@ impl Accumulator for InpEmAggregator {
     }
 
     fn load(&mut self, bytes: &[u8]) -> Result<(), WireError> {
-        let mut r = Reader::with_tag(bytes, tag::INP_EM)?;
-        let config = &self.config;
-        r.expect_u32("InpEM d", config.d)?;
-        r.expect_f64("InpEM keep probability", config.rr.keep_probability())?;
-        r.expect_f64("InpEM convergence threshold", config.omega)?;
-        r.expect_u64("InpEM iteration cap", config.max_iters as u64)?;
+        let mut r = self.read_config(bytes)?;
         let n = r.get_u64()?;
         let distinct = r.get_u64()?;
         let mut counts = BTreeMap::new();
         let mut total = 0u64;
         for _ in 0..distinct {
             let row = r.get_u64()?;
+            self.check(row)?;
             let count = r.get_u64()?;
             if counts.insert(row, count).is_some() {
                 return Err(WireError::Invalid("InpEM duplicate row key"));
@@ -542,6 +553,32 @@ mod tests {
         w.put_u64(6); // wraps to 5 if summed unchecked
         let err = mech.aggregator().load(&w.into_bytes()).unwrap_err();
         assert_eq!(err, WireError::Invalid("InpEM count overflow"));
+    }
+
+    #[test]
+    fn load_refuses_rows_outside_the_domain() {
+        // EM decoding would fold row 64 onto an in-domain cell of the
+        // d = 6 domain; the state is refused with the same error as a
+        // report carrying that row (`check`).
+        use crate::wire::{tag, Writer};
+        let mech = InpEm::new(6, 1.1);
+        let agg = mech.aggregator();
+        let mut w = Writer::with_tag(tag::INP_EM);
+        w.put_u32(6);
+        w.put_f64(mech.per_bit_rr().keep_probability());
+        w.put_f64(agg.config.omega);
+        w.put_u64(agg.config.max_iters as u64);
+        w.put_u64(3); // n
+        w.put_u64(2); // distinct rows
+        w.put_u64(5);
+        w.put_u64(2);
+        w.put_u64(64);
+        w.put_u64(1);
+        let err = mech.aggregator().load(&w.into_bytes()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "InpEM row 64 is out of range (must be below 64)"
+        );
     }
 
     #[test]

@@ -138,18 +138,28 @@ impl Accumulator for InpPsAggregator {
         self.finish()
     }
 
-    fn to_bytes(&self) -> Vec<u8> {
+    fn write_config(&self) -> Writer {
         let mut w = Writer::with_tag(tag::INP_PS);
         w.put_u32(self.d);
         w.put_f64(self.grr.truth_probability());
+        w
+    }
+
+    fn read_config<'a>(&self, bytes: &'a [u8]) -> Result<Reader<'a>, WireError> {
+        let mut r = Reader::with_tag(bytes, tag::INP_PS)?;
+        r.expect_u32("InpPS d", self.d)?;
+        r.expect_f64("InpPS truth probability", self.grr.truth_probability())?;
+        Ok(r)
+    }
+
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut w = self.write_config();
         w.put_u64_slice(&self.tally.counts());
         w.into_bytes()
     }
 
     fn load(&mut self, bytes: &[u8]) -> Result<(), WireError> {
-        let mut r = Reader::with_tag(bytes, tag::INP_PS)?;
-        r.expect_u32("InpPS d", self.d)?;
-        r.expect_f64("InpPS truth probability", self.grr.truth_probability())?;
+        let mut r = self.read_config(bytes)?;
         let counts = r.get_u64_vec()?;
         r.finish()?;
         self.tally.fill_counts(&counts)

@@ -183,21 +183,31 @@ impl Accumulator for InpRrAggregator {
         self.finish()
     }
 
-    fn to_bytes(&self) -> Vec<u8> {
+    fn write_config(&self) -> Writer {
         let mut w = Writer::with_tag(tag::INP_RR);
         w.put_u32(self.d);
         w.put_f64(self.ue.p1());
         w.put_f64(self.ue.p0());
+        w
+    }
+
+    fn read_config<'a>(&self, bytes: &'a [u8]) -> Result<Reader<'a>, WireError> {
+        let mut r = Reader::with_tag(bytes, tag::INP_RR)?;
+        r.expect_u32("InpRR d", self.d)?;
+        r.expect_f64("InpRR p1", self.ue.p1())?;
+        r.expect_f64("InpRR p0", self.ue.p0())?;
+        Ok(r)
+    }
+
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut w = self.write_config();
         w.put_u64(self.tally.report_count());
         w.put_u64_slice(self.tally.counts().1);
         w.into_bytes()
     }
 
     fn load(&mut self, bytes: &[u8]) -> Result<(), WireError> {
-        let mut r = Reader::with_tag(bytes, tag::INP_RR)?;
-        r.expect_u32("InpRR d", self.d)?;
-        r.expect_f64("InpRR p1", self.ue.p1())?;
-        r.expect_f64("InpRR p0", self.ue.p0())?;
+        let mut r = self.read_config(bytes)?;
         let n = r.get_u64()?;
         let ones = r.get_u64_vec()?;
         r.finish()?;

@@ -197,12 +197,26 @@ impl Accumulator for MargRrAggregator {
         self.finish()
     }
 
-    fn to_bytes(&self) -> Vec<u8> {
+    fn write_config(&self) -> Writer {
         let mut w = Writer::with_tag(tag::MARG_RR);
         w.put_u32(self.d);
         w.put_u32(self.k);
         w.put_f64(self.ue.p1());
         w.put_f64(self.ue.p0());
+        w
+    }
+
+    fn read_config<'a>(&self, bytes: &'a [u8]) -> Result<Reader<'a>, WireError> {
+        let mut r = Reader::with_tag(bytes, tag::MARG_RR)?;
+        r.expect_u32("MargRR d", self.d)?;
+        r.expect_u32("MargRR k", self.k)?;
+        r.expect_f64("MargRR p1", self.ue.p1())?;
+        r.expect_f64("MargRR p0", self.ue.p0())?;
+        Ok(r)
+    }
+
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut w = self.write_config();
         let (users, ones) = self.tally.counts();
         w.put_u64_slice(users);
         w.put_u64_slice(ones);
@@ -210,11 +224,7 @@ impl Accumulator for MargRrAggregator {
     }
 
     fn load(&mut self, bytes: &[u8]) -> Result<(), WireError> {
-        let mut r = Reader::with_tag(bytes, tag::MARG_RR)?;
-        r.expect_u32("MargRR d", self.d)?;
-        r.expect_u32("MargRR k", self.k)?;
-        r.expect_f64("MargRR p1", self.ue.p1())?;
-        r.expect_f64("MargRR p0", self.ue.p0())?;
+        let mut r = self.read_config(bytes)?;
         let users = r.get_u64_vec()?;
         let ones = r.get_u64_vec()?;
         r.finish()?;

@@ -29,6 +29,12 @@ use rayon::prelude::*;
 /// Distinct users get decorrelated SplitMix64-whitened seeds; the
 /// golden-ratio multiply keeps nearby user indices far apart in seed
 /// space before whitening.
+///
+/// The stream itself is fixed by the vendored `rand`'s stream contract
+/// (its crate docs): `seed_from_u64` is the `rand_core` SplitMix64
+/// expansion and `gen_range` is threshold-then-`%` rejection. Its fast
+/// paths are exact, so every user's reports stay the same bits;
+/// `tests/rng_streams.rs` pins both.
 #[inline]
 #[must_use]
 pub fn user_rng(seed: u64, user: u64) -> SmallRng {

@@ -1271,24 +1271,34 @@ impl PipelineAccumulator {
 
     /// Fold another partial aggregate of the same pipeline into this
     /// one. Refuses, leaving `self` untouched, when the two states'
-    /// protocols or shapes differ.
+    /// protocols or shapes differ, or when any configuration field that
+    /// [`Self::from_state`] compares (the ε-derived probabilities,
+    /// InpEM's EM threshold and iteration cap, OLH's `g`, the sketch
+    /// hash family) differs; the message names the field.
     pub fn merge(&mut self, other: PipelineAccumulator) -> Result<(), String> {
         let (own, theirs) = (self.shape(), other.shape());
         let refuse = || format!("cannot merge a {theirs} snapshot into a {own} snapshot");
-        if own != theirs {
-            return Err(refuse());
+        // `other`'s configuration head, read through `self`'s `load`
+        // checks: d, k, the sketch shape and every parameter, by name.
+        macro_rules! merge {
+            ($a:ident, $b:ident) => {{
+                $a.read_config($b.write_config().as_bytes())
+                    .and_then(|r| r.finish())
+                    .map_err(|e| format!("{}: {e}", refuse()))?;
+                $a.merge($b);
+            }};
         }
         match (self, other) {
-            (Self::InpRr(a), Self::InpRr(b)) => a.merge(b),
-            (Self::InpPs(a), Self::InpPs(b)) => a.merge(b),
-            (Self::InpHt(a), Self::InpHt(b)) => a.merge(b),
-            (Self::MargRr(a), Self::MargRr(b)) => a.merge(b),
-            (Self::MargPs(a), Self::MargPs(b)) => a.merge(b),
-            (Self::MargHt(a), Self::MargHt(b)) => a.merge(b),
-            (Self::InpEm(a), Self::InpEm(b)) => a.merge(b),
-            (Self::Olh(a), Self::Olh(b)) => a.merge(b),
-            (Self::Cms(a), Self::Cms(b)) => a.merge(b),
-            (Self::Hcms(a), Self::Hcms(b)) => a.merge(b),
+            (Self::InpRr(a), Self::InpRr(b)) => merge!(a, b),
+            (Self::InpPs(a), Self::InpPs(b)) => merge!(a, b),
+            (Self::InpHt(a), Self::InpHt(b)) => merge!(a, b),
+            (Self::MargRr(a), Self::MargRr(b)) => merge!(a, b),
+            (Self::MargPs(a), Self::MargPs(b)) => merge!(a, b),
+            (Self::MargHt(a), Self::MargHt(b)) => merge!(a, b),
+            (Self::InpEm(a), Self::InpEm(b)) => merge!(a, b),
+            (Self::Olh(a), Self::Olh(b)) => merge!(a, b),
+            (Self::Cms(a), Self::Cms(b)) => merge!(a, b),
+            (Self::Hcms(a), Self::Hcms(b)) => merge!(a, b),
             _ => return Err(refuse()),
         }
         Ok(())
@@ -1865,6 +1875,53 @@ mod tests {
         assert_eq!(
             err,
             "snapshot state does not match header: state tag 0x05 is not the header's 0x03"
+        );
+    }
+
+    /// Accumulators of one shape built under `a` and `b`, each holding a
+    /// state of 40 reports.
+    fn built(a: &StreamHeader, b: &StreamHeader) -> (PipelineAccumulator, PipelineAccumulator) {
+        (
+            PipelineAccumulator::from_state(a, &state(a, 40)).unwrap(),
+            PipelineAccumulator::from_state(b, &state(b, 40)).unwrap(),
+        )
+    }
+
+    #[test]
+    fn merge_refuses_another_eps_by_name() {
+        let low = StreamHeader::mechanism(MechanismKind::MargPs, 8, 2, 1.1);
+        let high = StreamHeader::mechanism(MechanismKind::MargPs, 8, 2, 3.0);
+        let (mut acc, other) = built(&low, &high);
+        let before = acc.to_bytes();
+        let err = acc.merge(other).unwrap_err();
+        assert_eq!(
+            err,
+            "cannot merge a MargPS d=8 k=2 snapshot into a MargPS d=8 k=2 snapshot: \
+             MargPS truth probability differs from the accumulator's"
+        );
+        assert_eq!(acc.to_bytes(), before, "a refused merge changes nothing");
+
+        // The same ε merges.
+        let (mut acc, other) = built(&low, &low);
+        acc.merge(other).unwrap();
+        assert_eq!(acc.report_count(), 80);
+    }
+
+    #[test]
+    fn merge_refuses_another_hash_family_by_name() {
+        let family = |family_seed| {
+            let sketch = SketchShape {
+                hashes: 3,
+                width: 64,
+                family_seed,
+            };
+            header_for(Protocol::Cms, 6, 1, 1.1, sketch)
+        };
+        let (mut acc, other) = built(&family(1), &family(2));
+        let err = acc.merge(other).unwrap_err();
+        assert!(
+            err.ends_with(": CMS hash coefficients differs from the accumulator's"),
+            "{err}"
         );
     }
 }
