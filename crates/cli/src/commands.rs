@@ -62,12 +62,11 @@ pub fn encode(flags: &Flags) -> Result<(), String> {
         width: flags.parsed("width", 256)?,
         family_seed: flags.parsed("family-seed", 1)?,
     };
-    if !(1..=63).contains(&d) {
-        return Err(format!("--d must be in 1..=63, got {d}"));
-    }
-    if k < 1 || k > d {
-        return Err(format!("--k must be in 1..={d}, got {k}"));
-    }
+    let header = header_for(protocol, d, k, eps, sketch);
+    // Build the client from the header (not the flags) so `encode`
+    // exercises the exact rehydration path a remote peer would use, and
+    // refuses out-of-range parameters before it reads a row.
+    let client = Client::from_header(&header)?;
 
     let rows: Vec<u64> = match flags.get("generate") {
         Some(source_name) => {
@@ -82,11 +81,6 @@ pub fn encode(flags: &Flags) -> Result<(), String> {
             ldp_data::csv::read_rows(open_input(input)?, d).map_err(|e| e.to_string())?
         }
     };
-
-    let header = header_for(protocol, d, k, eps, sketch);
-    // Build the client from the header (not the flags) so `encode`
-    // exercises the exact rehydration path a remote peer would use.
-    let client = Client::from_header(&header)?;
 
     let out = open_output(flags.get("output").unwrap_or("-"))?;
     let mut writer = FrameWriter::new(out);
@@ -184,30 +178,19 @@ pub fn merge(flags: &Flags) -> Result<(), String> {
         }
     }
     let total = sources.len();
-    let mut merged: Option<(String, StreamHeader, PipelineAccumulator)> = None;
+    let mut merged: Option<PipelineAccumulator> = None;
     for (source, header, state) in sources {
         let acc = PipelineAccumulator::from_state(&header, &state)
             .map_err(|e| format!("{source}: {e}"))?;
-        merged = Some(match merged {
-            None => (source, header, acc),
-            Some((first, base_header, mut base)) => {
-                if header != base_header {
-                    return Err(format!(
-                        "{source}: snapshot header differs from {first} — refusing to merge \
-                         partial aggregates of different pipelines"
-                    ));
-                }
-                base.merge(acc).map_err(|e| format!("{source}: {e}"))?;
-                (first, base_header, base)
-            }
-        });
+        match merged.as_mut() {
+            None => merged = Some(acc),
+            Some(base) => base.merge(acc).map_err(|e| format!("{source}: {e}"))?,
+        }
     }
-    let Some((_, header, acc)) = merged else {
-        return Err("merge needs at least one snapshot".to_string());
-    };
+    let acc = merged.ok_or("merge needs at least one snapshot")?;
     let state = acc.to_bytes();
     let out = open_output(flags.get("output").unwrap_or("-"))?;
-    write_snapshot(out, &header, &state).map_err(|e| e.to_string())?;
+    write_snapshot(out, acc.header(), &state).map_err(|e| e.to_string())?;
     eprintln!(
         "merged {total} snapshots: {} reports, {} state bytes",
         acc.report_count(),

@@ -68,12 +68,6 @@ fn parse_common(flags: &Flags) -> Result<Common, String> {
         width: flags.parsed("width", 256)?,
         family_seed: flags.parsed("family-seed", 1)?,
     };
-    if !(1..=63).contains(&d) {
-        return Err(format!("--d must be in 1..=63, got {d}"));
-    }
-    if k < 1 || k > d {
-        return Err(format!("--k must be in 1..={d}, got {k}"));
-    }
     if clients == 0 {
         return Err("--clients must be at least 1".to_string());
     }
@@ -127,7 +121,6 @@ fn closed_loop(flags: &Flags, common: &Common) -> Result<(), String> {
         (0..common.clients)
             .map(|c| {
                 let client = &client;
-                let header = &header;
                 scope.spawn(move || -> Result<(u64, usize), String> {
                     // Position this client's lazy stream at its slice
                     // of the shared population: same rows the eager
@@ -138,7 +131,7 @@ fn closed_loop(flags: &Flags, common: &Common) -> Result<(), String> {
                     let mut wire_bytes = 0usize;
                     let acked = {
                         let bytes = &mut wire_bytes;
-                        push_with(&common.addr, header, move |writer| {
+                        push_with(&common.addr, client.header(), move |writer| {
                             // The batched kernels fill one reusable
                             // REPORT_BATCH frame per chunk.
                             let mut w = Writer::default();
@@ -188,12 +181,11 @@ fn closed_loop(flags: &Flags, common: &Common) -> Result<(), String> {
 }
 
 /// One protocol of the open-loop mix: its weight share of batch events
-/// goes to `addr` encoded by `client` under `header`.
+/// goes to `addr` encoded by `client` under its header.
 struct MixEntry {
     name: &'static str,
     weight: usize,
     addr: String,
-    header: ldp_core::frame::StreamHeader,
     client: Client,
 }
 
@@ -232,7 +224,6 @@ fn parse_mix(text: &str, common: &Common) -> Result<(Vec<MixEntry>, Vec<usize>),
             name: protocol.name(),
             weight,
             addr,
-            header,
             client,
         });
         pattern.extend(std::iter::repeat_n(slot, weight));
@@ -284,7 +275,6 @@ fn open_loop(flags: &Flags, common: &Common) -> Result<(), String> {
                     name: protocol.name(),
                     weight: 1,
                     addr: common.addr.clone(),
-                    header,
                     client,
                 }],
                 vec![0],
@@ -356,7 +346,8 @@ fn open_loop(flags: &Flags, common: &Common) -> Result<(), String> {
                         entry
                             .client
                             .encode_batch(&rows, common.seed, first_user, &mut w);
-                        tally.acked += push_frame(&entry.addr, &entry.header, w.as_bytes())?;
+                        tally.acked +=
+                            push_frame(&entry.addr, entry.client.header(), w.as_bytes())?;
                         tally.sent_reports += batch_u64;
                         // Ack latency from the *scheduled* start, so a
                         // late send shows up as latency, not as a

@@ -1,7 +1,7 @@
 //! The mergeable streaming-accumulator abstraction (see
 //! [`Accumulator`]).
 
-use crate::wire::{Reader, WireError, Writer};
+use crate::wire::WireError;
 
 /// The server side of an LDP protocol as a mergeable streaming summary.
 ///
@@ -135,20 +135,4 @@ pub trait Accumulator: Sized + Send {
     /// ingest makes. The accumulator may then hold part of the state:
     /// discard it.
     fn load(&mut self, bytes: &[u8]) -> Result<(), WireError>;
-
-    /// The head of [`Accumulator::to_bytes`]: the type tag and every
-    /// configuration field the counts are read under, and no counts.
-    fn write_config(&self) -> Writer;
-
-    /// Open a blob that starts with a [`Accumulator::write_config`]
-    /// head, refusing it unless each field matches this accumulator's
-    /// as [`Accumulator::load`] describes; the reader is left at the
-    /// counts.
-    ///
-    /// # Errors
-    ///
-    /// A [`WireError`] for a wrong tag or version, a truncated head, or
-    /// a configuration field other than this accumulator's
-    /// ([`WireError::Mismatch`], naming it).
-    fn read_config<'a>(&self, bytes: &'a [u8]) -> Result<Reader<'a>, WireError>;
 }

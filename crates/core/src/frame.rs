@@ -439,7 +439,7 @@ impl StreamHeader {
     }
 
     /// Decode a header blob, validating the parameter ranges every
-    /// protocol shares.
+    /// protocol shares ([`StreamHeader::check`]).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader::with_tag(bytes, tag::STREAM_HEADER)?;
         let protocol = r.get_u8()?;
@@ -450,16 +450,7 @@ impl StreamHeader {
         let width = r.get_u32()?;
         let family_seed = r.get_u64()?;
         r.finish()?;
-        if !(1..=63).contains(&d) {
-            return Err(WireError::Invalid("header dimensionality"));
-        }
-        if k < 1 || k > d {
-            return Err(WireError::Invalid("header marginal order"));
-        }
-        if !(eps.is_finite() && eps > 0.0) {
-            return Err(WireError::Invalid("header epsilon"));
-        }
-        Ok(StreamHeader {
+        let header = StreamHeader {
             protocol,
             d,
             k,
@@ -467,7 +458,26 @@ impl StreamHeader {
             hashes,
             width,
             family_seed,
-        })
+        };
+        header.check().map_err(WireError::Invalid)?;
+        Ok(header)
+    }
+
+    /// The parameter ranges every protocol shares, whether the header
+    /// came off the wire or from the command line: `1 ≤ d ≤ 63`,
+    /// `1 ≤ k ≤ d` and a positive, finite ε (so a valid header equals
+    /// itself). Names the first field out of range.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if !(1..=63).contains(&self.d) {
+            return Err("header dimensionality");
+        }
+        if !(1..=self.d).contains(&self.k) {
+            return Err("header marginal order");
+        }
+        if !(self.eps.is_finite() && self.eps > 0.0) {
+            return Err("header epsilon");
+        }
+        Ok(())
     }
 }
 

@@ -196,12 +196,6 @@ impl InpEmAggregator {
         );
     }
 
-    /// The mechanism configuration this aggregator decodes under.
-    #[must_use]
-    pub fn config(&self) -> &InpEm {
-        &self.config
-    }
-
     /// Wrap the report multiplicities for on-demand EM decoding.
     #[must_use]
     pub fn finish(self) -> EmEstimate {
@@ -242,27 +236,12 @@ impl Accumulator for InpEmAggregator {
         self.finish()
     }
 
-    fn write_config(&self) -> Writer {
+    fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::with_tag(tag::INP_EM);
         w.put_u32(self.config.d);
         w.put_f64(self.config.rr.keep_probability());
         w.put_f64(self.config.omega);
         w.put_u64(self.config.max_iters as u64);
-        w
-    }
-
-    fn read_config<'a>(&self, bytes: &'a [u8]) -> Result<Reader<'a>, WireError> {
-        let mut r = Reader::with_tag(bytes, tag::INP_EM)?;
-        let config = &self.config;
-        r.expect_u32("InpEM d", config.d)?;
-        r.expect_f64("InpEM keep probability", config.rr.keep_probability())?;
-        r.expect_f64("InpEM convergence threshold", config.omega)?;
-        r.expect_u64("InpEM iteration cap", config.max_iters as u64)?;
-        Ok(r)
-    }
-
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut w = self.write_config();
         w.put_u64(self.n);
         w.put_u64(self.counts.len() as u64);
         for (&row, &count) in &self.counts {
@@ -273,7 +252,12 @@ impl Accumulator for InpEmAggregator {
     }
 
     fn load(&mut self, bytes: &[u8]) -> Result<(), WireError> {
-        let mut r = self.read_config(bytes)?;
+        let mut r = Reader::with_tag(bytes, tag::INP_EM)?;
+        let config = &self.config;
+        r.expect_u32("InpEM d", config.d)?;
+        r.expect_f64("InpEM keep probability", config.rr.keep_probability())?;
+        r.expect_f64("InpEM convergence threshold", config.omega)?;
+        r.expect_u64("InpEM iteration cap", config.max_iters as u64)?;
         let n = r.get_u64()?;
         let distinct = r.get_u64()?;
         let mut counts = BTreeMap::new();

@@ -136,18 +136,6 @@ impl InpHtAggregator {
         &mut self.tally
     }
 
-    /// Domain dimensionality.
-    #[must_use]
-    pub fn d(&self) -> u32 {
-        self.indexer.d()
-    }
-
-    /// Maximum marginal order supported.
-    #[must_use]
-    pub fn k(&self) -> u32 {
-        self.indexer.k()
-    }
-
     /// Unbias and average each coefficient. Coefficients nobody sampled
     /// (possible only for tiny populations) estimate to 0 — the value of
     /// an uninformative coefficient.
@@ -190,32 +178,22 @@ impl Accumulator for InpHtAggregator {
         self.finish()
     }
 
-    fn write_config(&self) -> Writer {
+    fn to_bytes(&self) -> Vec<u8> {
+        let (sums, counts) = self.tally.signed();
         let mut w = Writer::with_tag(tag::INP_HT);
         w.put_u32(self.indexer.d());
         w.put_u32(self.indexer.k());
         w.put_f64(self.rr.keep_probability());
-        w
-    }
-
-    fn read_config<'a>(&self, bytes: &'a [u8]) -> Result<Reader<'a>, WireError> {
-        let mut r = Reader::with_tag(bytes, tag::INP_HT)?;
-        r.expect_u32("InpHT d", self.d())?;
-        r.expect_u32("InpHT k", self.k())?;
-        r.expect_f64("InpHT keep probability", self.rr.keep_probability())?;
-        Ok(r)
-    }
-
-    fn to_bytes(&self) -> Vec<u8> {
-        let (sums, counts) = self.tally.signed();
-        let mut w = self.write_config();
         w.put_i64_slice(&sums);
         w.put_u64_slice(&counts);
         w.into_bytes()
     }
 
     fn load(&mut self, bytes: &[u8]) -> Result<(), WireError> {
-        let mut r = self.read_config(bytes)?;
+        let mut r = Reader::with_tag(bytes, tag::INP_HT)?;
+        r.expect_u32("InpHT d", self.indexer.d())?;
+        r.expect_u32("InpHT k", self.indexer.k())?;
+        r.expect_f64("InpHT keep probability", self.rr.keep_probability())?;
         let sums = r.get_i64_vec()?;
         let counts = r.get_u64_vec()?;
         r.finish()?;

@@ -146,18 +146,6 @@ impl MargHtAggregator {
         &mut self.tally
     }
 
-    /// Domain dimensionality.
-    #[must_use]
-    pub fn d(&self) -> u32 {
-        self.d
-    }
-
-    /// Target marginal order.
-    #[must_use]
-    pub fn k(&self) -> u32 {
-        self.k
-    }
-
     /// Per marginal: unbias each coefficient, pin `c_0 = 1`, and invert
     /// the local Hadamard transform into a table.
     #[must_use]
@@ -208,32 +196,22 @@ impl Accumulator for MargHtAggregator {
         self.finish()
     }
 
-    fn write_config(&self) -> Writer {
+    fn to_bytes(&self) -> Vec<u8> {
+        let (sums, counts) = self.tally.signed();
         let mut w = Writer::with_tag(tag::MARG_HT);
         w.put_u32(self.d);
         w.put_u32(self.k);
         w.put_f64(self.rr.keep_probability());
-        w
-    }
-
-    fn read_config<'a>(&self, bytes: &'a [u8]) -> Result<Reader<'a>, WireError> {
-        let mut r = Reader::with_tag(bytes, tag::MARG_HT)?;
-        r.expect_u32("MargHT d", self.d)?;
-        r.expect_u32("MargHT k", self.k)?;
-        r.expect_f64("MargHT keep probability", self.rr.keep_probability())?;
-        Ok(r)
-    }
-
-    fn to_bytes(&self) -> Vec<u8> {
-        let (sums, counts) = self.tally.signed();
-        let mut w = self.write_config();
         w.put_i64_slice(&sums);
         w.put_u64_slice(&counts);
         w.into_bytes()
     }
 
     fn load(&mut self, bytes: &[u8]) -> Result<(), WireError> {
-        let mut r = self.read_config(bytes)?;
+        let mut r = Reader::with_tag(bytes, tag::MARG_HT)?;
+        r.expect_u32("MargHT d", self.d)?;
+        r.expect_u32("MargHT k", self.k)?;
+        r.expect_f64("MargHT keep probability", self.rr.keep_probability())?;
         let sums = r.get_i64_vec()?;
         let counts = r.get_u64_vec()?;
         r.finish()?;

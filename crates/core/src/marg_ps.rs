@@ -133,18 +133,6 @@ impl MargPsAggregator {
         &mut self.tally
     }
 
-    /// Domain dimensionality.
-    #[must_use]
-    pub fn d(&self) -> u32 {
-        self.d
-    }
-
-    /// Target marginal order.
-    #[must_use]
-    pub fn k(&self) -> u32 {
-        self.k
-    }
-
     /// Unbias each marginal's histogram. Marginals nobody sampled fall
     /// back to the uniform table.
     #[must_use]
@@ -193,30 +181,20 @@ impl Accumulator for MargPsAggregator {
         self.finish()
     }
 
-    fn write_config(&self) -> Writer {
+    fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::with_tag(tag::MARG_PS);
         w.put_u32(self.d);
         w.put_u32(self.k);
         w.put_f64(self.grr.truth_probability());
-        w
-    }
-
-    fn read_config<'a>(&self, bytes: &'a [u8]) -> Result<Reader<'a>, WireError> {
-        let mut r = Reader::with_tag(bytes, tag::MARG_PS)?;
-        r.expect_u32("MargPS d", self.d)?;
-        r.expect_u32("MargPS k", self.k)?;
-        r.expect_f64("MargPS truth probability", self.grr.truth_probability())?;
-        Ok(r)
-    }
-
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut w = self.write_config();
         w.put_u64_slice(&self.tally.counts());
         w.into_bytes()
     }
 
     fn load(&mut self, bytes: &[u8]) -> Result<(), WireError> {
-        let mut r = self.read_config(bytes)?;
+        let mut r = Reader::with_tag(bytes, tag::MARG_PS)?;
+        r.expect_u32("MargPS d", self.d)?;
+        r.expect_u32("MargPS k", self.k)?;
+        r.expect_f64("MargPS truth probability", self.grr.truth_probability())?;
         let counts = r.get_u64_vec()?;
         r.finish()?;
         self.tally.fill_counts(&counts)

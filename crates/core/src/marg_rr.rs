@@ -156,18 +156,6 @@ impl MargRrAggregator {
         &mut self.tally
     }
 
-    /// Domain dimensionality.
-    #[must_use]
-    pub fn d(&self) -> u32 {
-        self.d
-    }
-
-    /// Target marginal order.
-    #[must_use]
-    pub fn k(&self) -> u32 {
-        self.k
-    }
-
     /// Unbias every marginal table. Marginals nobody sampled fall back to
     /// the uniform table.
     #[must_use]
@@ -197,26 +185,12 @@ impl Accumulator for MargRrAggregator {
         self.finish()
     }
 
-    fn write_config(&self) -> Writer {
+    fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::with_tag(tag::MARG_RR);
         w.put_u32(self.d);
         w.put_u32(self.k);
         w.put_f64(self.ue.p1());
         w.put_f64(self.ue.p0());
-        w
-    }
-
-    fn read_config<'a>(&self, bytes: &'a [u8]) -> Result<Reader<'a>, WireError> {
-        let mut r = Reader::with_tag(bytes, tag::MARG_RR)?;
-        r.expect_u32("MargRR d", self.d)?;
-        r.expect_u32("MargRR k", self.k)?;
-        r.expect_f64("MargRR p1", self.ue.p1())?;
-        r.expect_f64("MargRR p0", self.ue.p0())?;
-        Ok(r)
-    }
-
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut w = self.write_config();
         let (users, ones) = self.tally.counts();
         w.put_u64_slice(users);
         w.put_u64_slice(ones);
@@ -224,7 +198,11 @@ impl Accumulator for MargRrAggregator {
     }
 
     fn load(&mut self, bytes: &[u8]) -> Result<(), WireError> {
-        let mut r = self.read_config(bytes)?;
+        let mut r = Reader::with_tag(bytes, tag::MARG_RR)?;
+        r.expect_u32("MargRR d", self.d)?;
+        r.expect_u32("MargRR k", self.k)?;
+        r.expect_f64("MargRR p1", self.ue.p1())?;
+        r.expect_f64("MargRR p0", self.ue.p0())?;
         let users = r.get_u64_vec()?;
         let ones = r.get_u64_vec()?;
         r.finish()?;

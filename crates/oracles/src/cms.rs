@@ -161,12 +161,6 @@ impl CmsAggregator {
         &mut self.tally
     }
 
-    /// The oracle configuration this aggregator decodes under.
-    #[must_use]
-    pub fn config(&self) -> &Cms {
-        &self.config
-    }
-
     /// Unbias rows into bucket distributions. Rows nobody sampled fall
     /// back to the uniform row.
     #[must_use]
@@ -198,7 +192,7 @@ impl Accumulator for CmsAggregator {
         self.finish()
     }
 
-    fn write_config(&self) -> Writer {
+    fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::with_tag(tag::CMS);
         w.put_u32(self.config.d);
         w.put_u64(self.config.g as u64);
@@ -208,10 +202,15 @@ impl Accumulator for CmsAggregator {
         for hash in &self.config.hashes {
             w.put_u64_slice(hash.coefficients());
         }
-        w
+        let (users, ones) = self.tally.counts();
+        w.put_u64_slice(users);
+        for row in ones.chunks_exact(self.config.w) {
+            w.put_u64_slice(row);
+        }
+        w.into_bytes()
     }
 
-    fn read_config<'a>(&self, bytes: &'a [u8]) -> Result<Reader<'a>, WireError> {
+    fn load(&mut self, bytes: &[u8]) -> Result<(), WireError> {
         let mut r = Reader::with_tag(bytes, tag::CMS)?;
         let Cms { d, g, w, ue, .. } = self.config;
         r.expect_u32("CMS d", d)?;
@@ -222,22 +221,6 @@ impl Accumulator for CmsAggregator {
         for hash in &self.config.hashes {
             r.expect_u64_slice("CMS hash coefficients", hash.coefficients())?;
         }
-        Ok(r)
-    }
-
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut w = self.write_config();
-        let (users, ones) = self.tally.counts();
-        w.put_u64_slice(users);
-        for row in ones.chunks_exact(self.config.w) {
-            w.put_u64_slice(row);
-        }
-        w.into_bytes()
-    }
-
-    fn load(&mut self, bytes: &[u8]) -> Result<(), WireError> {
-        let mut r = self.read_config(bytes)?;
-        let (g, w) = (self.config.g, self.config.w);
         let users = r.get_u64_vec()?;
         let ones = r.get_rows("CMS row length", g, w, Reader::get_u64)?;
         r.finish()?;

@@ -150,12 +150,6 @@ impl HadamardCmsAggregator {
         &mut self.tally
     }
 
-    /// The oracle configuration this aggregator decodes under.
-    #[must_use]
-    pub fn config(&self) -> &HadamardCms {
-        &self.config
-    }
-
     /// Invert each row's transform into a bucket distribution.
     #[must_use]
     pub fn finish(self) -> HadamardCmsOracle {
@@ -208,7 +202,8 @@ impl Accumulator for HadamardCmsAggregator {
         self.finish()
     }
 
-    fn write_config(&self) -> Writer {
+    fn to_bytes(&self) -> Vec<u8> {
+        let (sums, counts) = self.tally.signed();
         let mut w = Writer::with_tag(tag::HCMS);
         w.put_u32(self.config.d);
         w.put_u64(self.config.g as u64);
@@ -217,25 +212,6 @@ impl Accumulator for HadamardCmsAggregator {
         for hash in &self.config.hashes {
             w.put_u64_slice(hash.coefficients());
         }
-        w
-    }
-
-    fn read_config<'a>(&self, bytes: &'a [u8]) -> Result<Reader<'a>, WireError> {
-        let mut r = Reader::with_tag(bytes, tag::HCMS)?;
-        let HadamardCms { d, g, w, rr, .. } = self.config;
-        r.expect_u32("HCMS d", d)?;
-        r.expect_u64("HCMS hashes", g as u64)?;
-        r.expect_u64("HCMS width", w as u64)?;
-        r.expect_f64("HCMS keep probability", rr.keep_probability())?;
-        for hash in &self.config.hashes {
-            r.expect_u64_slice("HCMS hash coefficients", hash.coefficients())?;
-        }
-        Ok(r)
-    }
-
-    fn to_bytes(&self) -> Vec<u8> {
-        let (sums, counts) = self.tally.signed();
-        let mut w = self.write_config();
         for row in sums.chunks_exact(self.config.w) {
             w.put_i64_slice(row);
         }
@@ -246,8 +222,15 @@ impl Accumulator for HadamardCmsAggregator {
     }
 
     fn load(&mut self, bytes: &[u8]) -> Result<(), WireError> {
-        let mut r = self.read_config(bytes)?;
-        let (g, w) = (self.config.g, self.config.w);
+        let mut r = Reader::with_tag(bytes, tag::HCMS)?;
+        let HadamardCms { d, g, w, rr, .. } = self.config;
+        r.expect_u32("HCMS d", d)?;
+        r.expect_u64("HCMS hashes", g as u64)?;
+        r.expect_u64("HCMS width", w as u64)?;
+        r.expect_f64("HCMS keep probability", rr.keep_probability())?;
+        for hash in &self.config.hashes {
+            r.expect_u64_slice("HCMS hash coefficients", hash.coefficients())?;
+        }
         let sums = r.get_rows("HCMS row length", g, w, Reader::get_i64)?;
         let counts = r.get_rows("HCMS row length", g, w, Reader::get_u64)?;
         r.finish()?;

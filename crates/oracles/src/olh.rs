@@ -130,12 +130,6 @@ impl OlhAggregator {
         self.reports.push(report);
     }
 
-    /// The oracle configuration this aggregator decodes under.
-    #[must_use]
-    pub fn config(&self) -> &Olh {
-        &self.config
-    }
-
     /// Precompute per-user hash objects and expose oracle queries.
     #[must_use]
     pub fn finish(self) -> OlhOracle {
@@ -176,26 +170,13 @@ impl Accumulator for OlhAggregator {
     /// before encoding, so the bytes are identical for every ingest
     /// order and partition even though the in-memory `Vec` preserves
     /// arrival order. Decoding is insensitive to report order.
-    fn write_config(&self) -> Writer {
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut reports = self.reports.clone();
+        reports.sort_unstable_by_key(|r| (r.seed, r.bucket));
         let mut w = Writer::with_tag(tag::OLH);
         w.put_u32(self.config.d);
         w.put_u64(self.config.g);
         w.put_f64(self.config.grr.truth_probability());
-        w
-    }
-
-    fn read_config<'a>(&self, bytes: &'a [u8]) -> Result<Reader<'a>, WireError> {
-        let mut r = Reader::with_tag(bytes, tag::OLH)?;
-        r.expect_u32("OLH d", self.config.d)?;
-        r.expect_u64("OLH g", self.config.g)?;
-        r.expect_f64("OLH truth probability", self.config.grr.truth_probability())?;
-        Ok(r)
-    }
-
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut reports = self.reports.clone();
-        reports.sort_unstable_by_key(|r| (r.seed, r.bucket));
-        let mut w = self.write_config();
         w.put_u64(reports.len() as u64);
         for r in &reports {
             w.put_u64(r.seed);
@@ -205,7 +186,10 @@ impl Accumulator for OlhAggregator {
     }
 
     fn load(&mut self, bytes: &[u8]) -> Result<(), WireError> {
-        let mut r = self.read_config(bytes)?;
+        let mut r = Reader::with_tag(bytes, tag::OLH)?;
+        r.expect_u32("OLH d", self.config.d)?;
+        r.expect_u64("OLH g", self.config.g)?;
+        r.expect_f64("OLH truth probability", self.config.grr.truth_probability())?;
         let len = r.get_u64()?;
         let mut reports = Vec::new();
         for _ in 0..len {

@@ -7,21 +7,25 @@
 //!
 //! The ten protocols are named by one flat enum, [`Protocol`], which
 //! `ldp_core` defines beside the wire tags and which owns each
-//! protocol's display name and tag. Three flat enums here carry one
-//! variant per protocol: [`Client`] writes report batches,
-//! [`PipelineReport`] is what a batch decodes into, and
+//! protocol's display name and tag. [`Client`] writes report batches and
 //! [`PipelineAccumulator`] absorbs, merges, serializes and finalizes
-//! them. Every operation is a single `match` over the ten protocols.
+//! them; each keeps the validated header it was built from, which is its
+//! whole configuration and the only key a batch or another accumulator
+//! is compared by, beside a flat enum with one variant per protocol
+//! ([`Encoder`], [`Aggregator`]). [`PipelineReport`] is what a batch
+//! decodes into. Every operation is a single `match` over the ten
+//! protocols.
 //!
 //! Reports travel only in wire-v4 `REPORT_BATCH` frames
 //! (`docs/WIRE_FORMAT.md` §5): a 14-byte envelope naming the protocol,
-//! its shape and the report count, then every report as a fixed-width
-//! bit field whose widths come from one function, [`layout`] (beside
-//! [`Protocol`] in `ldp_core`) — the paper's Table 2 size or less. Each
-//! protocol has one encode kernel (its arm of [`Client::encode_batch`]),
-//! one range check (its aggregator's `check`) and one absorb kernel (its
-//! arm of [`PipelineAccumulator::absorb_frame`], which validates a whole
-//! batch and then absorbs straight from its bits). The five protocols
+//! the header fields it uses and the report count, then every report as
+//! a fixed-width bit field whose widths come from one function,
+//! [`layout`] (beside [`Protocol`] in `ldp_core`) — the paper's Table 2
+//! size or less. Each protocol has one encode kernel (its arm of
+//! [`Client::encode_batch`]), one range check (its aggregator's `check`)
+//! and one absorb kernel (its arm of
+//! [`PipelineAccumulator::absorb_frame`], which validates a whole batch
+//! and then absorbs straight from its bits). The five protocols
 //! whose report is one packed field — InpPS, InpHT, MargPS, MargHT and
 //! HCMS — share that kernel: their state is a [`Tally`], one `u64` per
 //! field value, and absorbing a report is `tally[field] += 1` at every
@@ -56,7 +60,6 @@ use ldp_core::{
 };
 use ldp_mechanisms::theory::coefficient_count;
 use rand::rngs::SmallRng;
-use std::fmt;
 
 /// The sketch shape flags (`--hashes`, `--width`, `--family-seed`) an
 /// oracle pipeline carries in its header; ignored by mechanisms.
@@ -156,21 +159,32 @@ fn check_shape(protocol: Protocol, d: u32, k: u32, hashes: u32, width: u32) -> R
 }
 
 /// Reject parameter combinations the protocol constructors would panic
-/// on ([`check_shape`], plus OLH's one-byte bucket), and return the
+/// on ([`check_shape`], the ranges every header shares
+/// ([`StreamHeader::check`]) and OLH's one-byte bucket), and return the
 /// protocol the header names. Applied to headers from the command line
 /// *and* from incoming streams.
 fn validate_header(header: &StreamHeader) -> Result<Protocol, String> {
     let protocol = Protocol::from_header(header)
         .ok_or_else(|| format!("header names unknown protocol tag {:#04x}", header.protocol))?;
-    check_shape(protocol, header.d, header.k, header.hashes, header.width)?;
+    let (d, k, eps) = (header.d, header.k, header.eps);
+    check_shape(protocol, d, k, header.hashes, header.width)?;
+    header
+        .check()
+        .map_err(|field| format!("{field} is out of range: d={d} k={k} ε={eps}"))?;
     // g = ⌈e^ε⌉ + 1 must fit the 8-bit bucket field.
-    if protocol == Protocol::Olh && header.eps > 255f64.ln() {
+    if protocol == Protocol::Olh && eps > 255f64.ln() {
         return Err(format!(
-            "OLH buckets are reported as one byte; need eps ≤ ln(255) ≈ 5.54, got {}",
-            header.eps
+            "OLH buckets are reported as one byte; need eps ≤ ln(255) ≈ 5.54, got {eps}"
         ));
     }
     Ok(protocol)
+}
+
+/// The protocol a validated header names. Only validated headers build
+/// a [`Client`] or a [`PipelineAccumulator`], so the fallback is never
+/// taken.
+fn named(header: &StreamHeader) -> Protocol {
+    Protocol::from_header(header).unwrap_or(Protocol::InpRr)
 }
 
 /// The low `bits` bits set (all 64 for `bits ≥ 64`).
@@ -183,10 +197,19 @@ fn low_mask(bits: u32) -> u64 {
     }
 }
 
-/// The client half of a pipeline: the built protocol a header
-/// describes, one variant per protocol.
+/// The client half of a pipeline: the validated header it was built
+/// from, which is its whole configuration, and the protocol that header
+/// describes.
 #[derive(Clone, Debug)]
-pub enum Client {
+pub struct Client {
+    header: StreamHeader,
+    encoder: Encoder,
+}
+
+/// The built protocol a [`Client`]'s header describes, one variant per
+/// protocol ([`Client::encoder`]).
+#[derive(Clone, Debug)]
+pub enum Encoder {
     /// See [`InpRr`].
     InpRr(InpRr),
     /// See [`InpPs`].
@@ -218,92 +241,88 @@ impl Client {
             header.width as usize,
             header.family_seed,
         );
-        Ok(match validate_header(header)? {
-            Protocol::InpRr => Self::InpRr(InpRr::new(d, eps)),
-            Protocol::InpPs => Self::InpPs(InpPs::new(d, eps)),
-            Protocol::InpHt => Self::InpHt(InpHt::new(d, k, eps)),
-            Protocol::MargRr => Self::MargRr(MargRr::new(d, k, eps)),
-            Protocol::MargPs => Self::MargPs(MargPs::new(d, k, eps)),
-            Protocol::MargHt => Self::MargHt(MargHt::new(d, k, eps)),
-            Protocol::InpEm => Self::InpEm(InpEm::new(d, eps)),
-            Protocol::Olh => Self::Olh(Olh::new(d, eps)),
-            Protocol::Cms => Self::Cms(Cms::new(d, eps, hashes, width, family)),
-            Protocol::Hcms => Self::Hcms(HadamardCms::new(d, eps, hashes, width, family)),
+        let encoder = match validate_header(header)? {
+            Protocol::InpRr => Encoder::InpRr(InpRr::new(d, eps)),
+            Protocol::InpPs => Encoder::InpPs(InpPs::new(d, eps)),
+            Protocol::InpHt => Encoder::InpHt(InpHt::new(d, k, eps)),
+            Protocol::MargRr => Encoder::MargRr(MargRr::new(d, k, eps)),
+            Protocol::MargPs => Encoder::MargPs(MargPs::new(d, k, eps)),
+            Protocol::MargHt => Encoder::MargHt(MargHt::new(d, k, eps)),
+            Protocol::InpEm => Encoder::InpEm(InpEm::new(d, eps)),
+            Protocol::Olh => Encoder::Olh(Olh::new(d, eps)),
+            Protocol::Cms => Encoder::Cms(Cms::new(d, eps, hashes, width, family)),
+            Protocol::Hcms => Encoder::Hcms(HadamardCms::new(d, eps, hashes, width, family)),
+        };
+        Ok(Client {
+            header: *header,
+            encoder,
         })
+    }
+
+    /// The header this client was built from.
+    #[must_use]
+    pub fn header(&self) -> &StreamHeader {
+        &self.header
     }
 
     /// Which protocol this client speaks.
     #[must_use]
     pub fn protocol(&self) -> Protocol {
-        match self {
-            Self::InpRr(_) => Protocol::InpRr,
-            Self::InpPs(_) => Protocol::InpPs,
-            Self::InpHt(_) => Protocol::InpHt,
-            Self::MargRr(_) => Protocol::MargRr,
-            Self::MargPs(_) => Protocol::MargPs,
-            Self::MargHt(_) => Protocol::MargHt,
-            Self::InpEm(_) => Protocol::InpEm,
-            Self::Olh(_) => Protocol::Olh,
-            Self::Cms(_) => Protocol::Cms,
-            Self::Hcms(_) => Protocol::Hcms,
-        }
+        named(&self.header)
     }
 
-    /// The shape this client's batches carry in their envelope.
-    fn shape(&self) -> Shape {
-        let (d, k, hashes, width) = match self {
-            Self::InpRr(m) => (m.d(), 0, 0, 0),
-            Self::InpPs(m) => (m.d(), 0, 0, 0),
-            Self::InpHt(m) => (m.d(), m.k(), 0, 0),
-            Self::MargRr(m) => (m.d(), m.k(), 0, 0),
-            Self::MargPs(m) => (m.d(), m.k(), 0, 0),
-            Self::MargHt(m) => (m.d(), m.k(), 0, 0),
-            Self::InpEm(m) => (m.d(), 0, 0, 0),
-            Self::Olh(o) => (o.d(), 0, 0, 0),
-            Self::Cms(o) => (o.d(), 0, o.rows(), o.width()),
-            Self::Hcms(o) => (o.d(), 0, o.rows(), o.width()),
-        };
-        Shape::new(self.protocol(), d, k, saturate(hashes), saturate(width))
+    /// The built protocol, for callers of its typed API.
+    #[must_use]
+    pub fn encoder(&self) -> &Encoder {
+        &self.encoder
     }
 
     /// The encode kernels: encode a batch of rows into `w` as one
     /// complete wire-v4 [`tag::REPORT_BATCH`] frame payload (the writer
-    /// is reset first, keeping its allocation) — the envelope, then each
-    /// report packed at its [`layout`] widths. Row `i` is encoded under
-    /// `user_rng(seed, first_user + i)`, so chunking a population into
-    /// batches of any size yields the same reports. The unary protocols
-    /// (InpRR, MargRR, CMS) write their perturbed vectors as the words
-    /// the lane sampler draws, with no per-bit work.
+    /// is reset first, keeping its allocation) — the header's
+    /// envelope, then each report packed at its [`layout`] widths.
+    /// Row `i` is encoded under `user_rng(seed, first_user + i)`, so
+    /// chunking a population into batches of any size yields the same
+    /// reports. The unary protocols (InpRR, MargRR, CMS) write their
+    /// perturbed vectors as the words the lane sampler draws, with no
+    /// per-bit work.
     pub fn encode_batch(&self, rows: &[u64], seed: u64, first_user: u64, w: &mut Writer) {
-        let shape = self.shape();
-        let l = shape.layout();
-        shape.write_envelope(u32::try_from(rows.len()).unwrap_or(u32::MAX), w);
+        let e = envelope(&self.header);
+        let l = layout(self.protocol(), e.d, e.k, e.hashes, e.width);
+        let byte = |v: u32| u8::try_from(v).unwrap_or(u8::MAX);
+        w.reset_with_tag(tag::REPORT_BATCH);
+        w.put_u8(e.protocol);
+        w.put_u8(byte(e.d));
+        w.put_u8(byte(e.k));
+        w.put_u8(byte(e.hashes));
+        w.put_u32(e.width);
+        w.put_u32(u32::try_from(rows.len()).unwrap_or(u32::MAX));
         let mut out = Bits::new(w);
-        match self {
-            Self::InpRr(m) => each_user(rows, seed, first_user, |row, rng| {
+        match &self.encoder {
+            Encoder::InpRr(m) => each_user(rows, seed, first_user, |row, rng| {
                 m.perturbed_words(row, rng, |word, lanes| out.put(word, lanes));
             }),
-            Self::InpPs(m) => each_user(rows, seed, first_user, |row, rng| {
+            Encoder::InpPs(m) => each_user(rows, seed, first_user, |row, rng| {
                 out.put(m.encode(row, rng), l.index);
             }),
-            Self::InpHt(m) => each_user(rows, seed, first_user, |row, rng| {
+            Encoder::InpHt(m) => each_user(rows, seed, first_user, |row, rng| {
                 let r = m.encode(row, rng);
                 out.put(
                     l.join(u64::from(r.coefficient), 0, r.sign_positive),
                     l.fixed(),
                 );
             }),
-            Self::MargRr(m) => each_user(rows, seed, first_user, |row, rng| {
+            Encoder::MargRr(m) => each_user(rows, seed, first_user, |row, rng| {
                 let (marginal, cell) = m.sample_marginal(row, rng);
                 out.put(u64::from(marginal), l.index);
                 m.perturbed_table(cell, rng, |word, lanes| out.put(word, lanes));
             }),
-            Self::MargPs(m) => each_user(rows, seed, first_user, |row, rng| {
+            Encoder::MargPs(m) => each_user(rows, seed, first_user, |row, rng| {
                 let r = m.encode(row, rng);
                 let fixed = l.join(u64::from(r.marginal), u64::from(r.cell), false);
                 out.put(fixed, l.fixed());
             }),
-            Self::MargHt(m) => each_user(rows, seed, first_user, |row, rng| {
+            Encoder::MargHt(m) => each_user(rows, seed, first_user, |row, rng| {
                 let r = m.encode(row, rng);
                 let fixed = l.join(
                     u64::from(r.marginal),
@@ -312,20 +331,20 @@ impl Client {
                 );
                 out.put(fixed, l.fixed());
             }),
-            Self::InpEm(m) => each_user(rows, seed, first_user, |row, rng| {
+            Encoder::InpEm(m) => each_user(rows, seed, first_user, |row, rng| {
                 out.put(m.encode(row, rng), l.index);
             }),
-            Self::Olh(o) => each_user(rows, seed, first_user, |row, rng| {
+            Encoder::Olh(o) => each_user(rows, seed, first_user, |row, rng| {
                 let r = o.encode(row, rng);
                 out.put(r.seed, 64);
                 out.put(u64::from(r.bucket), 8);
             }),
-            Self::Cms(o) => each_user(rows, seed, first_user, |row, rng| {
+            Encoder::Cms(o) => each_user(rows, seed, first_user, |row, rng| {
                 let (sketch_row, bucket) = o.sample_row(row, rng);
                 out.put(u64::from(sketch_row), l.index);
                 o.perturbed_row(bucket, rng, |word, lanes| out.put(word, lanes));
             }),
-            Self::Hcms(o) => each_user(rows, seed, first_user, |row, rng| {
+            Encoder::Hcms(o) => each_user(rows, seed, first_user, |row, rng| {
                 let r = o.encode(row, rng);
                 let fixed = l.join(u64::from(r.row), u64::from(r.coefficient), r.sign_positive);
                 out.put(fixed, l.fixed());
@@ -334,20 +353,24 @@ impl Client {
         out.finish();
     }
 
-    /// A fresh, empty accumulator matching this client's configuration.
+    /// A fresh, empty accumulator under this client's header.
     #[must_use]
     pub fn accumulator(&self) -> PipelineAccumulator {
-        match self {
-            Self::InpRr(m) => PipelineAccumulator::InpRr(m.aggregator()),
-            Self::InpPs(m) => PipelineAccumulator::InpPs(m.aggregator()),
-            Self::InpHt(m) => PipelineAccumulator::InpHt(m.aggregator()),
-            Self::MargRr(m) => PipelineAccumulator::MargRr(m.aggregator()),
-            Self::MargPs(m) => PipelineAccumulator::MargPs(m.aggregator()),
-            Self::MargHt(m) => PipelineAccumulator::MargHt(m.aggregator()),
-            Self::InpEm(m) => PipelineAccumulator::InpEm(m.aggregator()),
-            Self::Olh(o) => PipelineAccumulator::Olh(o.aggregator()),
-            Self::Cms(o) => PipelineAccumulator::Cms(o.aggregator()),
-            Self::Hcms(o) => PipelineAccumulator::Hcms(o.aggregator()),
+        let aggregator = match &self.encoder {
+            Encoder::InpRr(m) => Aggregator::InpRr(m.aggregator()),
+            Encoder::InpPs(m) => Aggregator::InpPs(m.aggregator()),
+            Encoder::InpHt(m) => Aggregator::InpHt(m.aggregator()),
+            Encoder::MargRr(m) => Aggregator::MargRr(m.aggregator()),
+            Encoder::MargPs(m) => Aggregator::MargPs(m.aggregator()),
+            Encoder::MargHt(m) => Aggregator::MargHt(m.aggregator()),
+            Encoder::InpEm(m) => Aggregator::InpEm(m.aggregator()),
+            Encoder::Olh(o) => Aggregator::Olh(o.aggregator()),
+            Encoder::Cms(o) => Aggregator::Cms(o.aggregator()),
+            Encoder::Hcms(o) => Aggregator::Hcms(o.aggregator()),
+        };
+        PipelineAccumulator {
+            header: self.header,
+            aggregator,
         }
     }
 }
@@ -359,12 +382,6 @@ fn each_user(rows: &[u64], seed: u64, first_user: u64, mut encode: impl FnMut(u6
     for (i, &row) in rows.iter().enumerate() {
         encode(row, &mut user_rng(seed, first_user.wrapping_add(i as u64)));
     }
-}
-
-/// A `usize` shape field as the `u32` the header carries (saturating;
-/// validated shapes fit).
-fn saturate(n: usize) -> u32 {
-    u32::try_from(n).unwrap_or(u32::MAX)
 }
 
 /// The LSB-first bit packer behind [`Client::encode_batch`]: fields go
@@ -520,84 +537,62 @@ fn olh_report(b: &[u8; 9]) -> OlhReport {
     }
 }
 
-/// The header fields a serialized state and a batch envelope fix: the
-/// protocol and `d` always, `k` for the protocols whose tables depend on
-/// it, and `hashes × width` for the two sketches. Two states merge, and
-/// an accumulator absorbs a batch, only when their shapes are equal.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Shape {
-    protocol: Protocol,
-    d: u32,
-    k: Option<u32>,
-    sketch: Option<(u32, u32)>,
-}
-
-impl fmt::Display for Shape {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} d={}", self.protocol.name(), self.d)?;
-        if let Some(k) = self.k {
-            write!(f, " k={k}")?;
-        }
-        if let Some((hashes, width)) = self.sketch {
-            write!(f, " hashes×width={hashes}×{width}")?;
-        }
-        Ok(())
+/// The batch envelope of a header's pipeline: the header with ε, the
+/// family seed and every field its protocol does not use set to zero —
+/// `k` but for InpHT and the three marginal mechanisms, `hashes` and
+/// `width` but for the two sketches. [`Client::encode_batch`] writes
+/// it, [`open_batch`] refuses an envelope that is not its own, and an
+/// accumulator absorbs only batches whose envelope is its header's.
+fn envelope(header: &StreamHeader) -> StreamHeader {
+    let (uses_k, sketch) = fields_used(header);
+    StreamHeader {
+        k: if uses_k { header.k } else { 0 },
+        eps: 0.0,
+        hashes: if sketch { header.hashes } else { 0 },
+        width: if sketch { header.width } else { 0 },
+        family_seed: 0,
+        ..*header
     }
 }
 
-impl Shape {
-    /// The shape of `protocol` at these header fields, keeping only the
-    /// ones the protocol depends on.
-    fn new(protocol: Protocol, d: u32, k: u32, hashes: u32, width: u32) -> Shape {
-        let uses_k = matches!(
+/// Whether a header's protocol uses its `k`, and whether it is a sketch
+/// (using `hashes` and `width`).
+fn fields_used(header: &StreamHeader) -> (bool, bool) {
+    let protocol = Protocol::from_header(header);
+    (
+        matches!(
             protocol,
-            Protocol::InpHt | Protocol::MargRr | Protocol::MargPs | Protocol::MargHt
-        );
-        let sketch = matches!(protocol, Protocol::Cms | Protocol::Hcms);
-        Shape {
-            protocol,
-            d,
-            k: uses_k.then_some(k),
-            sketch: sketch.then_some((hashes, width)),
-        }
-    }
+            Some(Protocol::InpHt | Protocol::MargRr | Protocol::MargPs | Protocol::MargHt)
+        ),
+        matches!(protocol, Some(Protocol::Cms | Protocol::Hcms)),
+    )
+}
 
-    /// `(d, k, hashes, width)`, zero where the protocol does not use a
-    /// field.
-    fn fields(self) -> (u32, u32, u32, u32) {
-        let (hashes, width) = self.sketch.unwrap_or_default();
-        (self.d, self.k.unwrap_or_default(), hashes, width)
+/// An envelope as refusals name it, with only the fields its protocol
+/// uses: `MargPS d=8 k=2`, `CMS d=6 hashes×width=3×16`.
+#[cold]
+fn describe(envelope: &StreamHeader) -> String {
+    let mut text = format!("{} d={}", named(envelope).name(), envelope.d);
+    let (uses_k, sketch) = fields_used(envelope);
+    if uses_k {
+        text += &format!(" k={}", envelope.k);
     }
-
-    /// The report layout of batches of this shape.
-    fn layout(self) -> Layout {
-        let (d, k, hashes, width) = self.fields();
-        layout(self.protocol, d, k, hashes, width)
+    if sketch {
+        text += &format!(" hashes×width={}×{}", envelope.hashes, envelope.width);
     }
-
-    /// Reset `w` to a batch envelope of this shape holding `count`
-    /// reports.
-    fn write_envelope(self, count: u32, w: &mut Writer) {
-        let (d, k, hashes, width) = self.fields();
-        let byte = |v: u32| u8::try_from(v).unwrap_or(u8::MAX);
-        w.reset_with_tag(tag::REPORT_BATCH);
-        w.put_u8(self.protocol.wire_tag());
-        w.put_u8(byte(d));
-        w.put_u8(byte(k));
-        w.put_u8(byte(hashes));
-        w.put_u32(width);
-        w.put_u32(count);
-    }
+    text
 }
 
 /// Bytes in a wire-v4 batch envelope: tag, version, protocol, `d`, `k`,
 /// `hashes` (one byte each), `width` and the report count (`u32` each).
 pub const ENVELOPE_BYTES: usize = 14;
 
-/// An opened batch frame: the envelope's shape and count, the layout
-/// they imply, and the body holding exactly `count` reports.
+/// An opened batch frame: the envelope's protocol, [`envelope`] and
+/// count, the layout they imply, and the body holding exactly `count`
+/// reports.
 struct Batch<'a> {
-    shape: Shape,
+    protocol: Protocol,
+    envelope: StreamHeader,
     layout: Layout,
     count: usize,
     body: &'a [u8],
@@ -648,32 +643,42 @@ fn open_batch(payload: &[u8]) -> Result<Batch<'_>, String> {
         return Err(wrong_prelude(payload));
     }
     let refuse = |why: String| format!("bad report batch frame: {why}");
-    let Some((envelope, body)) = payload.split_first_chunk::<ENVELOPE_BYTES>() else {
+    let Some((head, body)) = payload.split_first_chunk::<ENVELOPE_BYTES>() else {
         return Err(refuse(format!(
             "the envelope is truncated ({} of {ENVELOPE_BYTES} bytes)",
             payload.len()
         )));
     };
-    let [_, _, t, d, k, hashes, w0, w1, w2, w3, c0, c1, c2, c3] = *envelope;
+    let [_, _, t, d, k, hashes, w0, w1, w2, w3, c0, c1, c2, c3] = *head;
     let protocol = Protocol::from_wire_tag(t)
         .ok_or_else(|| refuse(format!("unknown protocol tag {t:#04x}")))?;
     let width = u32::from_le_bytes([w0, w1, w2, w3]);
     let count = u32::from_le_bytes([c0, c1, c2, c3]);
-    let fields = (u32::from(d), u32::from(k), u32::from(hashes), width);
-    let shape = Shape::new(protocol, fields.0, fields.1, fields.2, fields.3);
-    if shape.fields() != fields {
+    let got = StreamHeader {
+        protocol: t,
+        d: u32::from(d),
+        k: u32::from(k),
+        eps: 0.0,
+        hashes: u32::from(hashes),
+        width,
+        family_seed: 0,
+    };
+    let own = envelope(&got);
+    if own != got {
         return Err(refuse(format!(
-            "a {shape} envelope must zero the fields it does not use, got \
-             k={k} hashes={hashes} width={width}"
+            "a {} envelope must zero the fields it does not use, got \
+             k={k} hashes={hashes} width={width}",
+            describe(&own)
         )));
     }
-    check_shape(protocol, fields.0, fields.1, fields.2, fields.3)
+    check_shape(protocol, own.d, own.k, own.hashes, own.width)
         .map_err(|e| refuse(format!("envelope shape: {e}")))?;
-    let layout = shape.layout();
+    let layout = layout(protocol, own.d, own.k, own.hashes, own.width);
     let want = layout.body_bytes(count);
     if body.len() as u64 != want {
         return Err(refuse(format!(
-            "{count} {shape} reports of {} bits take {want} bytes, the body has {}",
+            "{count} {} reports of {} bits take {want} bytes, the body has {}",
+            describe(&own),
             layout.bits(),
             body.len()
         )));
@@ -683,7 +688,8 @@ fn open_batch(payload: &[u8]) -> Result<Batch<'_>, String> {
         return Err(refuse("nonzero pad bits after the last report".to_string()));
     }
     Ok(Batch {
-        shape,
+        protocol,
+        envelope: own,
         layout,
         count: usize::try_from(count).unwrap_or(usize::MAX),
         body,
@@ -814,7 +820,7 @@ pub fn decode_report_batch_into(
 ) -> Result<usize, String> {
     let b = open_batch(payload)?;
     let (l, body) = (b.layout, b.body);
-    match b.shape.protocol {
+    match b.protocol {
         Protocol::InpPs => fill(scratch, &b, PipelineReport::InpPs),
         Protocol::InpEm => fill(scratch, &b, PipelineReport::InpEm),
         Protocol::InpHt => {
@@ -1017,10 +1023,20 @@ fn first_refusal(
         .unwrap_or((0, WireError::Invalid("refused report not found")))
 }
 
-/// The server half: the aggregator for one protocol, one variant per
-/// protocol.
+/// The server half of a pipeline: the validated header it was built
+/// from, which is its whole configuration and the only key two partial
+/// aggregates or a batch are compared by, and the aggregator that header
+/// describes.
 #[derive(Clone, Debug)]
-pub enum PipelineAccumulator {
+pub struct PipelineAccumulator {
+    header: StreamHeader,
+    aggregator: Aggregator,
+}
+
+/// The aggregator a [`PipelineAccumulator`]'s header describes, one
+/// variant per protocol ([`PipelineAccumulator::aggregator`]).
+#[derive(Clone, Debug)]
+pub enum Aggregator {
     /// See [`InpRrAggregator`].
     InpRr(InpRrAggregator),
     /// See [`InpPsAggregator`].
@@ -1058,17 +1074,17 @@ impl PipelineAccumulator {
     /// validated header is the only source of the state's configuration.
     pub fn from_state(header: &StreamHeader, state: &[u8]) -> Result<Self, String> {
         let mut acc = Self::empty(header)?;
-        match &mut acc {
-            Self::InpRr(a) => a.load(state),
-            Self::InpPs(a) => a.load(state),
-            Self::InpHt(a) => a.load(state),
-            Self::MargRr(a) => a.load(state),
-            Self::MargPs(a) => a.load(state),
-            Self::MargHt(a) => a.load(state),
-            Self::InpEm(a) => a.load(state),
-            Self::Olh(a) => a.load(state),
-            Self::Cms(a) => a.load(state),
-            Self::Hcms(a) => a.load(state),
+        match &mut acc.aggregator {
+            Aggregator::InpRr(a) => a.load(state),
+            Aggregator::InpPs(a) => a.load(state),
+            Aggregator::InpHt(a) => a.load(state),
+            Aggregator::MargRr(a) => a.load(state),
+            Aggregator::MargPs(a) => a.load(state),
+            Aggregator::MargHt(a) => a.load(state),
+            Aggregator::InpEm(a) => a.load(state),
+            Aggregator::Olh(a) => a.load(state),
+            Aggregator::Cms(a) => a.load(state),
+            Aggregator::Hcms(a) => a.load(state),
         }
         .map_err(|e| match e {
             WireError::Mismatch(field) => {
@@ -1086,38 +1102,22 @@ impl PipelineAccumulator {
         Ok(acc)
     }
 
+    /// The header this accumulator was built from.
+    #[must_use]
+    pub fn header(&self) -> &StreamHeader {
+        &self.header
+    }
+
     /// Which protocol this accumulator serves.
     #[must_use]
     pub fn protocol(&self) -> Protocol {
-        match self {
-            Self::InpRr(_) => Protocol::InpRr,
-            Self::InpPs(_) => Protocol::InpPs,
-            Self::InpHt(_) => Protocol::InpHt,
-            Self::MargRr(_) => Protocol::MargRr,
-            Self::MargPs(_) => Protocol::MargPs,
-            Self::MargHt(_) => Protocol::MargHt,
-            Self::InpEm(_) => Protocol::InpEm,
-            Self::Olh(_) => Protocol::Olh,
-            Self::Cms(_) => Protocol::Cms,
-            Self::Hcms(_) => Protocol::Hcms,
-        }
+        named(&self.header)
     }
 
-    /// The header fields this state fixes (see [`Shape`]).
-    fn shape(&self) -> Shape {
-        let (d, k, hashes, width) = match self {
-            Self::InpRr(a) => (a.d(), 0, 0, 0),
-            Self::InpPs(a) => (a.d(), 0, 0, 0),
-            Self::InpHt(a) => (a.d(), a.k(), 0, 0),
-            Self::MargRr(a) => (a.d(), a.k(), 0, 0),
-            Self::MargPs(a) => (a.d(), a.k(), 0, 0),
-            Self::MargHt(a) => (a.d(), a.k(), 0, 0),
-            Self::InpEm(a) => (a.config().d(), 0, 0, 0),
-            Self::Olh(a) => (a.config().d(), 0, 0, 0),
-            Self::Cms(a) => (a.config().d(), 0, a.config().rows(), a.config().width()),
-            Self::Hcms(a) => (a.config().d(), 0, a.config().rows(), a.config().width()),
-        };
-        Shape::new(self.protocol(), d, k, saturate(hashes), saturate(width))
+    /// The aggregator, for callers of its typed API.
+    #[must_use]
+    pub fn aggregator(&self) -> &Aggregator {
+        &self.aggregator
     }
 
     /// Absorb one decoded report: a batch of one.
@@ -1153,46 +1153,46 @@ impl PipelineAccumulator {
                 }
             };
         }
-        match self {
+        match &mut self.aggregator {
             // InpRR has one row: no range to check. A set bit past
             // InpRR's 2^d cells, or past MargRR's 2^k, counts nothing.
-            Self::InpRr(a) => absorb_each!(a, InpRr),
-            Self::InpPs(a) => {
+            Aggregator::InpRr(a) => absorb_each!(a, InpRr),
+            Aggregator::InpPs(a) => {
                 check_each!(InpPs, |row| a.check(*row));
                 absorb_each!(a, InpPs);
             }
-            Self::InpHt(a) => {
+            Aggregator::InpHt(a) => {
                 check_each!(InpHt, |r| a.check(*r));
                 absorb_each!(a, InpHt);
             }
-            Self::MargRr(a) => {
+            Aggregator::MargRr(a) => {
                 check_each!(MargRr, |r| a.check(r.marginal));
                 absorb_each!(a, MargRr);
             }
-            Self::MargPs(a) => {
+            Aggregator::MargPs(a) => {
                 check_each!(MargPs, |r| a.check(*r));
                 absorb_each!(a, MargPs);
             }
-            Self::MargHt(a) => {
+            Aggregator::MargHt(a) => {
                 check_each!(MargHt, |r| a.check(*r));
                 absorb_each!(a, MargHt);
             }
-            Self::InpEm(a) => {
+            Aggregator::InpEm(a) => {
                 check_each!(InpEm, |row| a.check(*row));
                 a.absorb_batch_iter(reports.iter().filter_map(|r| match r {
                     PipelineReport::InpEm(row) => Some(*row),
                     _ => None,
                 }));
             }
-            Self::Olh(a) => {
+            Aggregator::Olh(a) => {
                 check_each!(Olh, |r| a.check(*r));
                 absorb_each!(a, Olh);
             }
-            Self::Cms(a) => {
+            Aggregator::Cms(a) => {
                 check_each!(Cms, |r| a.check(r.row, &r.words));
                 absorb_each!(a, Cms);
             }
-            Self::Hcms(a) => {
+            Aggregator::Hcms(a) => {
                 check_each!(Hcms, |r| a.check(*r));
                 absorb_each!(a, Hcms);
             }
@@ -1206,8 +1206,8 @@ impl PipelineAccumulator {
     ///
     /// Two passes, so a batch settles or fails as a unit. Opening the
     /// batch checks its envelope (a payload that is not a wire-v4 batch
-    /// names its wire version), that its shape is this accumulator's
-    /// (naming both shapes if not), that the body is exactly the bits of
+    /// names its wire version), that it is this accumulator's header's
+    /// (naming both envelopes if not), that the body is exactly the bits of
     /// `count` reports, and that its pad bits are zero. Pass 1 then reads
     /// every report and applies its protocol's range check (the same
     /// aggregator `check` [`Self::absorb_batch`] applies); pass 2 absorbs
@@ -1220,17 +1220,18 @@ impl PipelineAccumulator {
     /// counts each report into its row of the aggregator's
     /// [`UnaryTally`], its set one 64-bit word at a time.
     ///
-    /// Accepts exactly the payloads of this accumulator's shape that
+    /// Accepts exactly the payloads of this accumulator's envelope that
     /// [`decode_report_batch_into`] followed by [`Self::absorb_batch`]
     /// accepts, leaving byte-identical state; on `Err` the state is
     /// untouched.
     pub fn absorb_frame(&mut self, payload: &[u8]) -> Result<usize, String> {
         let batch = open_batch(payload)?;
-        let own = self.shape();
-        if batch.shape != own {
+        let own = envelope(&self.header);
+        if batch.envelope != own {
             return Err(format!(
-                "bad report batch frame: a {} batch cannot be absorbed by a {own} accumulator",
-                batch.shape
+                "bad report batch frame: a {} batch cannot be absorbed by a {} accumulator",
+                describe(&batch.envelope),
+                describe(&own)
             ));
         }
         self.absorb_body(&batch)
@@ -1243,18 +1244,18 @@ impl PipelineAccumulator {
     /// and cannot leave its table, so InpEM has no pass 1.
     fn absorb_body(&mut self, b: &Batch<'_>) -> Result<(), (usize, WireError)> {
         let (l, body) = (b.layout, b.body);
-        match self {
-            Self::InpRr(a) => absorb_sets(a.tally_mut(), b),
-            Self::InpPs(a) => absorb_fields(a.tally_mut(), b),
-            Self::InpHt(a) => absorb_fields(a.tally_mut(), b),
-            Self::MargRr(a) => absorb_sets(a.tally_mut(), b),
-            Self::MargPs(a) => absorb_fields(a.tally_mut(), b),
-            Self::MargHt(a) => absorb_fields(a.tally_mut(), b),
-            Self::InpEm(a) => {
+        match &mut self.aggregator {
+            Aggregator::InpRr(a) => absorb_sets(a.tally_mut(), b),
+            Aggregator::InpPs(a) => absorb_fields(a.tally_mut(), b),
+            Aggregator::InpHt(a) => absorb_fields(a.tally_mut(), b),
+            Aggregator::MargRr(a) => absorb_sets(a.tally_mut(), b),
+            Aggregator::MargPs(a) => absorb_fields(a.tally_mut(), b),
+            Aggregator::MargHt(a) => absorb_fields(a.tally_mut(), b),
+            Aggregator::InpEm(a) => {
                 a.absorb_batch_iter((0..b.count).map(|i| field(body, i, l.fixed())));
                 Ok(())
             }
-            Self::Olh(a) => {
+            Aggregator::Olh(a) => {
                 let reports = body.as_chunks::<9>().0;
                 for (i, r) in reports.iter().enumerate() {
                     a.check(olh_report(r)).map_err(|e| (i, e))?;
@@ -1264,93 +1265,115 @@ impl PipelineAccumulator {
                 }
                 Ok(())
             }
-            Self::Cms(a) => absorb_sets(a.tally_mut(), b),
-            Self::Hcms(a) => absorb_fields(a.tally_mut(), b),
+            Aggregator::Cms(a) => absorb_sets(a.tally_mut(), b),
+            Aggregator::Hcms(a) => absorb_fields(a.tally_mut(), b),
         }
     }
 
     /// Fold another partial aggregate of the same pipeline into this
-    /// one. Refuses, leaving `self` untouched, when the two states'
-    /// protocols or shapes differ, or when any configuration field that
-    /// [`Self::from_state`] compares (the ε-derived probabilities,
-    /// InpEM's EM threshold and iteration cap, OLH's `g`, the sketch
-    /// hash family) differs; the message names the field.
+    /// one. Refuses, leaving `self` untouched, unless both were built
+    /// from equal headers — the protocol, `d`, `k`, ε, the sketch shape
+    /// and the hash family seed, compared exactly, as the server and
+    /// `ldp-cli merge` compare stream headers; the message names the
+    /// first field that differs.
     pub fn merge(&mut self, other: PipelineAccumulator) -> Result<(), String> {
-        let (own, theirs) = (self.shape(), other.shape());
-        let refuse = || format!("cannot merge a {theirs} snapshot into a {own} snapshot");
-        // `other`'s configuration head, read through `self`'s `load`
-        // checks: d, k, the sketch shape and every parameter, by name.
-        macro_rules! merge {
-            ($a:ident, $b:ident) => {{
-                $a.read_config($b.write_config().as_bytes())
-                    .and_then(|r| r.finish())
-                    .map_err(|e| format!("{}: {e}", refuse()))?;
-                $a.merge($b);
-            }};
+        if self.header != other.header {
+            return Err(refuse_merge(&self.header, &other.header));
         }
-        match (self, other) {
-            (Self::InpRr(a), Self::InpRr(b)) => merge!(a, b),
-            (Self::InpPs(a), Self::InpPs(b)) => merge!(a, b),
-            (Self::InpHt(a), Self::InpHt(b)) => merge!(a, b),
-            (Self::MargRr(a), Self::MargRr(b)) => merge!(a, b),
-            (Self::MargPs(a), Self::MargPs(b)) => merge!(a, b),
-            (Self::MargHt(a), Self::MargHt(b)) => merge!(a, b),
-            (Self::InpEm(a), Self::InpEm(b)) => merge!(a, b),
-            (Self::Olh(a), Self::Olh(b)) => merge!(a, b),
-            (Self::Cms(a), Self::Cms(b)) => merge!(a, b),
-            (Self::Hcms(a), Self::Hcms(b)) => merge!(a, b),
-            _ => return Err(refuse()),
+        match (&mut self.aggregator, other.aggregator) {
+            (Aggregator::InpRr(a), Aggregator::InpRr(b)) => a.merge(b),
+            (Aggregator::InpPs(a), Aggregator::InpPs(b)) => a.merge(b),
+            (Aggregator::InpHt(a), Aggregator::InpHt(b)) => a.merge(b),
+            (Aggregator::MargRr(a), Aggregator::MargRr(b)) => a.merge(b),
+            (Aggregator::MargPs(a), Aggregator::MargPs(b)) => a.merge(b),
+            (Aggregator::MargHt(a), Aggregator::MargHt(b)) => a.merge(b),
+            (Aggregator::InpEm(a), Aggregator::InpEm(b)) => a.merge(b),
+            (Aggregator::Olh(a), Aggregator::Olh(b)) => a.merge(b),
+            (Aggregator::Cms(a), Aggregator::Cms(b)) => a.merge(b),
+            (Aggregator::Hcms(a), Aggregator::Hcms(b)) => a.merge(b),
+            // Equal headers build the same variant.
+            _ => return Err(refuse_merge(&self.header, &other.header)),
         }
         Ok(())
     }
 
     /// Reports absorbed so far (summed across merges).
     pub fn report_count(&self) -> u64 {
-        match self {
-            Self::InpRr(a) => a.report_count(),
-            Self::InpPs(a) => a.report_count(),
-            Self::InpHt(a) => a.report_count(),
-            Self::MargRr(a) => a.report_count(),
-            Self::MargPs(a) => a.report_count(),
-            Self::MargHt(a) => a.report_count(),
-            Self::InpEm(a) => a.report_count(),
-            Self::Olh(a) => a.report_count(),
-            Self::Cms(a) => a.report_count(),
-            Self::Hcms(a) => a.report_count(),
+        match &self.aggregator {
+            Aggregator::InpRr(a) => a.report_count(),
+            Aggregator::InpPs(a) => a.report_count(),
+            Aggregator::InpHt(a) => a.report_count(),
+            Aggregator::MargRr(a) => a.report_count(),
+            Aggregator::MargPs(a) => a.report_count(),
+            Aggregator::MargHt(a) => a.report_count(),
+            Aggregator::InpEm(a) => a.report_count(),
+            Aggregator::Olh(a) => a.report_count(),
+            Aggregator::Cms(a) => a.report_count(),
+            Aggregator::Hcms(a) => a.report_count(),
         }
     }
 
     /// Serialized state for the snapshot's state frame.
     pub fn to_bytes(&self) -> Vec<u8> {
-        match self {
-            Self::InpRr(a) => a.to_bytes(),
-            Self::InpPs(a) => a.to_bytes(),
-            Self::InpHt(a) => a.to_bytes(),
-            Self::MargRr(a) => a.to_bytes(),
-            Self::MargPs(a) => a.to_bytes(),
-            Self::MargHt(a) => a.to_bytes(),
-            Self::InpEm(a) => a.to_bytes(),
-            Self::Olh(a) => a.to_bytes(),
-            Self::Cms(a) => a.to_bytes(),
-            Self::Hcms(a) => a.to_bytes(),
+        match &self.aggregator {
+            Aggregator::InpRr(a) => a.to_bytes(),
+            Aggregator::InpPs(a) => a.to_bytes(),
+            Aggregator::InpHt(a) => a.to_bytes(),
+            Aggregator::MargRr(a) => a.to_bytes(),
+            Aggregator::MargPs(a) => a.to_bytes(),
+            Aggregator::MargHt(a) => a.to_bytes(),
+            Aggregator::InpEm(a) => a.to_bytes(),
+            Aggregator::Olh(a) => a.to_bytes(),
+            Aggregator::Cms(a) => a.to_bytes(),
+            Aggregator::Hcms(a) => a.to_bytes(),
         }
     }
 
     /// Finalize into the queryable estimate.
     pub fn finalize(self) -> PipelineEstimate {
-        match self {
-            Self::InpRr(a) => PipelineEstimate::Mechanism(Estimate::Full(a.finalize())),
-            Self::InpPs(a) => PipelineEstimate::Mechanism(Estimate::Full(a.finalize())),
-            Self::InpHt(a) => PipelineEstimate::Mechanism(Estimate::Hadamard(a.finalize())),
-            Self::MargRr(a) => PipelineEstimate::Mechanism(Estimate::MarginalSet(a.finalize())),
-            Self::MargPs(a) => PipelineEstimate::Mechanism(Estimate::MarginalSet(a.finalize())),
-            Self::MargHt(a) => PipelineEstimate::Mechanism(Estimate::MarginalSet(a.finalize())),
-            Self::InpEm(a) => PipelineEstimate::Mechanism(Estimate::Em(a.finalize())),
-            Self::Olh(a) => PipelineEstimate::Oracle(Box::new(a.finalize())),
-            Self::Cms(a) => PipelineEstimate::Oracle(Box::new(a.finalize())),
-            Self::Hcms(a) => PipelineEstimate::Oracle(Box::new(a.finalize())),
+        use PipelineEstimate::{Mechanism, Oracle};
+        match self.aggregator {
+            Aggregator::InpRr(a) => Mechanism(Estimate::Full(a.finalize())),
+            Aggregator::InpPs(a) => Mechanism(Estimate::Full(a.finalize())),
+            Aggregator::InpHt(a) => Mechanism(Estimate::Hadamard(a.finalize())),
+            Aggregator::MargRr(a) => Mechanism(Estimate::MarginalSet(a.finalize())),
+            Aggregator::MargPs(a) => Mechanism(Estimate::MarginalSet(a.finalize())),
+            Aggregator::MargHt(a) => Mechanism(Estimate::MarginalSet(a.finalize())),
+            Aggregator::InpEm(a) => Mechanism(Estimate::Em(a.finalize())),
+            Aggregator::Olh(a) => Oracle(Box::new(a.finalize())),
+            Aggregator::Cms(a) => Oracle(Box::new(a.finalize())),
+            Aggregator::Hcms(a) => Oracle(Box::new(a.finalize())),
         }
     }
+}
+
+/// Why `theirs` does not merge into `own`: the first header field in
+/// which they differ, with both values.
+#[cold]
+fn refuse_merge(own: &StreamHeader, theirs: &StreamHeader) -> String {
+    let name = |h: &StreamHeader| named(h).name().to_string();
+    macro_rules! field {
+        ($f:ident) => {
+            (stringify!($f), theirs.$f.to_string(), own.$f.to_string())
+        };
+    }
+    let fields = [
+        ("protocol", name(theirs), name(own)),
+        field!(d),
+        field!(k),
+        field!(eps),
+        field!(hashes),
+        field!(width),
+        field!(family_seed),
+    ];
+    let (field, theirs, own) = fields
+        .into_iter()
+        .find(|(_, a, b)| a != b)
+        .unwrap_or_default();
+    format!(
+        "refusing to merge partial aggregates of different pipelines: \
+         {field} {theirs} differs from the accumulator's {own}"
+    )
 }
 
 /// What a finalized snapshot answers queries through.
@@ -1394,13 +1417,21 @@ mod tests {
         acc.to_bytes()
     }
 
-    /// A hand-packed batch for `header`'s shape: each report's
-    /// `(index, value, sign)` fields, then an all-zero set.
+    /// The report layout of `header`'s batches.
+    fn layout_of(header: &StreamHeader) -> Layout {
+        let e = envelope(header);
+        layout(named(header), e.d, e.k, e.hashes, e.width)
+    }
+
+    /// A hand-packed batch for `header`'s pipeline: the envelope
+    /// `encode_batch` writes, then each report's `(index, value, sign)`
+    /// fields and an all-zero set.
     fn packed(header: &StreamHeader, reports: &[(u64, u64, bool)]) -> Vec<u8> {
-        let shape = Client::from_header(header).unwrap().shape();
-        let l = shape.layout();
+        let l = layout_of(header);
         let mut w = Writer::default();
-        shape.write_envelope(reports.len() as u32, &mut w);
+        Client::from_header(header)
+            .unwrap()
+            .encode_batch(&[], 0, 0, &mut w);
         let mut out = Bits::new(&mut w);
         for &(index, value, sign) in reports {
             if l.index == 64 {
@@ -1414,7 +1445,9 @@ mod tests {
             }
         }
         out.finish();
-        w.into_bytes()
+        let mut bytes = w.into_bytes();
+        bytes[10..14].copy_from_slice(&(reports.len() as u32).to_le_bytes());
+        bytes
     }
 
     #[test]
@@ -1453,18 +1486,18 @@ mod tests {
                 .enumerate()
                 .map(|(u, &row)| {
                     let rng = &mut user_rng(29, u as u64);
-                    match &client {
-                        Client::InpRr(m) => PipelineReport::InpRr(m.encode(row, rng)),
-                        Client::MargRr(m) => PipelineReport::MargRr(m.encode(row, rng)),
-                        Client::MargHt(m) => PipelineReport::MargHt(m.encode(row, rng)),
-                        Client::Cms(o) => PipelineReport::Cms(Box::new(o.encode(row, rng))),
-                        Client::Olh(o) => PipelineReport::Olh(o.encode(row, rng)),
+                    match client.encoder() {
+                        Encoder::InpRr(m) => PipelineReport::InpRr(m.encode(row, rng)),
+                        Encoder::MargRr(m) => PipelineReport::MargRr(m.encode(row, rng)),
+                        Encoder::MargHt(m) => PipelineReport::MargHt(m.encode(row, rng)),
+                        Encoder::Cms(o) => PipelineReport::Cms(Box::new(o.encode(row, rng))),
+                        Encoder::Olh(o) => PipelineReport::Olh(o.encode(row, rng)),
                         _ => unreachable!(),
                     }
                 })
                 .collect();
             let payload = batch(&client, &rows, 29);
-            let l = client.shape().layout();
+            let l = layout_of(&header);
             assert_eq!(
                 payload.len() as u64,
                 ENVELOPE_BYTES as u64 + l.body_bytes(17)
@@ -1896,8 +1929,8 @@ mod tests {
         let err = acc.merge(other).unwrap_err();
         assert_eq!(
             err,
-            "cannot merge a MargPS d=8 k=2 snapshot into a MargPS d=8 k=2 snapshot: \
-             MargPS truth probability differs from the accumulator's"
+            "refusing to merge partial aggregates of different pipelines: \
+             eps 3 differs from the accumulator's 1.1"
         );
         assert_eq!(acc.to_bytes(), before, "a refused merge changes nothing");
 
@@ -1918,10 +1951,157 @@ mod tests {
             header_for(Protocol::Cms, 6, 1, 1.1, sketch)
         };
         let (mut acc, other) = built(&family(1), &family(2));
+        let before = acc.to_bytes();
         let err = acc.merge(other).unwrap_err();
-        assert!(
-            err.ends_with(": CMS hash coefficients differs from the accumulator's"),
-            "{err}"
+        assert_eq!(
+            err,
+            "refusing to merge partial aggregates of different pipelines: \
+             family_seed 2 differs from the accumulator's 1"
         );
+        assert_eq!(acc.to_bytes(), before, "a refused merge changes nothing");
+    }
+
+    /// A valid header of every protocol: d=6, k=2 (1 for the oracles),
+    /// ε=1.1, and a 3×16 sketch of family 9 for the oracles.
+    fn every_protocol() -> impl Iterator<Item = StreamHeader> {
+        let sketch = SketchShape {
+            hashes: 3,
+            width: 16,
+            family_seed: 9,
+        };
+        Protocol::ALL
+            .into_iter()
+            .map(move |protocol| header_for(protocol, 6, 2, 1.1, sketch))
+    }
+
+    #[test]
+    fn merge_refuses_a_header_that_differs_in_any_one_field() {
+        for base in every_protocol() {
+            let name = named(&base).name();
+            let other_protocol = Protocol::ALL
+                .into_iter()
+                .map(|p| StreamHeader {
+                    protocol: p.wire_tag(),
+                    ..base
+                })
+                .find(|h| h.protocol != base.protocol && Client::from_header(h).is_ok())
+                .unwrap();
+            let variants = [
+                ("protocol", other_protocol),
+                ("d", StreamHeader { d: 5, ..base }),
+                ("k", StreamHeader { k: 3, ..base }),
+                ("eps", StreamHeader { eps: 2.0, ..base }),
+                (
+                    "hashes",
+                    StreamHeader {
+                        hashes: base.hashes + 1,
+                        ..base
+                    },
+                ),
+                ("width", StreamHeader { width: 32, ..base }),
+                (
+                    "family_seed",
+                    StreamHeader {
+                        family_seed: 10,
+                        ..base
+                    },
+                ),
+            ];
+            for (field, changed) in variants {
+                assert!(Client::from_header(&changed).is_ok(), "{name} {field}");
+                let (mut acc, other) = built(&base, &changed);
+                let before = acc.to_bytes();
+                let err = acc.merge(other).unwrap_err();
+                assert!(
+                    err.starts_with(&format!(
+                        "refusing to merge partial aggregates of different pipelines: {field} "
+                    )),
+                    "{name} {field}: {err}"
+                );
+                assert_eq!(acc.to_bytes(), before, "{name} {field}: state changed");
+            }
+            let (mut acc, other) = built(&base, &base);
+            acc.merge(other).unwrap();
+            assert_eq!(acc.report_count(), 80, "{name}");
+        }
+    }
+
+    #[test]
+    fn the_batch_envelope_comes_from_the_header() {
+        for base in every_protocol() {
+            let protocol = named(&base);
+            let (uses_k, sketch) = fields_used(&base);
+            // Every field the protocol ignores changed at once.
+            let mut ignored = base;
+            if !uses_k {
+                ignored.k = if base.k == 5 { 1 } else { 5 };
+            }
+            if !sketch {
+                (ignored.hashes, ignored.width) = (base.hashes ^ 3, base.width ^ 64);
+                ignored.family_seed = base.family_seed ^ 7;
+            }
+            let rows: Vec<u64> = (0..40).map(|u| u % 32).collect();
+            let frame = batch(&Client::from_header(&base).unwrap(), &rows, 5);
+            let twin = batch(&Client::from_header(&ignored).unwrap(), &rows, 5);
+            assert_eq!(frame, twin, "{}", protocol.name());
+            let [k, hashes, w0, w1, w2, w3] = frame[4..10] else {
+                unreachable!()
+            };
+            assert_eq!(uses_k, k != 0, "{}", protocol.name());
+            assert_eq!(sketch, hashes != 0, "{}", protocol.name());
+            assert_eq!(sketch, [w0, w1, w2, w3] != [0; 4], "{}", protocol.name());
+            for header in [&base, &ignored] {
+                let mut acc = PipelineAccumulator::empty(header).unwrap();
+                assert_eq!(acc.absorb_frame(&frame), Ok(40), "{}", protocol.name());
+            }
+
+            // A batch that differs in one field the protocol uses is
+            // refused, naming both envelopes, and absorbs nothing.
+            let mut used = vec![StreamHeader { d: 5, ..base }];
+            if uses_k {
+                used.push(StreamHeader { k: 3, ..base });
+            }
+            if sketch {
+                used.push(StreamHeader { width: 32, ..base });
+            }
+            let mut acc = PipelineAccumulator::empty(&base).unwrap();
+            acc.absorb_frame(&frame).unwrap();
+            let before = acc.to_bytes();
+            for other in used {
+                let payload = batch(&Client::from_header(&other).unwrap(), &rows, 5);
+                let err = acc.absorb_frame(&payload).unwrap_err();
+                assert_eq!(
+                    err,
+                    format!(
+                        "bad report batch frame: a {} batch cannot be absorbed by a {} accumulator",
+                        describe(&envelope(&other)),
+                        describe(&envelope(&base))
+                    )
+                );
+                assert_eq!(acc.to_bytes(), before, "{}: state changed", protocol.name());
+            }
+        }
+        let margps = mech(MechanismKind::MargPs, 6, 2);
+        assert_eq!(describe(&envelope(&margps)), "MargPS d=6 k=2");
+        let cms = oracle_header(Protocol::Cms, 6, 3, 16);
+        assert_eq!(describe(&envelope(&cms)), "CMS d=6 hashes×width=3×16");
+    }
+
+    #[test]
+    fn from_header_refuses_a_bad_eps_and_a_zero_k() {
+        for eps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            for base in every_protocol() {
+                let header = StreamHeader { eps, ..base };
+                let err = Client::from_header(&header).unwrap_err();
+                assert!(err.starts_with("header epsilon is out of range"), "{err}");
+                assert!(PipelineAccumulator::empty(&header).is_err());
+            }
+        }
+        for base in every_protocol() {
+            let header = StreamHeader { k: 0, ..base };
+            assert!(Client::from_header(&header).is_err(), "{header:?}");
+        }
+        let err = Client::from_header(&mech(MechanismKind::InpRr, 6, 0)).unwrap_err();
+        assert_eq!(err, "header marginal order is out of range: d=6 k=0 ε=1.1");
     }
 }

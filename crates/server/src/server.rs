@@ -493,8 +493,8 @@ impl Shared {
     /// The live merged snapshot as serialized state (what snapshot
     /// responses and snapshot files carry).
     fn collect(&self) -> Result<(StreamHeader, Vec<u8>), String> {
-        let (header, merged) = self.collect_merged()?;
-        Ok((header, merged.to_bytes()))
+        let merged = self.collect_merged()?;
+        Ok((*merged.header(), merged.to_bytes()))
     }
 
     /// The full live view: the local accumulator
@@ -503,24 +503,24 @@ impl Shared {
     /// deterministic, so the partition-invariance law keeps the result
     /// byte-identical to a serial single-process ingest of every report
     /// in the subtree.
-    fn collect_merged(&self) -> Result<(StreamHeader, PipelineAccumulator), String> {
-        let (header, mut merged) = self.collect_local()?;
+    fn collect_merged(&self) -> Result<PipelineAccumulator, String> {
+        let mut merged = self.collect_local()?;
         let downstream = lock(&self.downstream);
         for (collector, (_, state)) in downstream.iter() {
-            let acc = PipelineAccumulator::from_state(&header, state)
+            let acc = PipelineAccumulator::from_state(merged.header(), state)
                 .map_err(|e| format!("downstream snapshot from {collector}: {e}"))?;
             merged.merge(acc)?;
         }
-        Ok((header, merged))
+        Ok(merged)
     }
 
     /// The locally-absorbed accumulator: every shard locked one at a
     /// time and cloned, merged in shard order. Excludes downstream
     /// pushes — this is what a checkpoint stores as `local_state`.
-    fn collect_local(&self) -> Result<(StreamHeader, PipelineAccumulator), String> {
-        let (header, shards) = lock(&self.pipeline)
+    fn collect_local(&self) -> Result<PipelineAccumulator, String> {
+        let shards = lock(&self.pipeline)
             .as_ref()
-            .map(|p| (p.header, Arc::clone(&p.shards)))
+            .map(|p| Arc::clone(&p.shards))
             .ok_or("no report stream has been ingested yet")?;
         let mut merged: Option<PipelineAccumulator> = None;
         for shard in shards.iter() {
@@ -533,8 +533,7 @@ impl Shared {
                 }
             });
         }
-        let merged = merged.ok_or("server has no shards")?;
-        Ok((header, merged))
+        merged.ok_or_else(|| "server has no shards".to_string())
     }
 
     fn stats(&self) -> ServerStats {
@@ -553,7 +552,8 @@ impl Shared {
     /// Answer one query against the live accumulator (collect, merge,
     /// finalize).
     fn query(&self, target: QueryTarget, normalize: bool) -> Result<Vec<f64>, String> {
-        let (header, acc) = self.collect_merged()?;
+        let acc = self.collect_merged()?;
+        let d = acc.header().d;
         if acc.report_count() == 0 {
             return Err("accumulator holds no reports; nothing to estimate".to_string());
         }
@@ -562,10 +562,9 @@ impl Shared {
                 if bits == 0 {
                     return Err("marginal mask selects no attributes".to_string());
                 }
-                if header.d < 64 && bits >> header.d != 0 {
+                if d < 64 && bits >> d != 0 {
                     return Err(format!(
-                        "marginal mask {bits:#x} is outside the d = {} domain",
-                        header.d
+                        "marginal mask {bits:#x} is outside the d = {d} domain"
                     ));
                 }
                 let mask = Mask(bits);
@@ -584,11 +583,8 @@ impl Shared {
                 })
             }
             (PipelineEstimate::Oracle(oracle), QueryTarget::Value(value)) => {
-                if header.d < 64 && value >> header.d != 0 {
-                    return Err(format!(
-                        "value {value} is outside the d = {} domain",
-                        header.d
-                    ));
+                if d < 64 && value >> d != 0 {
+                    return Err(format!("value {value} is outside the d = {d} domain"));
                 }
                 Ok(vec![oracle.estimate(value)])
             }
@@ -661,7 +657,7 @@ impl Shared {
     /// recovered collector never double-counts a child's re-push.
     /// Returns the local report count it recorded.
     fn write_checkpoint_to(&self, path: &std::path::Path) -> Result<u64, String> {
-        let (header, local) = self.collect_local()?;
+        let local = self.collect_local()?;
         let reports = local.report_count();
         let downstream = lock(&self.downstream)
             .iter()
@@ -677,7 +673,7 @@ impl Shared {
                 collector: self.collector.clone(),
                 epoch: self.epoch.load(Ordering::SeqCst),
                 reports,
-                header,
+                header: *local.header(),
                 local_state: local.to_bytes(),
                 downstream,
             },

@@ -590,6 +590,33 @@ fn exit_codes_follow_the_documented_convention() {
     }
 }
 
+/// An ε that is not positive and finite is a bad parameter, not a
+/// crash: `encode` exits 1 with a message that names ε, for every
+/// protocol, before it reads a row.
+#[test]
+fn encode_refuses_a_nonpositive_or_nonfinite_eps() {
+    for eps in ["0", "-1", "NaN", "inf"] {
+        for protocol in ["InpRR", "MargPS", "OLH", "CMS"] {
+            let output = Command::new(cli_bin())
+                .args(["encode", "--protocol", protocol, "--eps", eps])
+                .args(["--generate", "taxi", "--n", "10"])
+                .stdin(Stdio::null())
+                .output()
+                .expect("failed to spawn ldp-cli");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(
+                output.status.code(),
+                Some(1),
+                "{protocol} ε={eps}: {stderr}"
+            );
+            assert!(
+                stderr.contains("header epsilon is out of range") && stderr.contains("ε="),
+                "{protocol} ε={eps}: {stderr}"
+            );
+        }
+    }
+}
+
 /// `query` of a snapshot that holds no report fails with exit code 1
 /// and says so, for every protocol, before it finalizes anything (InpPS
 /// cannot finalize an empty state).

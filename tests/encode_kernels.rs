@@ -22,8 +22,8 @@
 use marginal_ldp::core::wire::Writer;
 use marginal_ldp::core::{layout, user_rng, Accumulator, Protocol};
 use marginal_ldp::oracles::pipeline::{
-    decode_report_batch_into, header_for, Client, PipelineAccumulator, PipelineReport, SketchShape,
-    ENVELOPE_BYTES,
+    decode_report_batch_into, header_for, Aggregator, Client, Encoder, PipelineAccumulator,
+    PipelineReport, SketchShape, ENVELOPE_BYTES,
 };
 use proptest::prelude::*;
 
@@ -62,17 +62,17 @@ fn serial_reports(
         .enumerate()
         .map(|(i, &row)| {
             let rng = &mut user_rng(seed, first_user.wrapping_add(i as u64));
-            match client {
-                Client::InpRr(m) => PipelineReport::InpRr(m.encode(row, rng)),
-                Client::InpPs(m) => PipelineReport::InpPs(m.encode(row, rng)),
-                Client::InpHt(m) => PipelineReport::InpHt(m.encode(row, rng)),
-                Client::MargRr(m) => PipelineReport::MargRr(m.encode(row, rng)),
-                Client::MargPs(m) => PipelineReport::MargPs(m.encode(row, rng)),
-                Client::MargHt(m) => PipelineReport::MargHt(m.encode(row, rng)),
-                Client::InpEm(m) => PipelineReport::InpEm(m.encode(row, rng)),
-                Client::Olh(o) => PipelineReport::Olh(o.encode(row, rng)),
-                Client::Cms(o) => PipelineReport::Cms(Box::new(o.encode(row, rng))),
-                Client::Hcms(o) => PipelineReport::Hcms(o.encode(row, rng)),
+            match client.encoder() {
+                Encoder::InpRr(m) => PipelineReport::InpRr(m.encode(row, rng)),
+                Encoder::InpPs(m) => PipelineReport::InpPs(m.encode(row, rng)),
+                Encoder::InpHt(m) => PipelineReport::InpHt(m.encode(row, rng)),
+                Encoder::MargRr(m) => PipelineReport::MargRr(m.encode(row, rng)),
+                Encoder::MargPs(m) => PipelineReport::MargPs(m.encode(row, rng)),
+                Encoder::MargHt(m) => PipelineReport::MargHt(m.encode(row, rng)),
+                Encoder::InpEm(m) => PipelineReport::InpEm(m.encode(row, rng)),
+                Encoder::Olh(o) => PipelineReport::Olh(o.encode(row, rng)),
+                Encoder::Cms(o) => PipelineReport::Cms(Box::new(o.encode(row, rng))),
+                Encoder::Hcms(o) => PipelineReport::Hcms(o.encode(row, rng)),
             }
         })
         .collect()
@@ -177,15 +177,15 @@ fn typed_state(client: &Client, rows: &[u64], seed: u64) -> Vec<u8> {
             acc.to_bytes()
         }};
     }
-    match client {
-        Client::InpRr(m) => serial!(m),
-        Client::InpHt(m) => serial!(m),
-        Client::MargRr(m) => serial!(m),
-        Client::MargPs(m) => serial!(m),
-        Client::MargHt(m) => serial!(m),
-        Client::Cms(o) => serial!(o),
-        Client::Hcms(o) => serial!(o),
-        other => panic!("{} has no typed reference here", other.protocol().name()),
+    match client.encoder() {
+        Encoder::InpRr(m) => serial!(m),
+        Encoder::InpHt(m) => serial!(m),
+        Encoder::MargRr(m) => serial!(m),
+        Encoder::MargPs(m) => serial!(m),
+        Encoder::MargHt(m) => serial!(m),
+        Encoder::Cms(o) => serial!(o),
+        Encoder::Hcms(o) => serial!(o),
+        _ => panic!("{} has no typed reference here", client.protocol().name()),
     }
 }
 
@@ -246,22 +246,22 @@ fn assert_frames_match_typed(
 /// past the row's width counting nothing, into per-row user counts and
 /// row-major 1-counts.
 fn naive_set_counts(client: &Client, rows: &[u64], seed: u64) -> (Vec<u64>, Vec<u64>) {
-    let (row_count, width) = match client {
-        Client::InpRr(m) => (1, 1usize << m.d()),
-        Client::MargRr(m) => (m.marginal_count(), 1usize << m.k()),
-        Client::Cms(o) => (o.rows(), o.width()),
-        other => panic!("{} carries no set", other.protocol().name()),
+    let (row_count, width) = match client.encoder() {
+        Encoder::InpRr(m) => (1, 1usize << m.d()),
+        Encoder::MargRr(m) => (m.marginal_count(), 1usize << m.k()),
+        Encoder::Cms(o) => (o.rows(), o.width()),
+        _ => panic!("{} carries no set", client.protocol().name()),
     };
     let (mut users, mut ones) = (vec![0u64; row_count], vec![0u64; row_count * width]);
     for (u, &value) in (0u64..).zip(rows) {
         let rng = &mut user_rng(seed, u);
-        let (row, words) = match client {
-            Client::InpRr(m) => (0, m.encode(value, rng)),
-            Client::MargRr(m) => {
+        let (row, words) = match client.encoder() {
+            Encoder::InpRr(m) => (0, m.encode(value, rng)),
+            Encoder::MargRr(m) => {
                 let r = m.encode(value, rng);
                 (r.marginal as usize, r.words)
             }
-            Client::Cms(o) => {
+            Encoder::Cms(o) => {
                 let r = o.encode(value, rng);
                 (usize::from(r.row), r.words)
             }
@@ -281,15 +281,20 @@ fn naive_set_counts(client: &Client, rows: &[u64], seed: u64) -> (Vec<u64>, Vec<
 }
 
 /// The per-row user counts and 1-counts of a set accumulator's tally.
-fn set_counts(acc: &mut PipelineAccumulator) -> (Vec<u64>, Vec<u64>) {
-    let tally = match acc {
-        PipelineAccumulator::InpRr(a) => a.tally_mut(),
-        PipelineAccumulator::MargRr(a) => a.tally_mut(),
-        PipelineAccumulator::Cms(a) => a.tally_mut(),
-        other => panic!("{} carries no set", other.protocol().name()),
-    };
-    let (users, ones) = tally.counts();
-    (users.to_vec(), ones.to_vec())
+fn set_counts(acc: &PipelineAccumulator) -> (Vec<u64>, Vec<u64>) {
+    macro_rules! counts {
+        ($a:ident) => {{
+            let mut a = $a.clone();
+            let (users, ones) = a.tally_mut().counts();
+            (users.to_vec(), ones.to_vec())
+        }};
+    }
+    match acc.aggregator() {
+        Aggregator::InpRr(a) => counts!(a),
+        Aggregator::MargRr(a) => counts!(a),
+        Aggregator::Cms(a) => counts!(a),
+        _ => panic!("{} carries no set", acc.protocol().name()),
+    }
 }
 
 /// `absorb_frame` leaves the typed reference's state. The fixed-field
@@ -322,9 +327,9 @@ fn frame_kernels_match_typed_encode_then_absorb() {
         let client = sketch_client(protocol, d, k, sketch);
         let shape = format!("{} d={d} k={k} {hashes}×{width}", protocol.name());
         for count in [1, 7, 63, 65, 1024] {
-            let mut acc = assert_frames_match_typed(&client, d, count, &shape);
+            let acc = assert_frames_match_typed(&client, d, count, &shape);
             assert!(
-                set_counts(&mut acc) == naive_set_counts(&client, &population(d, 2 * count), SEED),
+                set_counts(&acc) == naive_set_counts(&client, &population(d, 2 * count), SEED),
                 "{shape}: {count}-report frames diverged from the bit-by-bit count"
             );
         }

@@ -11,7 +11,7 @@ use marginal_ldp::core::frame::StreamHeader;
 use marginal_ldp::core::wire::Writer;
 use marginal_ldp::core::{layout, Protocol};
 use marginal_ldp::oracles::pipeline::{
-    decode_report_batch_into, header_for, Client, SketchShape, ENVELOPE_BYTES,
+    decode_report_batch_into, header_for, Client, Encoder, SketchShape, ENVELOPE_BYTES,
 };
 use marginal_ldp::prelude::*;
 
@@ -57,10 +57,10 @@ fn shapes() -> Vec<StreamHeader> {
 /// paper methods' `MethodBound::communication_bits`, `d` for InpEM, and
 /// `Cms::communication_bits` (`w + 8`) for CMS.
 fn table2_bits(client: &Client, header: &StreamHeader) -> Option<u64> {
-    match client {
-        Client::InpEm(_) => Some(u64::from(header.d)),
-        Client::Cms(o) => Some(o.communication_bits() as u64),
-        Client::Olh(_) | Client::Hcms(_) => None,
+    match client.encoder() {
+        Encoder::InpEm(_) => Some(u64::from(header.d)),
+        Encoder::Cms(o) => Some(o.communication_bits() as u64),
+        Encoder::Olh(_) | Encoder::Hcms(_) => None,
         _ => {
             let kind = header.mechanism_kind()?;
             Some(kind.bound()?.communication_bits(header.d, header.k))
