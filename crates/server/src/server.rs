@@ -119,7 +119,7 @@ struct Pending {
 /// Lock `mutex`, recovering from poison. Every value locked this way
 /// (a counter, an error slot, a channel end, an accumulator that
 /// `absorb_frame` changes only after validating a whole frame, the
-/// pipeline slot, the downstream table of whole `(epoch, state)`
+/// pipeline slot, the downstream table of whole `(epoch, accumulator)`
 /// entries, the checkpoint mark, the push lock) is valid at every
 /// instruction, so one panicked thread must not cascade.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -286,9 +286,9 @@ struct Shared {
     collector: String,
     /// The push-epoch counter; each push consumes the next epoch.
     epoch: AtomicU64,
-    /// The latest `(epoch, state)` each downstream collector pushed,
-    /// keyed — and therefore merged — in collector-id order.
-    downstream: Mutex<BTreeMap<String, (u64, Vec<u8>)>>,
+    /// The latest `(epoch, accumulator)` each downstream collector
+    /// pushed, keyed — and therefore merged — in collector-id order.
+    downstream: Mutex<BTreeMap<String, (u64, PipelineAccumulator)>>,
     /// Checkpoint file path (`None`: durability disabled).
     checkpoint: Option<PathBuf>,
     /// Threshold of newly absorbed reports that triggers a rewrite.
@@ -429,7 +429,7 @@ impl Shared {
 
     /// Establish the pipeline from the first stream's header (building
     /// the shards and spawning the helpers), or verify a later stream
-    /// matches it exactly. `seed` is a recovered accumulator state
+    /// matches it exactly. `seed` is a recovered accumulator
     /// (checkpoint recovery) for shard 0: merging in shard order then
     /// makes the live state `recovered ⊕ new`, which the
     /// partition-invariance law keeps byte-identical to a serial ingest
@@ -437,7 +437,7 @@ impl Shared {
     fn establish(
         self: &Arc<Self>,
         header: StreamHeader,
-        seed: Option<&[u8]>,
+        mut seed: Option<PipelineAccumulator>,
     ) -> Result<(), String> {
         let mut guard = lock(&self.pipeline);
         if let Some(pipeline) = guard.as_ref() {
@@ -451,11 +451,10 @@ impl Shared {
                 Protocol::from_header(&pipeline.header).map_or("?", Protocol::name),
             ));
         }
-        let mut seed = seed;
         let shards: Shards = (0..self.shards)
             .map(|_| {
                 let acc = match seed.take() {
-                    Some(state) => PipelineAccumulator::from_state(&header, state)?,
+                    Some(acc) => acc,
                     None => PipelineAccumulator::empty(&header)?,
                 };
                 Ok(Mutex::new(acc))
@@ -498,18 +497,16 @@ impl Shared {
     }
 
     /// The full live view: the local accumulator
-    /// ([`Shared::collect_local`]), then every downstream collector's
-    /// latest push merged in collector-id order. Both orders are
-    /// deterministic, so the partition-invariance law keeps the result
-    /// byte-identical to a serial single-process ingest of every report
-    /// in the subtree.
+    /// ([`Shared::collect_local`]), then a clone of each downstream
+    /// collector's held accumulator merged in collector-id order. Both
+    /// orders are deterministic, so the partition-invariance law keeps
+    /// the result byte-identical to a serial single-process ingest of
+    /// every report in the subtree.
     fn collect_merged(&self) -> Result<PipelineAccumulator, String> {
         let mut merged = self.collect_local()?;
         let downstream = lock(&self.downstream);
-        for (collector, (_, state)) in downstream.iter() {
-            let acc = PipelineAccumulator::from_state(merged.header(), state)
-                .map_err(|e| format!("downstream snapshot from {collector}: {e}"))?;
-            merged.merge(acc)?;
+        for (_, acc) in downstream.values() {
+            merged.merge(acc.clone())?;
         }
         Ok(merged)
     }
@@ -522,18 +519,12 @@ impl Shared {
             .as_ref()
             .map(|p| Arc::clone(&p.shards))
             .ok_or("no report stream has been ingested yet")?;
-        let mut merged: Option<PipelineAccumulator> = None;
-        for shard in shards.iter() {
-            let acc = lock(shard).clone();
-            merged = Some(match merged {
-                None => acc,
-                Some(mut base) => {
-                    base.merge(acc)?;
-                    base
-                }
-            });
+        let (first, rest) = shards.split_first().ok_or("server has no shards")?;
+        let mut merged = lock(first).clone();
+        for shard in rest {
+            merged.merge(lock(shard).clone())?;
         }
-        merged.ok_or_else(|| "server has no shards".to_string())
+        Ok(merged)
     }
 
     fn stats(&self) -> ServerStats {
@@ -599,7 +590,7 @@ impl Shared {
 
     /// Apply one downstream push: validate it against the established
     /// pipeline (establishing from the push's header if no stream has
-    /// arrived yet), then *replace* the pusher's previous snapshot —
+    /// arrived yet), decode it, then *replace* the pusher's held one —
     /// unless its epoch is stale, in which case the push is refused by
     /// name so a restarted child can fast-forward its counter.
     fn apply_push(self: &Arc<Self>, push: PushRequest) -> Response {
@@ -607,13 +598,16 @@ impl Shared {
             self.rejected_frames.fetch_add(1, Ordering::Relaxed);
             return Response::Error(format!("snapshot push from {}: {message}", push.collector));
         }
-        if let Err(e) = PipelineAccumulator::from_state(&push.header, &push.state) {
-            self.rejected_frames.fetch_add(1, Ordering::Relaxed);
-            return Response::Error(format!(
-                "snapshot push from {} does not decode: {e}",
-                push.collector
-            ));
-        }
+        let acc = match PipelineAccumulator::from_state(&push.header, &push.state) {
+            Ok(acc) => acc,
+            Err(e) => {
+                self.rejected_frames.fetch_add(1, Ordering::Relaxed);
+                return Response::Error(format!(
+                    "snapshot push from {} does not decode: {e}",
+                    push.collector
+                ));
+            }
+        };
         let mut downstream = lock(&self.downstream);
         match downstream.get(&push.collector) {
             Some(&(held, _)) if push.epoch < held => Response::Push {
@@ -621,11 +615,10 @@ impl Shared {
                 latest_epoch: held,
             },
             _ => {
-                let epoch = push.epoch;
-                downstream.insert(push.collector, (epoch, push.state));
+                downstream.insert(push.collector, (push.epoch, acc));
                 Response::Push {
                     applied: true,
-                    latest_epoch: epoch,
+                    latest_epoch: push.epoch,
                 }
             }
         }
@@ -653,18 +646,18 @@ impl Shared {
     }
 
     /// Build and atomically write the checkpoint blob: local-only
-    /// state plus the downstream replacement table, kept separate so a
-    /// recovered collector never double-counts a child's re-push.
-    /// Returns the local report count it recorded.
+    /// state plus the downstream replacement table (each child
+    /// serialized here), kept separate so a recovered collector never
+    /// double-counts a child's re-push. Returns the local report count.
     fn write_checkpoint_to(&self, path: &std::path::Path) -> Result<u64, String> {
         let local = self.collect_local()?;
         let reports = local.report_count();
         let downstream = lock(&self.downstream)
             .iter()
-            .map(|(collector, &(epoch, ref state))| DownstreamEntry {
+            .map(|(collector, (epoch, acc))| DownstreamEntry {
                 collector: collector.clone(),
-                epoch,
-                state: state.clone(),
+                epoch: *epoch,
+                state: acc.to_bytes(),
             })
             .collect();
         write_checkpoint(
@@ -683,16 +676,16 @@ impl Shared {
 
     /// Push the full merged view upstream under the next epoch.
     /// `Ok(true)` means the upstream replaced its entry; `Ok(false)`
-    /// means there was nothing to push yet. Any failure is `Err` — the
-    /// relay loop backs off and retries, and because every push
+    /// means no pipeline is established yet. Any failure is `Err` — the
+    /// relay loop logs it, backs off and retries, and because every push
     /// carries the *cumulative* view, re-pushing a later snapshot
     /// under a later epoch is exactly the at-least-once contract.
     fn push_upstream(&self, upstream: &str) -> Result<bool, String> {
         let _serialize = lock(&self.push_lock);
-        let Ok((header, state)) = self.collect() else {
-            // No stream has been ingested yet: nothing to push.
+        if lock(&self.pipeline).is_none() {
             return Ok(false);
-        };
+        }
+        let (header, state) = self.collect()?;
         let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         let mut control =
             Control::connect_within(upstream, RELAY_CONNECT_TIMEOUT, RELAY_IO_TIMEOUT)?;
@@ -781,7 +774,8 @@ impl Server {
 
     /// [`Server::bind`] with federation and durability options. If the
     /// configured checkpoint file exists, it is recovered before
-    /// serving: the local state seeds shard 0, and the
+    /// serving: every state in it is decoded (one that does not refuses
+    /// it, naming its collector), the local state seeds shard 0, and the
     /// downstream table resumes replacement semantics, so children
     /// re-pushing after the restart replace rather than double-count.
     pub fn bind_with(config: &ServeConfig) -> Result<Server, String> {
@@ -803,6 +797,18 @@ impl Server {
             Some(path) if path.exists() => Some(read_checkpoint(path)?),
             _ => None,
         };
+        let (mut seed, mut downstream) = (None, BTreeMap::new());
+        if let Some(cp) = &recovered {
+            seed = Some(
+                PipelineAccumulator::from_state(&cp.header, &cp.local_state)
+                    .map_err(|e| format!("checkpoint recovery: {e}"))?,
+            );
+            for entry in &cp.downstream {
+                let acc = PipelineAccumulator::from_state(&cp.header, &entry.state)
+                    .map_err(|e| format!("checkpoint recovery: child {}: {e}", entry.collector))?;
+                downstream.insert(entry.collector.clone(), (entry.epoch, acc));
+            }
+        }
         let collector = config
             .collector
             .clone()
@@ -825,7 +831,7 @@ impl Server {
             push_every: config.push_every,
             collector,
             epoch: AtomicU64::new(0),
-            downstream: Mutex::new(BTreeMap::new()),
+            downstream: Mutex::new(downstream),
             checkpoint: config.checkpoint.clone(),
             checkpoint_every: config.checkpoint_every,
             checkpoint_mark: Mutex::new(0),
@@ -835,21 +841,15 @@ impl Server {
             None => None,
             Some(cp) => {
                 shared
-                    .establish(cp.header, Some(&cp.local_state))
+                    .establish(cp.header, seed)
                     .map_err(|e| format!("checkpoint recovery: {e}"))?;
                 shared.reports.store(cp.reports, Ordering::SeqCst);
                 shared.epoch.store(cp.epoch, Ordering::SeqCst);
                 *lock(&shared.checkpoint_mark) = cp.reports;
-                let mut downstream = lock(&shared.downstream);
-                for entry in cp.downstream {
-                    downstream.insert(entry.collector, (entry.epoch, entry.state));
-                }
-                let restored = downstream.len();
-                drop(downstream);
                 Some(Recovery {
                     reports: cp.reports,
                     epoch: cp.epoch,
-                    downstream: restored,
+                    downstream: lock(&shared.downstream).len(),
                 })
             }
         };

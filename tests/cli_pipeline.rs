@@ -68,12 +68,15 @@ fn run_cli_raw(args: &[&str], stdin: Option<&[u8]>) -> (bool, Vec<u8>, String) {
     let mut child = cmd.spawn().expect("failed to spawn ldp-cli");
     if let Some(bytes) = stdin {
         use std::io::Write;
-        child
-            .stdin
-            .take()
-            .unwrap()
-            .write_all(bytes)
-            .expect("failed to feed stdin");
+        // A command that refuses its flags may exit before it reads
+        // stdin, closing the pipe under this write; its exit status and
+        // stderr, which the caller asserts, say what happened.
+        match child.stdin.take().unwrap().write_all(bytes) {
+            Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+                panic!("failed to feed stdin: {e}")
+            }
+            _ => {}
+        }
     } else {
         drop(child.stdin.take());
     }

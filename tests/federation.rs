@@ -14,6 +14,11 @@
 //! is behind its own pre-crash pushes, so its first re-push is refused
 //! and fast-forwarded).
 //!
+//! A root holding 64 children's pushes converges to the same serial
+//! bytes and replaces a child's entry on re-push, and checkpoint
+//! recovery refuses a child state that does not decode. An ignored
+//! probe times a root's queries at fan-in 1, 16 and 64.
+//!
 //! A proptest sweeps random topologies (depth ≤ 3, fan-in ≤ 4) ×
 //! report-to-node assignments × mixed single/batch framing for a
 //! mechanism with a dense table (MargPS), a count-map mechanism
@@ -23,7 +28,10 @@
 use ldp_core::frame::{read_snapshot, FrameReader, FrameWriter, StreamHeader};
 use ldp_core::wire::Writer;
 use ldp_core::Protocol;
-use ldp_server::{push_with, Control, PushRequest, Request, Response, ServeConfig, Server};
+use ldp_server::{
+    push_with, write_checkpoint, Checkpoint, Control, DownstreamEntry, PushRequest, QueryRequest,
+    QueryTarget, Request, Response, ServeConfig, Server,
+};
 use marginal_ldp::oracles::pipeline::{
     decode_report_batch_into, header_for, Client, PipelineAccumulator, SketchShape,
 };
@@ -741,6 +749,227 @@ fn graceful_shutdown_checkpoint_resumes_exactly() {
         "recovered + resumed snapshot differs from serial ingest"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The sketch shape a mechanism header ignores.
+const NO_SKETCH: SketchShape = SketchShape {
+    hashes: 0,
+    width: 0,
+    family_seed: 0,
+};
+
+/// One accumulator holding the reports of users `first_user..` (one per
+/// row), absorbed from one `REPORT_BATCH` frame.
+fn absorbed(client: &Client, rows: &[u64], first_user: u64) -> PipelineAccumulator {
+    let mut acc = client.accumulator();
+    let mut frame = Writer::default();
+    client.encode_batch(rows, 42, first_user, &mut frame);
+    acc.absorb_frame(frame.as_bytes()).unwrap();
+    acc
+}
+
+/// Push `state` as `collector`'s snapshot at `epoch`, asserting that the
+/// upstream applied it.
+fn push_state(
+    control: &mut Control,
+    collector: &str,
+    epoch: u64,
+    header: StreamHeader,
+    state: Vec<u8>,
+) {
+    match control.request(&Request::Push(PushRequest {
+        collector: collector.to_string(),
+        epoch,
+        header,
+        state,
+    })) {
+        Ok(Response::Push {
+            applied: true,
+            latest_epoch,
+        }) if latest_epoch == epoch => {}
+        other => panic!("push from {collector} got {other:?}"),
+    }
+}
+
+/// A live snapshot's state over the control plane.
+fn snapshot_state(control: &mut Control) -> Vec<u8> {
+    match control.request(&Request::Snapshot) {
+        Ok(Response::Snapshot { state, .. }) => state,
+        other => panic!("snapshot got {other:?}"),
+    }
+}
+
+/// A root with 64 children: 64 pushes of distinct states under
+/// distinct collector ids merge into exactly the serial bytes of every
+/// child's reports. A child's re-push replaces its entry: the same
+/// state again leaves the root's bytes unchanged, and a grown state
+/// adds only its new reports.
+#[test]
+fn fan_in_of_64_matches_serial_ingest_and_replaces_on_repush() {
+    const CHILDREN: usize = 64;
+    const USERS: usize = 40;
+    let header = header_for(Protocol::MargHt, 6, 2, 1.1, NO_SKETCH);
+    let client = Client::from_header(&header).unwrap();
+    let rows = population(6, USERS * (CHILDREN + 1));
+    let child_rows = |i: usize| &rows[i * USERS..(i + 1) * USERS];
+    let child_state = |i: usize| absorbed(&client, child_rows(i), (i * USERS) as u64);
+
+    let server = Server::bind("127.0.0.1:0", 2).unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let handle = std::thread::spawn(move || server.run());
+    let mut control = Control::connect(&addr).unwrap();
+    for i in 0..CHILDREN {
+        let state = child_state(i).to_bytes();
+        push_state(&mut control, &format!("child-{i:02}"), 1, header, state);
+    }
+    let serial = absorbed(&client, &rows[..CHILDREN * USERS], 0).to_bytes();
+    assert_eq!(
+        snapshot_state(&mut control),
+        serial,
+        "64-child root differs from serial ingest"
+    );
+
+    // The same cumulative view again replaces, never adds.
+    push_state(
+        &mut control,
+        "child-17",
+        2,
+        header,
+        child_state(17).to_bytes(),
+    );
+    assert_eq!(
+        snapshot_state(&mut control),
+        serial,
+        "a re-push added to the root instead of replacing its entry"
+    );
+    // A grown view (child-17 absorbed the last USERS users too)
+    // replaces the held one: the root now holds every user once.
+    let mut grown = child_state(17);
+    grown.merge(child_state(CHILDREN)).unwrap();
+    push_state(&mut control, "child-17", 3, header, grown.to_bytes());
+    let everything = absorbed(&client, &rows, 0).to_bytes();
+    assert_eq!(
+        snapshot_state(&mut control),
+        everything,
+        "a grown re-push did not replace child-17's entry"
+    );
+
+    control.request(&Request::Shutdown).unwrap();
+    let summary = handle.join().unwrap().unwrap();
+    assert_eq!(summary.snapshot.map(|(_, state)| state), Some(everything));
+}
+
+/// Checkpoint recovery decodes every state a checkpoint holds. One
+/// downstream state that does not decode — corrupt bytes, or a state
+/// built under another ε — refuses the checkpoint at bind, naming that
+/// child, rather than starting a server whose every query, snapshot
+/// and upstream push would then fail. Without the bad entry the same
+/// checkpoint recovers and serves the merge of what it holds.
+#[test]
+fn recovery_refuses_a_checkpoint_whose_child_does_not_decode() {
+    let dir = scratch("badckpt");
+    let path = dir.join("collector.ckpt");
+    let header = header_for(Protocol::MargPs, 4, 2, 1.1, NO_SKETCH);
+    let client = Client::from_header(&header).unwrap();
+    let rows = population(4, 120);
+    let local = absorbed(&client, &rows[..60], 0).to_bytes();
+    let child = absorbed(&client, &rows[60..], 60).to_bytes();
+    let other_eps = Client::from_header(&StreamHeader { eps: 2.2, ..header }).unwrap();
+    let alien = absorbed(&other_eps, &rows[60..], 60).to_bytes();
+    let entry = |collector: &str, state: &[u8]| DownstreamEntry {
+        collector: collector.to_string(),
+        epoch: 1,
+        state: state.to_vec(),
+    };
+    let checkpoint = |downstream| Checkpoint {
+        collector: "mid".to_string(),
+        epoch: 4,
+        reports: 60,
+        header,
+        local_state: local.clone(),
+        downstream,
+    };
+    let mut config = ServeConfig::new("127.0.0.1:0", 2);
+    config.checkpoint = Some(path.clone());
+
+    for bad in [vec![0xFF; 7], alien] {
+        let downstream = vec![entry("child-a", &child), entry("child-b", &bad)];
+        write_checkpoint(&path, &checkpoint(downstream)).unwrap();
+        match Server::bind_with(&config) {
+            Err(message) => assert!(
+                message.contains("child-b") && !message.contains("child-a"),
+                "{message}"
+            ),
+            Ok(_) => panic!("a checkpoint holding an undecodable child was recovered"),
+        }
+    }
+
+    write_checkpoint(&path, &checkpoint(vec![entry("child-a", &child)])).unwrap();
+    let server = Server::bind_with(&config).unwrap();
+    let recovery = server.recovery().expect("a recovered checkpoint");
+    assert_eq!((recovery.reports, recovery.downstream), (60, 1));
+    let addr = server.local_addr().unwrap().to_string();
+    let handle = std::thread::spawn(move || server.run());
+    let mut control = Control::connect(&addr).unwrap();
+    assert_eq!(
+        snapshot_state(&mut control),
+        absorbed(&client, &rows, 0).to_bytes(),
+        "recovered local ⊕ child differs from serial ingest"
+    );
+    control.request(&Request::Shutdown).unwrap();
+    handle.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The fan-in probe: how a root's query latency grows with the children
+/// it holds. Starts `serve --shards 2`, pushes 1, then 16, then 64
+/// children (one MargHT d=16 k=3 state of 2^16 users under distinct
+/// collector ids), and after each step times 200 serial 3-way marginal
+/// queries and prints their p50 and p90. Run it with
+/// `cargo test --release --test federation -- --ignored --nocapture`.
+#[test]
+#[ignore = "timing probe; run with --ignored --nocapture"]
+fn fan_in_query_latency_probe() {
+    let header = header_for(Protocol::MargHt, 16, 3, 1.1, NO_SKETCH);
+    let client = Client::from_header(&header).unwrap();
+    let state = absorbed(&client, &population(16, 1 << 16), 0).to_bytes();
+    let root = ServerProc::start(&[]);
+    let mut control = Control::connect(&root.addr).unwrap();
+    let query = Request::Query(QueryRequest {
+        target: QueryTarget::Marginal(0b111),
+        normalize: false,
+    });
+    let mut held = 0;
+    for children in [1, 16, 64] {
+        for i in held..children {
+            push_state(
+                &mut control,
+                &format!("child-{i:02}"),
+                1,
+                header,
+                state.clone(),
+            );
+        }
+        held = children;
+        let mut times: Vec<Duration> = (0..200)
+            .map(|_| {
+                let start = Instant::now();
+                match control.request(&query) {
+                    Ok(Response::Query(_)) => start.elapsed(),
+                    other => panic!("query got {other:?}"),
+                }
+            })
+            .collect();
+        times.sort();
+        let ms = |q: usize| times[q * times.len() / 100].as_secs_f64() * 1e3;
+        println!(
+            "fan-in {children:>2}: query p50 {:.3} ms, p90 {:.3} ms",
+            ms(50),
+            ms(90)
+        );
+    }
+    drop(control);
+    root.shutdown();
 }
 
 // ---------------------------------------------------------------------
